@@ -95,6 +95,11 @@ _SO_QUANT = (ExistsSO, ForallSO)
 
 KEYWORDS = frozenset({"ALL", "EX", "ALL2", "EX2"})
 
+# The deepest syntax tree parse accepts.  Every walker over formulas
+# recurses once or twice per level, so deeper input would end in a
+# RecursionError rather than an answer.
+MAX_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # Lexing / parsing
@@ -136,6 +141,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -155,6 +161,15 @@ class _Parser:
             self.error(f"expected {op!r}, found {lexeme or 'end of input'!r}")
         return self.take()
 
+    def nested(self, parse):
+        """parse() one level deeper, bounding the parser's own recursion."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"formula is nested more than {MAX_DEPTH} levels deep")
+        out = parse()
+        self.depth -= 1
+        return out
+
     def at_op(self, op):
         kind, lexeme, _, _ = self.peek()
         return kind == "op" and lexeme == op
@@ -165,12 +180,12 @@ class _Parser:
             self.take()
             if lexeme in ("ALL", "EX"):
                 var = self.variable()
-                body = self.formula()
+                body = self.nested(self.formula)
                 return (ForallFO if lexeme == "ALL" else ExistsFO)(var, body)
             relvar = self.relvar_binder()
             self.expect_op(":")
             arity = self.nat()
-            body = self.formula()
+            body = self.nested(self.formula)
             return (ForallSO if lexeme == "ALL2" else ExistsSO)(relvar, arity, body)
         return self.iff()
 
@@ -234,10 +249,10 @@ class _Parser:
         kind, lexeme, _, _ = self.peek()
         if kind == "op" and lexeme == "~":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "op" and lexeme == "(":
             self.take()
-            out = self.formula()
+            out = self.nested(self.formula)
             self.expect_op(")")
             return out
         return self.atom()
@@ -270,17 +285,38 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula.
 
-    Raises ParseError with line/column on malformed input, and when a
+    Raises ParseError with line/column on malformed input, when a
     relation name is applied with two different argument counts inside
-    the same scope.
+    the same scope, and when parentheses, negations and quantifiers, or
+    the syntax tree, nest more than MAX_DEPTH levels deep (each operator
+    of a chain such as a & b & c adds a level to the tree).
     """
     parser = _Parser(text)
     out = parser.formula()
     kind, lexeme, line, col = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {lexeme!r}", line, col)
+    # Every node of the tree consumes a token, so short input needs no walk.
+    if len(parser.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
+        raise ParseError(f"formula is nested more than {MAX_DEPTH} levels deep")
     _check_arity_consistency(out)
     return out
+
+
+def _height(f):
+    """Levels of the syntax tree of f, counted without recursion."""
+    height = 0
+    stack = [(f, 1)]
+    while stack:
+        g, level = stack.pop()
+        height = max(height, level)
+        if isinstance(g, Not):
+            stack.append((g.sub, level + 1))
+        elif isinstance(g, _BINARY):
+            stack += ((g.left, level + 1), (g.right, level + 1))
+        elif isinstance(g, (*_FO_QUANT, *_SO_QUANT)):
+            stack.append((g.body, level + 1))
+    return height
 
 
 def _check_arity_consistency(f):

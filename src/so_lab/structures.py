@@ -4,10 +4,12 @@ Structures live on universes {0..n-1} with relations stored as tuple
 sets.  Evaluation is Tarski-style for the first-order part; relation
 quantifiers range over all relations of the matching arity, either by
 exhaustive enumeration in a fixed lexicographic order (subject to a
-candidate budget) or, for closed formulas whose relation quantifiers
-form a homogeneous prefix over a first-order matrix, by a backtracking
-witness search that decides the same question without materialising
-the candidate space.
+candidate budget) or, for formulas whose relation quantifiers form a
+homogeneous prefix over a first-order matrix, by satisfiability (see
+sat): the matrix is grounded over the universe into CNF, one Boolean
+per candidate tuple, by a grounder compiled once per matrix, prefix and
+universe size, and a small DPLL decides the same question without
+materialising the candidate space.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -117,12 +119,31 @@ class FiniteStructure:
 
     @staticmethod
     def from_json_dict(data) -> "FiniteStructure":
-        sig = Signature.of(data["signature"])
-        return FiniteStructure(sig, data["universe"], data.get("relations", {}))
+        """The structure a decoded JSON object describes; raises
+        ValidationError on any value of the wrong JSON type."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"a structure must be a JSON object, not {type(data).__name__}")
+        size = data.get("universe")
+        if not _is_int(size):
+            raise ValidationError(f"'universe' must be an integer, not {type(size).__name__}")
+        signature = data.get("signature")
+        if not isinstance(signature, dict) or not all(
+                _is_int(arity) for arity in signature.values()):
+            raise ValidationError("'signature' must be an object mapping names to integer arities")
+        relations = data.get("relations", {})
+        if not isinstance(relations, dict) or not all(
+                isinstance(tuples, list) and all(isinstance(t, list) for t in tuples)
+                for tuples in relations.values()):
+            raise ValidationError("'relations' must be an object mapping names to lists of tuples")
+        return FiniteStructure(Signature.of(signature), size, relations)
 
     @staticmethod
     def from_json(text) -> "FiniteStructure":
         return FiniteStructure.from_json_dict(json.loads(text))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -430,8 +451,11 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
 
     Enumeration is lexicographic in the relation mask and short-circuits;
     a quantifier whose candidate count 2^(n^k) exceeds the budget raises
-    BudgetExceededError, except that closed homogeneous-prefix formulas
-    over a first-order matrix are decided by witness search instead.
+    BudgetExceededError.  A formula whose relation quantifiers form one
+    homogeneous prefix over a first-order matrix is decided by SAT
+    instead, without a budget: the compiled grounder of sat folds the
+    structure's atoms to constants and emits a small CNF over one
+    variable per candidate tuple, which DPLL decides.
     """
     fo_env = dict(asg.fo) if asg else {}
     so_env = dict(asg.so) if asg else {}

@@ -147,8 +147,10 @@ _realized_sets: dict = {}
 
 def _realized_set(A, ctx, budget) -> frozenset:
     # Realization tables are pure in (A, ctx); structures and contexts
-    # hash by value, so pool-wide scans can share them.
-    key = (A, ctx)
+    # hash by value, so pool-wide scans can share them.  The budget is
+    # part of the key: a table built under a larger budget must not be
+    # returned where a smaller one raises.
+    key = (A, ctx, budget)
     cached = _realized_sets.get(key)
     if cached is None:
         cached = frozenset(realized_types(A, ctx, budget=budget))

@@ -84,10 +84,6 @@ def product_ultrafilter(F: Ultrafilter, G: Ultrafilter) -> Ultrafilter:
     return Ultrafilter(F.size * G.size, F.principal * G.size + G.principal)
 
 
-def pair_index(i: int, j: int, G: Ultrafilter) -> int:
-    return i * G.size + j
-
-
 def product_member_definitional(F: Ultrafilter, G: Ultrafilter, pairs) -> bool:
     """Membership by the defining double-large-set formula, evaluated
     literally; used to cross-check product_ultrafilter."""

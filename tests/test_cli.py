@@ -68,6 +68,29 @@ class TestBasicCommands:
         assert code == 3 and "budget" in err
 
 
+class TestMalformedInput:
+    """Malformed input is a usage error (exit 2), never a traceback."""
+
+    def test_universe_of_wrong_type(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"universe": "3", "signature": {"edge": 2},
+                                    "relations": {"edge": []}}))
+        code, _, err = run(capsys, "eval", "--structure", str(path),
+                           "--builtin", "hamiltonian")
+        assert code == 2 and "universe" in err
+
+    def test_family_entry_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "ultraproduct", "--family", str(path),
+                           "--ultrafilter", "principal:0")
+        assert code == 2 and "object" in err
+
+    def test_deeply_nested_formula(self, capsys):
+        code, _, err = run(capsys, "parse", "--formula", "~" * 5000 + "p(x)")
+        assert code == 2 and "nested" in err
+
+
 class TestUltraCommands:
     def test_ultraproduct(self, capsys, families):
         kdir, _ = families

@@ -48,6 +48,19 @@ class TestParse:
         with pytest.raises(ParseError):
             fm.parse("p(x) | ALL y p(y)")
 
+    @pytest.mark.parametrize("text", [
+        "(" * 101 + "p(x)" + ")" * 101,
+        "ALL x " * 101 + "p(x)",
+        " & ".join(["p(x)"] * 102),
+    ])
+    def test_depth_limit(self, text):
+        with pytest.raises(ParseError, match="nested more than"):
+            fm.parse(text)
+
+    def test_depth_at_the_limit_parses(self):
+        f = fm.parse("~" * (fm.MAX_DEPTH - 1) + "p(x)")
+        assert fm.parse(fm.print_formula(f)) == f
+
 
 class TestPrintParseRoundTrip:
     def test_seeded_corpus(self):

@@ -117,6 +117,12 @@ class TestOmittedByAll:
         pool = small_pool()
         assert omitted_by_all(pool, pool, SIMPLE) == frozenset()
 
+    def test_cached_table_does_not_bypass_a_smaller_budget(self):
+        C4 = cycle_graph(4)
+        omitted_by_all([C4], [C4], SIMPLE)
+        with pytest.raises(BudgetExceededError):
+            omitted_by_all([C4], [C4], SIMPLE, budget=4)
+
     def test_singletons_omit_two_element_type(self):
         pool = [FiniteStructure(EMPTY_SIGNATURE, 1),
                 FiniteStructure(EMPTY_SIGNATURE, 2)]
