@@ -123,7 +123,7 @@ def _cmd_henkin_eval(args):
     U = ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
     f = _formula_from_args(args)
     M = ultra.henkin_model(family, U, args.arity_bound)
-    value = ultra.henkin_eval(M, f)
+    value = ultra.henkin_eval(M, f, budget=args.budget)
     report = {"command": "henkin-eval", "ultrafilter": U.literal(),
               "arity_bound": args.arity_bound, "result": value}
     _emit(args, report, ["true" if value else "false"])
@@ -186,7 +186,7 @@ def _cmd_types(args):
 def _cmd_insep(args):
     Ks = [A for _, A in _load_family(args.k)]
     Ls = [A for _, A in _load_family(args.l)]
-    rep = workbench.principal_insep_search(Ks, Ls, args.arity_bound)
+    rep = workbench.principal_insep_search(Ks, Ls)
     report = {"command": "insep", **rep.to_json_dict()}
     if rep.witness is None:
         lines = [f"refutation: no witness among {rep.pairs_searched} pairs",
@@ -199,15 +199,17 @@ def _cmd_insep(args):
 
 
 _CHECKS = {
-    "los": lambda args: workbench.los_suite(args.trials, args.seed),
-    "fubini": lambda args: workbench.fubini_suite(args.trials, args.seed),
-    "metric": lambda args: workbench.metric_suite(args.trials, args.seed),
-    "omission": lambda args: workbench.omission_suite(args.trials, args.seed),
+    "los": workbench.los_suite,
+    "fubini": workbench.fubini_suite,
+    "metric": workbench.metric_suite,
+    "omission": workbench.omission_suite,
 }
 
 
 def _cmd_check(args):
-    report = _CHECKS[args.what](args)
+    # Without --trials the suite's own default trial count applies.
+    trials = () if args.trials is None else (args.trials,)
+    report = _CHECKS[args.what](*trials, seed=args.seed)
     ok = report["pass"]
     lines = [f"{report['check']}: {'pass' if ok else 'FAIL'}"
              + (f" ({len(report['failures'])} failures)" if not ok else "")]
@@ -220,8 +222,7 @@ def _cmd_demo(args):
     for item in args.param or []:
         key, _, value = item.partition("=")
         params[key] = value
-    if args.seed is not None:
-        params.setdefault("seed", args.seed)
+    params.setdefault("seed", args.seed)
     if args.trials is not None:
         params.setdefault("trials", args.trials)
     report = workbench.demo(args.name, params)
@@ -242,11 +243,14 @@ def build_parser():
         description="Second-order logic workbench over finite structures.",
     )
 
-    def common(sub):
+    def common(sub, *, seed=False, budget=False):
+        """--format everywhere; --seed and --budget where the command reads them."""
         sub.add_argument("--format", choices=("text", "json"), default="text")
-        sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
-                         help="cap on candidate relations per quantifier")
+        if seed:
+            sub.add_argument("--seed", type=int, default=42)
+        if budget:
+            sub.add_argument("--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
+                             help="cap on candidate relations per quantifier")
         return sub
 
     subs = parser.add_subparsers(dest="command", required=True)
@@ -269,7 +273,7 @@ def build_parser():
     p.set_defaults(func=_cmd_prenex)
 
     p = common(subs.add_parser(
-        "eval", help="truth in one structure under full or first-order semantics"))
+        "eval", help="truth in one structure under full or first-order semantics"), budget=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--formula")
     p.add_argument("--builtin")
@@ -289,7 +293,7 @@ def build_parser():
     p = common(subs.add_parser(
         "henkin-eval",
         help="truth with relation quantifiers ranging over the decomposable"
-             " relations of an ultraproduct (Henkin semantics)"))
+             " relations of an ultraproduct (Henkin semantics)"), budget=True)
     p.add_argument("--family", required=True)
     p.add_argument("--ultrafilter", required=True)
     p.add_argument("--cols", type=int, default=None,
@@ -303,22 +307,22 @@ def build_parser():
         "check",
         help="seeded verification suites: los (transfer to ultraproducts),"
              " fubini (iterated products), metric (separation vs vector-set"
-             " distance), omission (axiomatization by type omission)"))
+             " distance), omission (axiomatization by type omission)"), seed=True)
     p.add_argument("what", choices=tuple(_CHECKS))
     p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=_cmd_check_dispatch)
+    p.set_defaults(func=_cmd_check)
 
     p = common(subs.add_parser(
         "separate",
         help="search for a Boolean combination over a fragment separating"
-             " two structure classes"))
+             " two structure classes"), budget=True)
     p.add_argument("--k", required=True, help="directory or JSON array of structures")
     p.add_argument("--l", required=True)
     p.add_argument("--fragment", required=True, help="JSON array of formula strings")
     p.set_defaults(func=_cmd_separate)
 
     p = common(subs.add_parser(
-        "types", help="realized complete types of a structure in a type context"))
+        "types", help="realized complete types of a structure in a type context"), budget=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--context", required=True, help="JSON type-context file")
     p.set_defaults(func=_cmd_types)
@@ -329,10 +333,9 @@ def build_parser():
              " between two families"))
     p.add_argument("--k", required=True)
     p.add_argument("--l", required=True)
-    p.add_argument("--arity-bound", type=int, default=2)
     p.set_defaults(func=_cmd_insep)
 
-    p = common(subs.add_parser("demo", help="run a named end-to-end scenario"))
+    p = common(subs.add_parser("demo", help="run a named end-to-end scenario"), seed=True)
     p.add_argument("name", choices=("np_example", "infinity", "los_suite",
                                     "fubini_suite", "separation"))
     p.add_argument("--trials", type=int, default=None)
@@ -340,15 +343,6 @@ def build_parser():
     p.set_defaults(func=_cmd_demo)
 
     return parser
-
-
-_DEFAULT_TRIALS = {"los": 1000, "fubini": 50, "metric": 100, "omission": 20}
-
-
-def _cmd_check_dispatch(args):
-    if args.trials is None:
-        args.trials = _DEFAULT_TRIALS[args.what]
-    return _cmd_check(args)
 
 
 def main(argv=None) -> int:

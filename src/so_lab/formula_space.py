@@ -47,6 +47,8 @@ class Fragment:
 
 @dataclass(frozen=True)
 class TheoryVector:
+    """Bit j decides the j-th formula of a fragment (types_omitting.TwoType)."""
+
     bits: tuple[int, ...]
 
     def as_string(self) -> str:

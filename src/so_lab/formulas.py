@@ -5,6 +5,13 @@ a printer that round-trips (parse(print(f)) == f), scope validation,
 prenex normalisation of relation quantifiers, and classification into
 the alternation hierarchy (Delta0 / Sigma(n) / Pi(n)).
 
+Three helpers carry every traversal: children(f) lists the immediate
+subformulas, rebuild(f, kids) puts a node back together around new
+children (optionally as its dual), and walk(f) visits every node in
+pre-order without recursion, together with the variables bound above
+it.  Only the printer, prenex pulling and the evaluators elsewhere
+dispatch over node kinds themselves.
+
 All formula values are immutable and safe to share.
 """
 from __future__ import annotations
@@ -92,13 +99,79 @@ class ForallSO(Formula):
 _BINARY = (And, Or, Implies, Iff)
 _FO_QUANT = (ExistsFO, ForallFO)
 _SO_QUANT = (ExistsSO, ForallSO)
+_LEAVES = (Atom, Eq)
 
 KEYWORDS = frozenset({"ALL", "EX", "ALL2", "EX2"})
 
-# The deepest syntax tree parse accepts.  Every walker over formulas
-# recurses once or twice per level, so deeper input would end in a
-# RecursionError rather than an answer.
+# The deepest syntax tree parse accepts.  The rewriting passes and the
+# evaluators recurse once or twice per level, so deeper input would end
+# in a RecursionError rather than an answer.
 MAX_DEPTH = 100
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+def children(f) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right."""
+    kind = type(f)
+    if kind is Not:
+        return (f.sub,)
+    if kind in _BINARY:
+        return (f.left, f.right)
+    if kind in _FO_QUANT or kind in _SO_QUANT:
+        return (f.body,)
+    return ()
+
+
+def rebuild(f, kids, node=None):
+    """f with its children replaced by kids, in the order of children(f).
+
+    node, when given, is the type to build instead of type(f); it must
+    take the same fields, as the dual connective or quantifier does.
+    Atoms and equalities have no children and come back unchanged.
+    """
+    kind = type(f)
+    if kind in _LEAVES:
+        return f
+    node = node or kind
+    if kind in _FO_QUANT:
+        return node(f.var, *kids)
+    if kind in _SO_QUANT:
+        return node(f.relvar, f.arity, *kids)
+    return node(*kids)
+
+
+def walk(f):
+    """Every node of f in pre-order, left to right, without recursion.
+
+    Yields (node, fo_bound, so_bound): fo_bound is the frozenset of
+    individual variables bound above node, and so_bound maps each
+    relation variable bound above it to its declared arity.  Both are
+    shared between nodes and must not be mutated.
+    """
+    stack = [(f, frozenset(), {})]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        yield item
+        # Dispatch inline, leaves first, rather than through children():
+        # this loop is under every free-variable query of the evaluators.
+        g, fo_bound, so_bound = item
+        kind = type(g)
+        if kind in _LEAVES:
+            continue
+        if kind is Not:
+            push((g.sub, fo_bound, so_bound))
+        elif kind in _FO_QUANT:
+            push((g.body, fo_bound | {g.var}, so_bound))
+        elif kind in _SO_QUANT:
+            push((g.body, fo_bound, {**so_bound, g.relvar: g.arity}))
+        elif kind in _BINARY:
+            push((g.right, fo_bound, so_bound))
+            push((g.left, fo_bound, so_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -310,49 +383,29 @@ def _height(f):
     while stack:
         g, level = stack.pop()
         height = max(height, level)
-        if isinstance(g, Not):
-            stack.append((g.sub, level + 1))
-        elif isinstance(g, _BINARY):
-            stack += ((g.left, level + 1), (g.right, level + 1))
-        elif isinstance(g, (*_FO_QUANT, *_SO_QUANT)):
-            stack.append((g.body, level + 1))
+        stack += ((h, level + 1) for h in children(g))
     return height
 
 
 def _check_arity_consistency(f):
     free_use: dict[str, int] = {}
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            k = len(g.args)
-            if g.rel in bound:
-                if bound[g.rel] != k:
-                    raise ParseError(
-                        f"relation variable {g.rel!r} declared with arity {bound[g.rel]}"
-                        f" but applied to {k} arguments"
-                    )
-            elif g.rel in free_use:
-                if free_use[g.rel] != k:
-                    raise ParseError(
-                        f"symbol {g.rel!r} applied with both {free_use[g.rel]} and {k} arguments"
-                    )
-            else:
-                free_use[g.rel] = k
-        elif isinstance(g, Eq):
-            pass
-        elif isinstance(g, Not):
-            walk(g.sub, bound)
-        elif isinstance(g, _BINARY):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, _FO_QUANT):
-            walk(g.body, bound)
-        elif isinstance(g, _SO_QUANT):
-            walk(g.body, {**bound, g.relvar: g.arity})
-        else:  # pragma: no cover
-            raise TypeError(f"not a formula node: {g!r}")
-
-    walk(f, {})
+    for g, _, bound in walk(f):
+        if not isinstance(g, Atom):
+            continue
+        k = len(g.args)
+        if g.rel in bound:
+            if bound[g.rel] != k:
+                raise ParseError(
+                    f"relation variable {g.rel!r} declared with arity {bound[g.rel]}"
+                    f" but applied to {k} arguments"
+                )
+        elif g.rel in free_use:
+            if free_use[g.rel] != k:
+                raise ParseError(
+                    f"symbol {g.rel!r} applied with both {free_use[g.rel]} and {k} arguments"
+                )
+        else:
+            free_use[g.rel] = k
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +420,14 @@ _LEVEL_AND = 4
 _LEVEL_UNARY = 5
 _LEVEL_ATOM = 6
 
+_LEVELS = {Atom: _LEVEL_ATOM, Eq: _LEVEL_ATOM, And: _LEVEL_AND, Or: _LEVEL_OR,
+           Implies: _LEVEL_IMP, Iff: _LEVEL_IFF}
+
 
 def _level(f):
-    if isinstance(f, (Atom, Eq)):
-        return _LEVEL_ATOM
     if isinstance(f, Not):
         return _LEVEL_ATOM if isinstance(f.sub, Eq) else _LEVEL_UNARY
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, Implies):
-        return _LEVEL_IMP
-    if isinstance(f, Iff):
-        return _LEVEL_IFF
-    return _LEVEL_QUANT
+    return _LEVELS.get(type(f), _LEVEL_QUANT)
 
 
 def print_formula(f: Formula) -> str:
@@ -408,14 +454,12 @@ def _print(f, min_level):
         return _print(f.left, _LEVEL_OR) + " -> " + _print(f.right, _LEVEL_IMP)
     if isinstance(f, Iff):
         return _print(f.left, _LEVEL_IFF) + " <-> " + _print(f.right, _LEVEL_IMP)
-    if isinstance(f, ExistsFO):
-        return f"EX {f.var} " + _print(f.body, _LEVEL_QUANT)
-    if isinstance(f, ForallFO):
-        return f"ALL {f.var} " + _print(f.body, _LEVEL_QUANT)
-    if isinstance(f, ExistsSO):
-        return f"EX2 {f.relvar}:{f.arity} " + _print(f.body, _LEVEL_QUANT)
-    if isinstance(f, ForallSO):
-        return f"ALL2 {f.relvar}:{f.arity} " + _print(f.body, _LEVEL_QUANT)
+    if isinstance(f, _FO_QUANT):
+        keyword = "EX" if isinstance(f, ExistsFO) else "ALL"
+        return f"{keyword} {f.var} " + _print(f.body, _LEVEL_QUANT)
+    if isinstance(f, _SO_QUANT):
+        keyword = "EX2" if isinstance(f, ExistsSO) else "ALL2"
+        return f"{keyword} {f.relvar}:{f.arity} " + _print(f.body, _LEVEL_QUANT)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -424,22 +468,16 @@ def _print(f, min_level):
 # ---------------------------------------------------------------------------
 
 def subformulas(f):
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, _BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (*_FO_QUANT, *_SO_QUANT)):
-        yield from subformulas(f.body)
+    """Every node of f in pre-order, left to right."""
+    return (g for g, _, _ in walk(f))
 
 
 def contains_so(f) -> bool:
-    return any(isinstance(g, _SO_QUANT) for g in subformulas(f))
+    return any(isinstance(g, _SO_QUANT) for g, _, _ in walk(f))
 
 
 def so_quantifier_arities(f) -> tuple[int, ...]:
-    return tuple(g.arity for g in subformulas(f) if isinstance(g, _SO_QUANT))
+    return tuple(g.arity for g, _, _ in walk(f) if isinstance(g, _SO_QUANT))
 
 
 def so_prefix(f):
@@ -457,31 +495,17 @@ def so_prefix(f):
 
 def free_fo_variables(f) -> tuple[str, ...]:
     """Free first-order variables in first-occurrence order."""
-    out = []
-    seen = set()
-
-    def walk(g, bound):
+    out = {}
+    for g, bound, _ in walk(f):
         if isinstance(g, Atom):
-            for a in g.args:
-                if a not in bound and a not in seen:
-                    seen.add(a)
-                    out.append(a)
+            names = g.args
         elif isinstance(g, Eq):
-            for a in (g.left, g.right):
-                if a not in bound and a not in seen:
-                    seen.add(a)
-                    out.append(a)
-        elif isinstance(g, Not):
-            walk(g.sub, bound)
-        elif isinstance(g, _BINARY):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, _FO_QUANT):
-            walk(g.body, bound | {g.var})
-        elif isinstance(g, _SO_QUANT):
-            walk(g.body, bound)
-
-    walk(f, frozenset())
+            names = (g.left, g.right)
+        else:
+            continue
+        for a in names:
+            if a not in bound:
+                out.setdefault(a)
     return tuple(out)
 
 
@@ -491,46 +515,27 @@ def free_relation_variables(f, sig) -> tuple[tuple[str, int], ...]:
     Returned in first-occurrence order with the arity of their use; a
     name used with two arities raises ValidationError.
     """
-    out = []
     arities = {}
-
-    def walk(g, bound):
-        if isinstance(g, Atom):
-            if g.rel in bound or sig.arity(g.rel) is not None:
-                return
-            k = len(g.args)
-            if g.rel in arities:
-                if arities[g.rel] != k:
-                    raise ValidationError(
-                        f"free relation variable {g.rel!r} used with arities"
-                        f" {arities[g.rel]} and {k}"
-                    )
-            else:
-                arities[g.rel] = k
-                out.append((g.rel, k))
-        elif isinstance(g, Not):
-            walk(g.sub, bound)
-        elif isinstance(g, _BINARY):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, _FO_QUANT):
-            walk(g.body, bound)
-        elif isinstance(g, _SO_QUANT):
-            walk(g.body, bound | {g.relvar})
-
-    walk(f, frozenset())
-    return tuple(out)
+    for g, _, bound in walk(f):
+        if not isinstance(g, Atom) or g.rel in bound or sig.arity(g.rel) is not None:
+            continue
+        k = len(g.args)
+        if arities.setdefault(g.rel, k) != k:
+            raise ValidationError(
+                f"free relation variable {g.rel!r} used with arities"
+                f" {arities[g.rel]} and {k}"
+            )
+    return tuple(arities.items())
 
 
 def all_names(f) -> set[str]:
     names = set()
-    for g in subformulas(f):
+    for g, _, _ in walk(f):
         if isinstance(g, Atom):
             names.add(g.rel)
             names.update(g.args)
         elif isinstance(g, Eq):
-            names.add(g.left)
-            names.add(g.right)
+            names.update((g.left, g.right))
         elif isinstance(g, _FO_QUANT):
             names.add(g.var)
         elif isinstance(g, _SO_QUANT):
@@ -567,17 +572,8 @@ def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationRep
     """
     errors = []
     shadowed = []
-    free_vars = []
-    free_rel = []
-    free_rel_arity = {}
-    seen_free = set()
-
-    def see_var(name, bound):
-        if name not in bound and name not in seen_free:
-            seen_free.add(name)
-            free_vars.append(name)
-
-    def walk(g, fo_bound, so_bound):
+    free_rel = {}
+    for g, _, so_bound in walk(f):
         if isinstance(g, Atom):
             k = len(g.args)
             if g.rel in so_bound:
@@ -586,53 +582,33 @@ def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationRep
                         f"arity mismatch: {g.rel!r} bound with arity {so_bound[g.rel]},"
                         f" applied to {k} arguments"
                     )
-            else:
-                declared = sig.arity(g.rel)
-                if declared is None:
-                    if allow_free_relvars:
-                        prev = free_rel_arity.get(g.rel)
-                        if prev is None:
-                            free_rel_arity[g.rel] = k
-                            free_rel.append((g.rel, k))
-                        elif prev != k:
-                            errors.append(
-                                f"arity mismatch: free relation variable {g.rel!r}"
-                                f" used with arities {prev} and {k}"
-                            )
-                    else:
-                        errors.append(f"unknown symbol {g.rel!r}")
-                elif declared != k:
+                continue
+            declared = sig.arity(g.rel)
+            if declared is None:
+                if not allow_free_relvars:
+                    errors.append(f"unknown symbol {g.rel!r}")
+                elif free_rel.setdefault(g.rel, k) != k:
                     errors.append(
-                        f"arity mismatch: {g.rel!r} has arity {declared},"
-                        f" applied to {k} arguments"
+                        f"arity mismatch: free relation variable {g.rel!r}"
+                        f" used with arities {free_rel[g.rel]} and {k}"
                     )
-            for a in g.args:
-                see_var(a, fo_bound)
-        elif isinstance(g, Eq):
-            see_var(g.left, fo_bound)
-            see_var(g.right, fo_bound)
-        elif isinstance(g, Not):
-            walk(g.sub, fo_bound, so_bound)
-        elif isinstance(g, _BINARY):
-            walk(g.left, fo_bound, so_bound)
-            walk(g.right, fo_bound, so_bound)
-        elif isinstance(g, _FO_QUANT):
-            walk(g.body, fo_bound | {g.var}, so_bound)
+            elif declared != k:
+                errors.append(
+                    f"arity mismatch: {g.rel!r} has arity {declared},"
+                    f" applied to {k} arguments"
+                )
         elif isinstance(g, _SO_QUANT):
             if sig.arity(g.relvar) is not None or g.relvar in so_bound:
                 shadowed.append(g.relvar)
             if g.arity < 1:
                 errors.append(f"binder {g.relvar!r} declares arity {g.arity} < 1")
-            walk(g.body, fo_bound, {**so_bound, g.relvar: g.arity})
-        else:
+        elif not isinstance(g, Formula):
             errors.append(f"not a formula node: {g!r}")
-
-    walk(f, frozenset(), {})
     return ValidationReport(
         ok=not errors,
         errors=tuple(errors),
-        free_variables=tuple(free_vars),
-        free_relation_variables=tuple(free_rel),
+        free_variables=free_fo_variables(f),
+        free_relation_variables=tuple(free_rel.items()),
         shadowed=tuple(shadowed),
     )
 
@@ -677,10 +653,7 @@ def classify(f: Formula) -> HierarchyLabel:
         return NONPRENEX
     if not prefix:
         return DELTA0
-    blocks = 1
-    for (kind, _, _), (prev, _, _) in zip(prefix[1:], prefix):
-        if kind != prev:
-            blocks += 1
+    blocks = 1 + sum(kind != prev for (kind, _, _), (prev, _, _) in zip(prefix[1:], prefix))
     return HierarchyLabel("Sigma" if prefix[0][0] else "Pi", blocks)
 
 
@@ -698,65 +671,54 @@ def universal_closure(f: Formula) -> Formula:
 
 
 class _Fresh:
+    """Unused names v0, v1, ... for individual and V0, V1, ... for
+    relation variables."""
+
     def __init__(self, used):
         self.used = set(used)
-        self.fo = 0
-        self.so = 0
+        self.next = {"v": 0, "V": 0}
 
-    def fo_var(self):
+    def name(self, prefix):
         while True:
-            name = f"v{self.fo}"
-            self.fo += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
-
-    def so_var(self):
-        while True:
-            name = f"V{self.so}"
-            self.so += 1
+            name = f"{prefix}{self.next[prefix]}"
+            self.next[prefix] += 1
             if name not in self.used:
                 self.used.add(name)
                 return name
 
 
 def _eliminate_impl_iff(f):
-    if isinstance(f, (Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        return Not(_eliminate_impl_iff(f.sub))
+    kids = [_eliminate_impl_iff(g) for g in children(f)]
     if isinstance(f, Implies):
-        return Or(Not(_eliminate_impl_iff(f.left)), _eliminate_impl_iff(f.right))
+        return Or(Not(kids[0]), kids[1])
     if isinstance(f, Iff):
-        left = _eliminate_impl_iff(f.left)
-        right = _eliminate_impl_iff(f.right)
+        left, right = kids
         return And(Or(Not(left), right), Or(Not(right), left))
-    if isinstance(f, (And, Or)):
-        return type(f)(_eliminate_impl_iff(f.left), _eliminate_impl_iff(f.right))
-    if isinstance(f, _FO_QUANT):
-        return type(f)(f.var, _eliminate_impl_iff(f.body))
-    return type(f)(f.relvar, f.arity, _eliminate_impl_iff(f.body))
+    return rebuild(f, kids)
 
 
 def _standardize_apart(f, fresh):
-    def walk(g, fo_map, so_map):
+    """Rename every binder of f apart; fresh names are drawn in pre-order,
+    left to right."""
+    def rename(g, fo_map, so_map):
         if isinstance(g, Atom):
             return Atom(so_map.get(g.rel, g.rel), tuple(fo_map.get(a, a) for a in g.args))
         if isinstance(g, Eq):
             return Eq(fo_map.get(g.left, g.left), fo_map.get(g.right, g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.sub, fo_map, so_map))
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left, fo_map, so_map), walk(g.right, fo_map, so_map))
         if isinstance(g, _FO_QUANT):
-            name = fresh.fo_var()
-            return type(g)(name, walk(g.body, {**fo_map, g.var: name}, so_map))
+            name = fresh.name("v")
+            return type(g)(name, rename(g.body, {**fo_map, g.var: name}, so_map))
         if isinstance(g, _SO_QUANT):
-            name = fresh.so_var()
-            return type(g)(name, g.arity, walk(g.body, fo_map, {**so_map, g.relvar: name}))
-        raise TypeError(f"not a formula node: {g!r}")
+            name = fresh.name("V")
+            return type(g)(name, g.arity, rename(g.body, fo_map, {**so_map, g.relvar: name}))
+        return rebuild(g, [rename(h, fo_map, so_map) for h in children(g)])
 
-    return walk(f, {}, {})
+    return rename(f, {}, {})
+
+
+# The node each connective and quantifier becomes under a negation.
+_DUAL = {And: Or, Or: And, ExistsFO: ForallFO, ForallFO: ExistsFO,
+         ExistsSO: ForallSO, ForallSO: ExistsSO}
 
 
 def _nnf(f, neg=False):
@@ -764,25 +726,10 @@ def _nnf(f, neg=False):
         return Not(f) if neg else f
     if isinstance(f, Not):
         return _nnf(f.sub, not neg)
-    if isinstance(f, And):
-        node = Or if neg else And
-        return node(_nnf(f.left, neg), _nnf(f.right, neg))
-    if isinstance(f, Or):
-        node = And if neg else Or
-        return node(_nnf(f.left, neg), _nnf(f.right, neg))
-    if isinstance(f, ExistsFO):
-        node = ForallFO if neg else ExistsFO
-        return node(f.var, _nnf(f.body, neg))
-    if isinstance(f, ForallFO):
-        node = ExistsFO if neg else ForallFO
-        return node(f.var, _nnf(f.body, neg))
-    if isinstance(f, ExistsSO):
-        node = ForallSO if neg else ExistsSO
-        return node(f.relvar, f.arity, _nnf(f.body, neg))
-    if isinstance(f, ForallSO):
-        node = ExistsSO if neg else ForallSO
-        return node(f.relvar, f.arity, _nnf(f.body, neg))
-    raise TypeError(f"not a formula node after elimination: {f!r}")
+    if type(f) not in _DUAL:
+        raise TypeError(f"not a formula node after elimination: {f!r}")
+    kids = [_nnf(g, neg) for g in children(f)]
+    return rebuild(f, kids, _DUAL[type(f)] if neg else None)
 
 
 def _prepend_arg(g, names, var):
@@ -790,17 +737,7 @@ def _prepend_arg(g, names, var):
         if g.rel in names:
             return Atom(g.rel, (var, *g.args))
         return g
-    if isinstance(g, Eq):
-        return g
-    if isinstance(g, Not):
-        return Not(_prepend_arg(g.sub, names, var))
-    if isinstance(g, (And, Or)):
-        return type(g)(_prepend_arg(g.left, names, var), _prepend_arg(g.right, names, var))
-    if isinstance(g, _FO_QUANT):
-        return type(g)(g.var, _prepend_arg(g.body, names, var))
-    if isinstance(g, _SO_QUANT):
-        return type(g)(g.relvar, g.arity, _prepend_arg(g.body, names, var))
-    raise TypeError(f"not a formula node: {g!r}")
+    return rebuild(g, [_prepend_arg(h, names, var) for h in children(g)])
 
 
 def _pull(g):
@@ -820,14 +757,9 @@ def _pull(g):
     if isinstance(g, _FO_QUANT):
         prefix, matrix = _pull(g.body)
         exists_fo = isinstance(g, ExistsFO)
-        raised = set()
-        new_prefix = []
-        for existential, name, arity in prefix:
-            if existential != exists_fo:
-                raised.add(name)
-                new_prefix.append((existential, name, arity + 1))
-            else:
-                new_prefix.append((existential, name, arity))
+        raised = {name for existential, name, _ in prefix if existential != exists_fo}
+        new_prefix = [(existential, name, arity + 1 if name in raised else arity)
+                      for existential, name, arity in prefix]
         if raised:
             matrix = _prepend_arg(matrix, raised, g.var)
         return new_prefix, type(g)(g.var, matrix)

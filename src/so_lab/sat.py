@@ -424,20 +424,27 @@ def _dpll(clauses, nvars, nbase):
     # answer; branching over them would only pad the search.
     branch_order = [v for v in range(1, nbase + 1) if occ[v] or occ[-v]]
 
-    def solve(start):
+    # Depth-first search, positive literal first, over an explicit stack
+    # of (branch index, variable, trail mark, negative tried): one entry
+    # per decision, so a deep search cannot exhaust Python's own stack.
+    decisions = []
+    start = 0
+    while True:
         var = 0
         for i in range(start, len(branch_order)):
             if not value[branch_order[i]]:
                 var = branch_order[i]
-                start = i
                 break
         if var == 0:
             return True
-        for lit in (var, -var):
-            mark = len(trail)
-            if propagate([lit]) and solve(start + 1):
-                return True
+        decisions.append((i, var, len(trail), False))
+        ok = propagate([var])
+        while not ok:
+            if not decisions:
+                return False
+            i, var, mark, negative_tried = decisions.pop()
             undo(mark)
-        return False
-
-    return solve(0)
+            if not negative_tried:
+                decisions.append((i, var, mark, True))
+                ok = propagate([-var])
+        start = i + 1

@@ -234,7 +234,9 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
     dicts; the caller may mutate them between calls.  so_names must hold
     every relation-variable name the environments will carry, so atoms
     bind to the structure's relations statically and to the environment
-    dynamically.  Left-to-right short-circuit order is preserved."""
+    dynamically.  Left-to-right short-circuit order is preserved.  The
+    compiled root turns a lookup of a variable the environments do not
+    hold into ValidationError, once, rather than a handler per atom."""
 
     def build(g, bound):
         if isinstance(g, fm.Atom):
@@ -242,71 +244,24 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
             if rel_name in bound:
                 if len(args) == 1:
                     a0 = args[0]
-
-                    def ev():
-                        try:
-                            return (fo_env[a0],) in so_env[rel_name]
-                        except KeyError as exc:
-                            raise ValidationError(
-                                f"unassigned free variable {exc.args[0]!r}") from None
-                elif len(args) == 2:
+                    return lambda: (fo_env[a0],) in so_env[rel_name]
+                if len(args) == 2:
                     a0, a1 = args
-
-                    def ev():
-                        try:
-                            return (fo_env[a0], fo_env[a1]) in so_env[rel_name]
-                        except KeyError as exc:
-                            raise ValidationError(
-                                f"unassigned free variable {exc.args[0]!r}") from None
-                else:
-
-                    def ev():
-                        try:
-                            return tuple(fo_env[a] for a in args) in so_env[rel_name]
-                        except KeyError as exc:
-                            raise ValidationError(
-                                f"unassigned free variable {exc.args[0]!r}") from None
-                return ev
+                    return lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name]
+                return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name]
             rel = A.rels.get(rel_name)
             if rel is None:
                 raise ValidationError(f"unknown symbol {rel_name!r}")
             if len(args) == 1:
                 a0 = args[0]
-
-                def ev():
-                    try:
-                        return (fo_env[a0],) in rel
-                    except KeyError as exc:
-                        raise ValidationError(
-                            f"unassigned free variable {exc.args[0]!r}") from None
-            elif len(args) == 2:
+                return lambda: (fo_env[a0],) in rel
+            if len(args) == 2:
                 a0, a1 = args
-
-                def ev():
-                    try:
-                        return (fo_env[a0], fo_env[a1]) in rel
-                    except KeyError as exc:
-                        raise ValidationError(
-                            f"unassigned free variable {exc.args[0]!r}") from None
-            else:
-
-                def ev():
-                    try:
-                        return tuple(fo_env[a] for a in args) in rel
-                    except KeyError as exc:
-                        raise ValidationError(
-                            f"unassigned free variable {exc.args[0]!r}") from None
-            return ev
+                return lambda: (fo_env[a0], fo_env[a1]) in rel
+            return lambda: tuple(fo_env[a] for a in args) in rel
         if isinstance(g, fm.Eq):
             left, right = g.left, g.right
-
-            def ev():
-                try:
-                    return fo_env[left] == fo_env[right]
-                except KeyError as exc:
-                    raise ValidationError(
-                        f"unassigned free variable {exc.args[0]!r}") from None
-            return ev
+            return lambda: fo_env[left] == fo_env[right]
         if isinstance(g, fm.Not):
             sub = build(g.sub, bound)
             return lambda: not sub()
@@ -329,13 +284,11 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
                             return True
                     return False
             return ev
-        if isinstance(g, fm.Implies):
+        if isinstance(g, (fm.Implies, fm.Iff)):
             left = build(g.left, bound)
             right = build(g.right, bound)
-            return lambda: (not left()) or right()
-        if isinstance(g, fm.Iff):
-            left = build(g.left, bound)
-            right = build(g.right, bound)
+            if isinstance(g, fm.Implies):
+                return lambda: (not left()) or right()
             return lambda: left() == right()
         if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
             var = g.var
@@ -408,7 +361,15 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
             return ev
         raise TypeError(f"not a formula node: {g!r}")
 
-    return build(f, frozenset(so_names))
+    ev = build(f, frozenset(so_names))
+
+    def root():
+        try:
+            return ev()
+        except KeyError as exc:
+            raise ValidationError(f"unassigned free variable {exc.args[0]!r}") from None
+
+    return root
 
 
 def _eval_generic(A, f, fo_env, so_env, so_domain):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import formulas as fm
 from .errors import BudgetExceededError, ValidationError
+from .formula_space import TheoryVector
 from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
@@ -87,16 +88,10 @@ class TypeContext:
         }
 
 
-@dataclass(frozen=True)
-class TwoType:
-    """A complete bit vector over the context fragment: bit j decides the
-    j-th formula.  Satisfiability is certified only by exhibiting a
-    witness, never assumed."""
-
-    bits: tuple[int, ...]
-
-    def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+# A type is a complete bit vector over the context fragment, the same
+# value as a theory vector.  Satisfiability is certified only by
+# exhibiting a witness, never assumed.
+TwoType = TheoryVector
 
 
 def realized_types(A: FiniteStructure, ctx: TypeContext, *,

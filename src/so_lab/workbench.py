@@ -279,7 +279,7 @@ class InsepReport:
         }
 
 
-def principal_insep_search(Ks, Ls, arity_bound: int = 2) -> InsepReport:
+def principal_insep_search(Ks, Ls) -> InsepReport:
     """Search every pair for an isomorphism; a witness certifies the
     principal instance of inseparability, a miss certifies only the
     exhaustion of this restricted search space."""

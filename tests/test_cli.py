@@ -161,3 +161,32 @@ class TestDeterminism:
         b = run(capsys, "check", "metric", "--trials", "10", "--seed", "3",
                 "--format", "json")
         assert a == b
+
+
+class TestFlags:
+    """Each command takes --seed and --budget only where it reads them."""
+
+    def test_unread_flags_are_usage_errors(self, capsys):
+        assert cli.main(["parse", "--formula", "ALL x x = x", "--seed", "5"]) == 2
+        assert cli.main(["parse", "--formula", "ALL x x = x", "--budget", "3"]) == 2
+        assert cli.main(["check", "los", "--budget", "3"]) == 2
+
+    def test_henkin_eval_reads_budget(self, capsys, families):
+        kdir, _ = families
+        code, _, err = run(capsys, "henkin-eval", "--family", kdir,
+                           "--ultrafilter", "principal:0",
+                           "--formula", "ALL2 R:1 ((EX x R(x)) | (ALL x ~R(x)))",
+                           "--budget", "1")
+        assert code == 3 and "budget" in err
+
+
+class TestDeepSearch:
+    def test_many_decisions_do_not_overflow_the_stack(self, capsys, tmp_path):
+        # Propagation fixes none of the 1,200 tuple variables, so the SAT
+        # search makes one decision per element.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"universe": 1200, "signature": {"p": 1},
+                                    "relations": {"p": [[0]]}}))
+        code, out, _ = run(capsys, "eval", "--structure", str(path),
+                           "--formula", "EX2 X:1 ALL x (X(x) -> X(x))")
+        assert code == 0 and out.strip() == "true"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -241,3 +242,114 @@ class TestValidate:
     def test_validate_closed_rejects_free(self):
         with pytest.raises(ValidationError, match="free first-order"):
             fm.validate_closed(fm.parse("edge(x,y)"), GRAPH)
+
+
+class TestTraversal:
+    def test_children_left_to_right(self):
+        f = fm.parse("p(x) & ~q(x)")
+        assert fm.children(f) == (fm.Atom("p", ("x",)), fm.Not(fm.Atom("q", ("x",))))
+        assert fm.children(fm.Atom("p", ("x",))) == ()
+
+    def test_rebuild_as_dual(self):
+        f = fm.parse("EX2 X:2 EX x X(x,x)")
+        body = fm.children(f)[0]
+        dual = fm.rebuild(f, [fm.rebuild(body, fm.children(body), fm.ForallFO)], fm.ForallSO)
+        assert dual == fm.parse("ALL2 X:2 ALL x X(x,x)")
+
+    def test_walk_reports_binders_in_scope(self):
+        f = fm.parse("(EX2 X:2 ALL x X(x,y)) | p(x)")
+        scopes = {fm.print_formula(g): (set(fo), dict(so))
+                  for g, fo, so in fm.walk(f) if isinstance(g, fm.Atom)}
+        assert scopes == {"X(x, y)": ({"x"}, {"X": 2}), "p(x)": (set(), {})}
+
+    def test_walk_is_pre_order(self):
+        f = fm.parse("~p(x) -> (q(x) <-> x = y)")
+        assert [fm.print_formula(g) for g, _, _ in fm.walk(f)] == [
+            "~p(x) -> (q(x) <-> x = y)", "~p(x)", "p(x)", "q(x) <-> x = y", "q(x)", "x = y"]
+
+    def test_walk_needs_no_recursion(self):
+        f = fm.Atom("p", ("x",))
+        for _ in range(5000):
+            f = fm.Not(f)
+        assert sum(1 for _ in fm.walk(f)) == 5001
+        assert fm.free_fo_variables(f) == ("x",)
+
+
+def _perturb(f, rng):
+    """Rename some binders so that they shadow an outer binder or a
+    signature symbol, and drop some relation binders, leaving their
+    variables free.  Occurrences keep their names, so renaming a binder
+    also frees the variable it used to bind."""
+    if isinstance(f, fm.Not):
+        return fm.Not(_perturb(f.sub, rng))
+    if isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Iff)):
+        return type(f)(_perturb(f.left, rng), _perturb(f.right, rng))
+    if isinstance(f, (fm.ExistsFO, fm.ForallFO)):
+        var = "x0" if rng.random() < 0.3 else f.var
+        return type(f)(var, _perturb(f.body, rng))
+    if isinstance(f, (fm.ExistsSO, fm.ForallSO)):
+        roll = rng.random()
+        body = _perturb(f.body, rng)
+        if roll < 0.2:
+            return body
+        if roll < 0.45:
+            return type(f)(rng.choice(("p", "edge", "R0")), f.arity, body)
+        return type(f)(f.relvar, f.arity, body)
+    return f
+
+
+def _pinned_outputs(f):
+    try:
+        free_rel = fm.free_relation_variables(f, MIXED)
+    except ValidationError as exc:
+        free_rel = f"error: {exc}"
+    return [fm.print_formula(f), fm.print_formula(fm.prenex_so(f)),
+            repr(fm.free_fo_variables(f)), repr(free_rel),
+            repr(sorted(fm.all_names(f))), repr(fm.so_quantifier_arities(f)),
+            repr(fm.validate(f, MIXED)),
+            repr(fm.validate(f, MIXED, allow_free_relvars=True))]
+
+
+class TestPinnedOutputs:
+    """The syntactic operations on a fixed corpus give exactly the
+    outputs recorded before they were rebuilt on walk/children/rebuild.
+    Fresh names follow traversal order, so a change of order shows here."""
+
+    CORPUS_SHA256 = "6a3d71cda990326e4246771be817352d434ffeed0cdb3666eaae4e9eed2ff3f9"
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(4)
+        out = []
+        for i in range(300):
+            f = gen.random_formula(rng, MIXED, max_quant_depth=4, so_probability=0.5,
+                                   allow_free=i % 3 == 0)
+            out.append(_perturb(f, rng))
+        return out
+
+    def test_corpus_covers_the_hard_cases(self):
+        corpus = self.corpus()
+        assert sum(fm.contains_so(f) for f in corpus) > 150
+        assert sum(bool(fm.free_fo_variables(f)) for f in corpus) > 100
+        assert sum(bool(fm.validate(f, MIXED).shadowed) for f in corpus) > 50
+        free_rel = [fm.validate(f, MIXED, allow_free_relvars=True).free_relation_variables
+                    for f in corpus]
+        assert sum(bool(r) for r in free_rel) > 50
+
+    def test_outputs_are_unchanged(self):
+        lines = [line for f in self.corpus() for line in _pinned_outputs(f)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.CORPUS_SHA256
+
+    @pytest.mark.parametrize("text, expected", [
+        # Binders are renamed in pre-order: x -> v0, X -> V0.
+        ("ALL x EX2 X:1 X(x)", "EX2 V0:2 ALL v0 V0(v0, v0)"),
+        # Left conjunct before right: X, x take V0, v0; Y, y take V1, v1.
+        ("(EX2 X:1 EX x X(x)) & (ALL2 Y:1 ALL y Y(y))",
+         "EX2 V0:1 ALL2 V1:1 (EX v0 V0(v0)) & (ALL v1 V1(v1))"),
+        # Names already used (v0, V0) are skipped; the universal closure
+        # binds v0 and y first, in first-occurrence order.
+        ("p(v0) & (EX2 V0:1 V0(y))", "EX2 V1:3 ALL v1 ALL v2 p(v1) & V1(v1, v2, v2)"),
+    ])
+    def test_fresh_name_order(self, text, expected):
+        assert fm.print_formula(fm.prenex_so(fm.parse(text))) == expected
