@@ -243,15 +243,18 @@ def build_parser():
         description="Second-order logic workbench over finite structures.",
     )
 
-    def common(sub, *, seed=False, budget=False):
+    def common(sub, *, seed=False, budget=None):
         """--format everywhere; --seed and --budget where the command reads them."""
         sub.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             sub.add_argument("--seed", type=int, default=42)
         if budget:
             sub.add_argument("--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
-                             help="cap on candidate relations per quantifier")
+                             help=f"cap on {budget}")
         return sub
+
+    nested = ("n^d assignments of d nested individual quantifiers and each relation"
+              " quantifier's candidates times those of the ones around it")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -273,7 +276,8 @@ def build_parser():
     p.set_defaults(func=_cmd_prenex)
 
     p = common(subs.add_parser(
-        "eval", help="truth in one structure under full or first-order semantics"), budget=True)
+        "eval", help="truth in one structure under full or first-order semantics"),
+        budget=f"the {nested} (full semantics)")
     p.add_argument("--structure", required=True)
     p.add_argument("--formula")
     p.add_argument("--builtin")
@@ -293,7 +297,8 @@ def build_parser():
     p = common(subs.add_parser(
         "henkin-eval",
         help="truth with relation quantifiers ranging over the decomposable"
-             " relations of an ultraproduct (Henkin semantics)"), budget=True)
+             " relations of an ultraproduct (Henkin semantics)"),
+        budget="the worst-case evaluation steps, estimated before evaluating")
     p.add_argument("--family", required=True)
     p.add_argument("--ultrafilter", required=True)
     p.add_argument("--cols", type=int, default=None,
@@ -315,14 +320,15 @@ def build_parser():
     p = common(subs.add_parser(
         "separate",
         help="search for a Boolean combination over a fragment separating"
-             " two structure classes"), budget=True)
+             " two structure classes"), budget=f"the {nested}, per formula and structure")
     p.add_argument("--k", required=True, help="directory or JSON array of structures")
     p.add_argument("--l", required=True)
     p.add_argument("--fragment", required=True, help="JSON array of formula strings")
     p.set_defaults(func=_cmd_separate)
 
     p = common(subs.add_parser(
-        "types", help="realized complete types of a structure in a type context"), budget=True)
+        "types", help="realized complete types of a structure in a type context"),
+        budget=f"the relation-variable assignments and the {nested}")
     p.add_argument("--structure", required=True)
     p.add_argument("--context", required=True, help="JSON type-context file")
     p.set_defaults(func=_cmd_types)

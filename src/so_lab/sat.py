@@ -7,8 +7,8 @@ satisfiable.  Universal prefixes are decided through the dual: ALL2
 X1 .. ALL2 Xm M holds iff the grounding of ~M is unsatisfiable.
 
 The grounder is compiled once per (matrix, prefix, universe size,
-polarity) into closures, the way structures.compile_evaluator compiles
-evaluation, and kept in a bounded cache.  Each call folds structure
+polarity) into closures, as structures.compile_evaluator compiles each
+formula once, and kept in a bounded cache.  Each call folds structure
 atoms and equalities to constants and emits CNF directly from the
 negation normal form of the matrix: every top-level conjunct, ALL
 expansions included, becomes its own clause, and a disjunction nested

@@ -1,15 +1,14 @@
 """Finite relational structures and their evaluation machinery.
 
 Structures live on universes {0..n-1} with relations stored as tuple
-sets.  Evaluation is Tarski-style for the first-order part; relation
-quantifiers range over all relations of the matching arity, either by
-exhaustive enumeration in a fixed lexicographic order (subject to a
-candidate budget) or, for formulas whose relation quantifiers form a
-homogeneous prefix over a first-order matrix, by satisfiability (see
-sat): the matrix is grounded over the universe into CNF, one Boolean
-per candidate tuple, by a grounder compiled once per matrix, prefix and
-universe size, and a small DPLL decides the same question without
-materialising the candidate space.
+sets.  compile_evaluator turns a formula, once and for any structure,
+into Tarski-style closures that eval_fo, eval_so_full, henkin_eval and
+realized_types share.  Under full semantics relation quantifiers range
+over all relations of their arity: by lexicographic enumeration within
+a budget on nested candidates or, for a homogeneous prefix over a
+first-order matrix, by satisfiability (see sat): a grounder compiled
+once per matrix, prefix and universe size emits CNF with one Boolean
+per candidate tuple, and a small DPLL decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -21,7 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import formulas as fm
+from . import formulas as fm, sat
 from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_RELATION_BUDGET = 2 ** 24
@@ -78,7 +77,7 @@ class FiniteStructure:
             raise ValidationError(f"relations not in signature: {sorted(extra)}")
         rels = {}
         for name, arity in sig.relations:
-            tuples = frozenset(tuple(t) for t in relations.get(name, ()))
+            tuples = [tuple(t) for t in relations.get(name, ())]
             for t in tuples:
                 if len(t) != arity:
                     raise ValidationError(
@@ -86,7 +85,7 @@ class FiniteStructure:
                     )
                 if not all(isinstance(x, int) and 0 <= x < size for x in t):
                     raise ValidationError(f"tuple {t} out of universe range for {name!r}")
-            rels[name] = tuples
+            rels[name] = frozenset(tuples)
         self.sig = sig
         self.size = size
         self.rels = rels
@@ -154,10 +153,6 @@ class Assignment:
     fo: dict
     so: dict
 
-    @staticmethod
-    def empty():
-        return Assignment({}, {})
-
 
 # ---------------------------------------------------------------------------
 # Relation enumeration
@@ -201,16 +196,14 @@ def _all_relations_cached(n, k):
 
 def all_relations(n: int, k: int):
     """All k-ary relations on {0..n-1} in mask (lexicographic) order."""
-    count = relation_count(n, k)
-    if count <= _ALL_RELATIONS_CACHE_LIMIT:
-        return _all_relations_cached(n, k)
-    return tuple(relation_from_mask(n, k, m) for m in range(count))
+    return tuple(iter_relations(n, k))
 
 
 def iter_relations(n: int, k: int):
+    """all_relations, generated lazily when there are too many to cache."""
     count = relation_count(n, k)
     if count <= _ALL_RELATIONS_CACHE_LIMIT:
-        return iter(_all_relations_cached(n, k))
+        return _all_relations_cached(n, k)
     return (relation_from_mask(n, k, m) for m in range(count))
 
 
@@ -229,46 +222,90 @@ def _flatten(g, node_type):
         yield g
 
 
-def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
-    """Compile f to a zero-argument closure over the two environment
-    dicts; the caller may mutate them between calls.  so_names must hold
-    every relation-variable name the environments will carry, so atoms
-    bind to the structure's relations statically and to the environment
-    dynamically.  Left-to-right short-circuit order is preserved.  The
-    compiled root turns a lookup of a variable the environments do not
-    hold into ValidationError, once, rather than a handler per atom."""
+@lru_cache(maxsize=32)
+def compile_evaluator(f):
+    """Compile f once, for every structure, to (evaluate, has_so,
+    homogeneous, depth): evaluate(A, fo, so, so_domain) is the truth of
+    f on A with its free variables valued by fo and so, so_domain(name,
+    arity, outer) yielding what a relation quantifier ranges over (outer:
+    the arities of the relation quantifiers around it); has_so tells
+    whether f has a relation quantifier; homogeneous is (prefix, matrix)
+    when they form one homogeneous prefix over a first-order matrix,
+    else None; depth is the deepest nesting of individual quantifiers.
 
-    def build(g, bound):
+    One environment holds A's relations, then so, then binders, each
+    shadowing the one before.  A symbol no binder covers that neither A
+    nor so interprets raises ValidationError before evaluation, an
+    unassigned individual variable at the root.  Each call takes its own
+    closures from a free list, so evaluation is reentrant and
+    thread-safe, and clears their environments afterwards.
+    """
+    symbols = dict.fromkeys(g.rel for g, _, bound in fm.walk(f)
+                            if isinstance(g, fm.Atom) and g.rel not in bound)
+    prefix, matrix = fm.so_prefix(f)
+    so_in_matrix = fm.contains_so(matrix)
+    kinds = {existential for existential, _, _ in prefix}
+    homogeneous = (prefix, matrix) if len(kinds) == 1 and not so_in_matrix else None
+    depth, stack = 0, [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        d += isinstance(g, (fm.ExistsFO, fm.ForallFO))
+        depth = max(depth, d)
+        stack += ((h, d) for h in fm.children(g))
+    idle = []
+
+    def evaluate(A, fo, so, so_domain):
+        for name in symbols:
+            if name not in so and name not in A.rels:
+                raise ValidationError(f"unknown symbol {name!r}")
+        try:
+            closures = idle.pop()
+        except IndexError:
+            closures = _closures(f)
+        root, fo_env, so_env, ctx = closures
+        fo_env.update(fo)
+        so_env.update(A.rels)
+        so_env.update(so)
+        ctx[:] = range(A.size), so_domain
+        try:
+            return root()
+        except KeyError as exc:
+            raise ValidationError(f"unassigned free variable {exc.args[0]!r}") from None
+        finally:
+            for env in closures[1:]:
+                env.clear()
+            idle.append(closures)
+
+    return evaluate, bool(prefix) or so_in_matrix, homogeneous, depth
+
+
+def _closures(f):
+    """Closures for f over environments of their own and ctx = [universe,
+    so_domain], keeping left-to-right short-circuit order."""
+    fo_env = {}
+    so_env = {}
+    ctx = []
+
+    def build(g, outer):
         if isinstance(g, fm.Atom):
             rel_name, args = g.rel, g.args
-            if rel_name in bound:
-                if len(args) == 1:
-                    a0 = args[0]
-                    return lambda: (fo_env[a0],) in so_env[rel_name]
-                if len(args) == 2:
-                    a0, a1 = args
-                    return lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name]
-                return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name]
-            rel = A.rels.get(rel_name)
-            if rel is None:
-                raise ValidationError(f"unknown symbol {rel_name!r}")
             if len(args) == 1:
                 a0 = args[0]
-                return lambda: (fo_env[a0],) in rel
+                return lambda: (fo_env[a0],) in so_env[rel_name]
             if len(args) == 2:
                 a0, a1 = args
-                return lambda: (fo_env[a0], fo_env[a1]) in rel
-            return lambda: tuple(fo_env[a] for a in args) in rel
+                return lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name]
+            return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name]
         if isinstance(g, fm.Eq):
             left, right = g.left, g.right
             return lambda: fo_env[left] == fo_env[right]
         if isinstance(g, fm.Not):
-            sub = build(g.sub, bound)
+            sub = build(g.sub, outer)
             return lambda: not sub()
         if isinstance(g, (fm.And, fm.Or)):
             # Flatten connective spines into one loop: same evaluation
             # order, far fewer frames on long chains.
-            parts = [build(p, bound) for p in _flatten(g, type(g))]
+            parts = [build(p, outer) for p in _flatten(g, type(g))]
             if isinstance(g, fm.And):
 
                 def ev():
@@ -285,21 +322,20 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
                     return False
             return ev
         if isinstance(g, (fm.Implies, fm.Iff)):
-            left = build(g.left, bound)
-            right = build(g.right, bound)
+            left = build(g.left, outer)
+            right = build(g.right, outer)
             if isinstance(g, fm.Implies):
                 return lambda: (not left()) or right()
             return lambda: left() == right()
         if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
             var = g.var
-            body = build(g.body, bound)
-            universe = range(A.size)
+            body = build(g.body, outer)
             if isinstance(g, fm.ExistsFO):
 
                 def ev():
                     old = fo_env.get(var, _MISSING)
                     result = False
-                    for e in universe:
+                    for e in ctx[0]:
                         fo_env[var] = e
                         if body():
                             result = True
@@ -314,7 +350,7 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
                 def ev():
                     old = fo_env.get(var, _MISSING)
                     result = True
-                    for e in universe:
+                    for e in ctx[0]:
                         fo_env[var] = e
                         if not body():
                             result = False
@@ -327,13 +363,13 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
             return ev
         if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
             name, arity = g.relvar, g.arity
-            body = build(g.body, bound | {name})
+            body = build(g.body, outer + (arity,))
             if isinstance(g, fm.ExistsSO):
 
                 def ev():
                     old = so_env.get(name, _MISSING)
                     result = False
-                    for rel in so_domain(name, arity):
+                    for rel in ctx[1](name, arity, outer):
                         so_env[name] = rel
                         if body():
                             result = True
@@ -348,7 +384,7 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
                 def ev():
                     old = so_env.get(name, _MISSING)
                     result = True
-                    for rel in so_domain(name, arity):
+                    for rel in ctx[1](name, arity, outer):
                         so_env[name] = rel
                         if not body():
                             result = False
@@ -361,48 +397,40 @@ def compile_evaluator(A, f, fo_env, so_env, so_names, so_domain):
             return ev
         raise TypeError(f"not a formula node: {g!r}")
 
-    ev = build(f, frozenset(so_names))
-
-    def root():
-        try:
-            return ev()
-        except KeyError as exc:
-            raise ValidationError(f"unassigned free variable {exc.args[0]!r}") from None
-
-    return root
+    return build(f, ()), fo_env, so_env, ctx
 
 
-def _eval_generic(A, f, fo_env, so_env, so_domain):
-    """Shared truth recursion over compiled closures.  so_domain(name,
-    arity) yields the relations a quantifier ranges over; it raises if
-    quantification is not available (first-order evaluation) or too
-    large (budget)."""
-    return compile_evaluator(A, f, fo_env, so_env, set(so_env), so_domain)()
+def full_domain(n, budget, depth):
+    """so_domain of full semantics on n elements: every relation of the
+    arity in mask order, once the product of its candidate count and
+    those of the relation quantifiers around it is within the budget.
+    Raises BudgetExceededError at once if the n^depth assignments of
+    depth nested individual quantifiers exceed the budget."""
+    if n ** depth > budget:
+        raise BudgetExceededError(
+            f"{depth} nested individual quantifiers need {n}^{depth} assignments,"
+            f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
 
+    def so_domain(name, k, outer):
+        required = 2 ** sum(n ** j for j in outer + (k,))
+        if required > budget:
+            exponent = " + ".join(f"{n}^{j}" for j in outer + (k,))
+            nested = " with those of the quantifiers around it" if outer else ""
+            raise BudgetExceededError(
+                f"quantifier {name!r} needs 2^({exponent}) = {required} candidate"
+                f" relations{nested}, exceeding the budget of {budget}",
+                required=required, budget=budget)
+        return iter_relations(n, k)
 
-def _no_so_domain(name, arity):
-    raise ValidationError(
-        f"relation quantifier {name!r} not allowed in first-order evaluation"
-    )
+    return so_domain
 
 
 def eval_fo(A: FiniteStructure, f, asg: Assignment | None = None) -> bool:
     """Tarski satisfaction for formulas without relation quantifiers."""
-    if fm.contains_so(f):
+    evaluate, has_so, _, _ = compile_evaluator(f)
+    if has_so:
         raise ValidationError("eval_fo requires a formula without relation quantifiers")
-    fo_env = dict(asg.fo) if asg else {}
-    so_env = dict(asg.so) if asg else {}
-    return _eval_generic(A, f, fo_env, so_env, _no_so_domain)
-
-
-def _homogeneous_prefix(f):
-    prefix, matrix = fm.so_prefix(f)
-    if not prefix or fm.contains_so(matrix):
-        return None
-    first = prefix[0][0]
-    if any(existential != first for existential, _, _ in prefix):
-        return None
-    return prefix, matrix
+    return evaluate(A, asg.fo if asg else {}, asg.so if asg else {}, None)
 
 
 def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
@@ -410,36 +438,23 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     """Truth under full semantics: relation quantifiers range over all
     relations of their arity on the universe.
 
-    Enumeration is lexicographic in the relation mask and short-circuits;
-    a quantifier whose candidate count 2^(n^k) exceeds the budget raises
-    BudgetExceededError.  A formula whose relation quantifiers form one
-    homogeneous prefix over a first-order matrix is decided by SAT
-    instead, without a budget: the compiled grounder of sat folds the
+    BudgetExceededError is raised when the n^d assignments of the d
+    deepest nested individual quantifiers exceed the budget, and when a
+    relation quantifier's 2^(n^k) candidates, times those of the
+    relation quantifiers around it, do.  Enumeration is lexicographic in
+    the relation mask and short-circuits.  A formula whose relation
+    quantifiers form one homogeneous prefix over a first-order matrix is
+    decided by SAT instead: the compiled grounder of sat folds the
     structure's atoms to constants and emits a small CNF over one
     variable per candidate tuple, which DPLL decides.
     """
-    fo_env = dict(asg.fo) if asg else {}
-    so_env = dict(asg.so) if asg else {}
-    if fm.contains_so(f):
-        hom = _homogeneous_prefix(f)
-        if hom is not None:
-            from . import sat
-
-            prefix, matrix = hom
-            return sat.eval_homogeneous(A, prefix, matrix, fo_env, so_env)
-
-    def so_domain(name, k):
-        count = relation_count(A.size, k)
-        if count > budget:
-            raise BudgetExceededError(
-                f"quantifier {name!r} needs 2^({A.size}^{k}) = {count} candidate"
-                f" relations, exceeding the budget of {budget}",
-                required=count,
-                budget=budget,
-            )
-        return iter_relations(A.size, k)
-
-    return _eval_generic(A, f, fo_env, so_env, so_domain)
+    evaluate, _, homogeneous, depth = compile_evaluator(f)
+    so_domain = full_domain(A.size, budget, depth)
+    fo = asg.fo if asg else {}
+    so = asg.so if asg else {}
+    if homogeneous is not None:
+        return sat.eval_homogeneous(A, *homogeneous, fo, so)
+    return evaluate(A, fo, so, so_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .structures import (
     Signature,
     all_relations,
     compile_evaluator,
-    relation_count,
+    full_domain,
 )
 
 POOL_RELATIVE_NOTE = (
@@ -101,38 +101,19 @@ def realized_types(A: FiniteStructure, ctx: TypeContext, *,
     lexicographic enumeration order."""
     ctx.check_against(A.sig)
     n = A.size
-    total = 1
-    for k in ctx.arities:
-        total *= relation_count(n, k)
-        if total > budget:
-            raise BudgetExceededError(
-                f"type realization needs {total} relation assignments,"
-                f" exceeding the budget of {budget}",
-                required=total, budget=budget,
-            )
-    names = ctx.relvar_names
-    fo_env: dict = {}
-    so_env: dict = {}
-
-    def so_domain(name, k):
-        count = relation_count(n, k)
-        if count > budget:
-            raise BudgetExceededError(
-                f"quantifier {name!r} needs {count} candidate relations,"
-                f" exceeding the budget of {budget}",
-                required=count, budget=budget,
-            )
-        return all_relations(n, k)
-
-    compiled = [
-        compile_evaluator(A, f, fo_env, so_env, set(names), so_domain)
-        for f in ctx.fragment
-    ]
+    total = 2 ** sum(n ** k for k in ctx.arities)
+    if total > budget:
+        raise BudgetExceededError(
+            f"type realization needs {total} relation assignments,"
+            f" exceeding the budget of {budget}",
+            required=total, budget=budget,
+        )
+    compiled = [compile_evaluator(f) for f in ctx.fragment]
+    so_domain = full_domain(n, budget, max((d for _, _, _, d in compiled), default=0))
     out: dict[TwoType, tuple] = {}
     for combo in itertools.product(*[all_relations(n, k) for k in ctx.arities]):
-        so_env.clear()
-        so_env.update(zip(names, combo))
-        bits = tuple(int(fn()) for fn in compiled)
+        so = dict(zip(ctx.relvar_names, combo))
+        bits = tuple(int(evaluate(A, {}, so, so_domain)) for evaluate, _, _, _ in compiled)
         out.setdefault(TwoType(bits), combo)
     return out
 

@@ -21,11 +21,11 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     all_relations,
+    compile_evaluator,
     eval_so_full,
     find_isomorphism,
     relation_count,
     relation_mask,
-    _eval_generic,
 )
 
 DEFAULT_LITERAL_BUDGET = 2 ** 10
@@ -355,11 +355,8 @@ def henkin_eval(M: DecomposableHenkinModel, f, *,
             f" of {budget}",
             required=estimate, budget=budget,
         )
-
-    def so_domain(name, k):
-        return M.relations_of_arity(k)
-
-    return _eval_generic(M.base, f, {}, {}, so_domain)
+    evaluate = compile_evaluator(f)[0]
+    return evaluate(M.base, {}, {}, lambda name, k, outer: M.relations_of_arity(k))
 
 
 # ---------------------------------------------------------------------------

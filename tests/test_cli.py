@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 from so_lab import cli
 from so_lab.workbench import cycle_graph, double_cycle
@@ -67,6 +68,11 @@ class TestBasicCommands:
                            "--budget", "8")
         assert code == 3 and "budget" in err
 
+    def test_nested_relation_quantifiers_share_the_budget(self, capsys, c4_file):
+        code, _, err = run(capsys, "eval", "--structure", c4_file, "--formula",
+                           "ALL2 X:2 EX2 Y:2 ALL x ALL y (Y(x,y) <-> X(y,x))")
+        assert code == 3 and "'Y'" in err and "4^2 + 4^2" in err
+
 
 class TestMalformedInput:
     """Malformed input is a usage error (exit 2), never a traceback."""
@@ -85,6 +91,21 @@ class TestMalformedInput:
         code, _, err = run(capsys, "ultraproduct", "--family", str(path),
                            "--ultrafilter", "principal:0")
         assert code == 2 and "object" in err
+
+    def test_tuple_element_not_a_number(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"universe": 2, "signature": {"p": 1},
+                                    "relations": {"p": [[{}]]}}))
+        code, _, err = run(capsys, "eval", "--structure", str(path),
+                           "--formula", "ALL x x = x")
+        assert code == 2 and "range" in err
+
+    def test_universe_beyond_the_budget(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"universe": 2 ** 63, "signature": {}}))
+        code, _, err = run(capsys, "eval", "--structure", str(path),
+                           "--formula", "ALL x x = x")
+        assert code == 3 and "individual quantifiers" in err
 
     def test_deeply_nested_formula(self, capsys):
         code, _, err = run(capsys, "parse", "--formula", "~" * 5000 + "p(x)")
@@ -190,3 +211,41 @@ class TestDeepSearch:
         code, out, _ = run(capsys, "eval", "--structure", str(path),
                            "--formula", "EX2 X:1 ALL x (X(x) -> X(x))")
         assert code == 0 and out.strip() == "true"
+
+
+_JSON = hyp.recursive(
+    hyp.none() | hyp.booleans() | hyp.integers() | hyp.floats() | hyp.text(),
+    lambda inner: (hyp.lists(inner, max_size=4)
+                   | hyp.dictionaries(hyp.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+_NAMES = hyp.sampled_from(["p", "edge", "universe"])
+_TOKENS = hyp.lists(hyp.sampled_from([
+    "EX", "ALL", "EX2", "ALL2", "x", "y", "X:1", "R:2", ":", "(", ")", ",", "&", "|",
+    "~", "->", "<->", "=", "!=", "p(x)", "X(x)", "R(x, y)", "edge(y, x)"]), max_size=30).map(" ".join)
+# Objects with a structure file's keys, so that fuzzing reaches the
+# checks behind the first type error as well.
+_STRUCTURE_LIKE = hyp.fixed_dictionaries({}, optional={
+    "universe": hyp.integers(-1, 4) | hyp.integers() | _JSON,
+    "signature": (hyp.dictionaries(_NAMES, hyp.integers(-1, 3), max_size=3)
+                  | hyp.dictionaries(_NAMES, _JSON, max_size=3) | _JSON),
+    "relations": hyp.dictionaries(_NAMES, hyp.lists(hyp.lists(
+        hyp.integers(-1, 3) | _JSON, max_size=3), max_size=4), max_size=3) | _JSON,
+})
+
+
+class TestExitCodeContract:
+    """Commands other than check end in 0, 2 or 3 on any input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=hyp.sampled_from(["parse", "classify", "prenex"]),
+           text=hyp.text() | _TOKENS)
+    def test_formula_text(self, command, text):
+        assert cli.main([command, "--formula", text]) in (0, 2, 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(document=_JSON | _STRUCTURE_LIKE)
+    def test_structure_document(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("fuzz") / "structure.json"
+        path.write_text(json.dumps(document))
+        code = cli.main(["eval", "--structure", str(path), "--formula", "ALL x x = x"])
+        assert code in (0, 2, 3)

@@ -1,0 +1,209 @@
+"""The compiled evaluator behind eval_fo, eval_so_full, henkin_eval and
+realized_types: scope of relation names, reentrancy, compiling once per
+formula, and the nested budget of full semantics."""
+import sys
+import threading
+import time
+import weakref
+
+import pytest
+
+from so_lab import formulas as fm
+from so_lab import structures
+from so_lab.errors import BudgetExceededError, ValidationError
+from so_lab.structures import (
+    EMPTY_SIGNATURE,
+    GRAPH_SIGNATURE,
+    Assignment,
+    FiniteStructure,
+    eval_fo,
+    eval_so_full,
+)
+from so_lab.ultra import full_henkin_model, henkin_eval
+from so_lab.workbench import builtin, cycle_graph, double_cycle
+
+C4 = cycle_graph(4)
+LOOP = frozenset({(0, 0)})
+PI2_PROBE = "ALL2 X:2 EX2 Y:2 ALL x ALL y (Y(x,y) <-> X(y,x))"
+
+# Sentences decided by enumeration (mixed prefixes or relation
+# quantifiers under connectives), so evaluation runs the closures.
+SENTENCES = [
+    "ALL2 X:1 EX2 Y:1 ALL x (Y(x) <-> ~X(x))",
+    "EX2 X:1 ALL2 Y:1 ((EX x (X(x) & Y(x))) | (ALL x ~Y(x)) | (EX x ~X(x)))",
+    "(EX2 R:1 ALL x EX y (R(y) & edge(x, y))) & (ALL2 S:1 EX x (S(x) | ~S(x)))",
+    "ALL2 X:1 ((ALL x (X(x) -> (EX y (edge(x, y) & X(y))))) -> (ALL x X(x)) | (ALL x ~X(x)))",
+]
+GRAPHS = [cycle_graph(3), C4, double_cycle(3), FiniteStructure(GRAPH_SIGNATURE, 3)]
+
+
+class TestScope:
+    def test_relation_binder_named_like_a_signature_symbol(self):
+        f = fm.parse("(EX2 edge:2 ALL x ALL y ~edge(x, y)) & (EX x EX y edge(x, y))")
+        assert eval_so_full(C4, f) is True
+
+    def test_binder_shadowing_ends_with_its_scope(self):
+        f = fm.parse("(ALL2 edge:1 EX x (~edge(x) | edge(x))) & edge(u, v)")
+        assert eval_so_full(C4, f, Assignment({"u": 0, "v": 1}, {})) is True
+        assert eval_so_full(C4, f, Assignment({"u": 0, "v": 2}, {})) is False
+
+    def test_assigned_relation_variable_shadows_the_signature_in_eval_fo(self):
+        f = fm.parse("edge(x, x)")
+        fo = {"x": 0}
+        assert eval_fo(C4, f, Assignment(fo, {})) is False
+        assert eval_fo(C4, f, Assignment(fo, {"edge": LOOP})) is True
+
+    @pytest.mark.parametrize("text", [
+        "EX2 X:1 (X(x) & edge(x, x))",                        # SAT path
+        "(EX2 X:1 X(x)) & (ALL2 Y:1 (edge(x, x) | Y(x)))",  # enumeration
+        "(EX2 X:1 X(x)) & edge(x, x)",                         # enumeration
+    ])
+    def test_assigned_relation_variable_shadows_the_signature_in_eval_so_full(self, text):
+        f = fm.parse(text)
+        fo = {"x": 0}
+        assert eval_so_full(C4, f, Assignment(fo, {})) is False
+        assert eval_so_full(C4, f, Assignment(fo, {"edge": LOOP})) is True
+
+    def test_unknown_symbol_in_a_branch_never_reached(self):
+        f = fm.parse("(EX x x = x) | (EX x foo(x))")
+        for evaluate in (eval_fo, eval_so_full):
+            with pytest.raises(ValidationError, match="unknown symbol 'foo'"):
+                evaluate(C4, f)
+
+    def test_unknown_symbol_under_a_relation_quantifier(self):
+        f = fm.parse("(ALL x x = x) | (EX2 X:1 EX x (X(x) & foo(x)))")
+        with pytest.raises(ValidationError, match="unknown symbol 'foo'"):
+            eval_so_full(C4, f)
+
+    def test_unassigned_variable_after_an_error_leaves_no_trace(self):
+        f = fm.parse("edge(x, y)")
+        with pytest.raises(ValidationError, match="unassigned free variable 'y'"):
+            eval_fo(C4, f, Assignment({"x": 0}, {}))
+        assert eval_fo(C4, f, Assignment({"x": 0, "y": 1}, {})) is True
+        with pytest.raises(ValidationError, match="unassigned"):
+            eval_fo(C4, f, Assignment({"x": 0}, {}))
+
+
+class _ReentrantModel:
+    """A Henkin model that evaluates the same sentence on another model
+    each time a relation quantifier asks for its relation universe."""
+
+    def __init__(self, M, inner, f, seen):
+        self.base, self.arity_bound, self._M = M.base, M.arity_bound, M
+        self._inner, self._f, self._seen = inner, f, seen
+
+    def relations_of_arity(self, k):
+        self._seen.append(henkin_eval(self._inner, self._f))
+        return self._M.relations_of_arity(k)
+
+
+class TestReentrancy:
+    @pytest.mark.parametrize("text", SENTENCES)
+    def test_evaluation_inside_its_own_relation_domain(self, text):
+        f = fm.parse(text)
+        models = [full_henkin_model(A, 1) for A in GRAPHS]
+        answers = [henkin_eval(M, f) for M in models]
+        for M, answer in zip(models, answers):
+            for inner, inner_answer in zip(models, answers):
+                seen = []
+                assert henkin_eval(_ReentrantModel(M, inner, f, seen), f) is answer
+                # The work estimate asks once per quantifier, evaluation after.
+                assert len(seen) > len(fm.so_quantifier_arities(f))
+                assert set(seen) == {inner_answer}
+
+    def test_four_threads_agree_with_one(self):
+        formulas = [fm.parse(text) for text in SENTENCES]
+        formulas.append(builtin("at_least:4").formula)
+        jobs = [(f, A) for f in formulas for A in GRAPHS]
+        expected = [eval_so_full(A, f) for f, A in jobs]
+        results = [[] for _ in range(4)]
+        errors = []
+
+        def worker(out):
+            try:
+                for _ in range(20):
+                    out.append([eval_so_full(A, f) for f, A in jobs])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert all(rounds == [expected] * 20 for rounds in results)
+
+
+class TestCompiledOnce:
+    def test_second_structure_builds_no_closures(self, monkeypatch):
+        f, g = fm.parse(SENTENCES[0]), fm.parse("EX x EX y edge(x, y)")
+        expected = [eval_so_full(A, f) for A in GRAPHS] + [eval_fo(A, g) for A in GRAPHS]
+        structures.compile_evaluator.cache_clear()
+        built = []
+        closures = structures._closures
+        monkeypatch.setattr(structures, "_closures", lambda h: built.append(h) or closures(h))
+        answers = [eval_so_full(A, f) for A in GRAPHS] + [eval_fo(A, g) for A in GRAPHS]
+        assert answers == expected and built == [f, g]
+        assert [henkin_eval(full_henkin_model(A, 1), f) for A in GRAPHS] == expected[:4]
+        assert built == [f, g]
+
+    def test_facts(self):
+        evaluate, has_so, homogeneous, depth = structures.compile_evaluator(
+            fm.parse("EX2 X:1 EX2 Y:2 ALL x (X(x) | (EX y Y(x, y)))"))
+        assert has_so and depth == 2
+        assert homogeneous[0] == ((True, "X", 1), (True, "Y", 2))
+        _, has_so, homogeneous, depth = structures.compile_evaluator(
+            fm.parse("(EX x EX x p(x)) & (EX2 X:1 X(y))"))
+        assert has_so and homogeneous is None and depth == 2
+        assert structures.compile_evaluator(fm.parse("p(x)"))[1:] == (False, None, 0)
+
+    def test_cache_keeps_no_argument_alive(self):
+        class Relation(frozenset):
+            pass
+
+        f = fm.parse("EX2 X:1 ALL2 Y:1 EX x (X(x) | Y(x) | Z(x, x))")
+        evaluate = structures.compile_evaluator(f)[0]
+        domain = structures.full_domain(C4.size, 2 ** 24, 1)
+        relation = Relation(LOOP)
+        refs = [weakref.ref(domain), weakref.ref(relation)]
+        assert evaluate(C4, {"u": 1}, {"Z": relation}, domain) is True
+        del domain, relation
+        assert [ref() for ref in refs] == [None, None]
+
+
+class TestNestedBudget:
+    def test_pi2_probe_stops_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            eval_so_full(C4, fm.parse(PI2_PROBE))
+        assert time.perf_counter() - start < 1
+        assert err.value.required == 2 ** 32 and "'Y'" in str(err.value)
+
+    def test_nested_candidates_within_the_budget(self):
+        f = fm.parse("ALL2 X:1 EX2 Y:1 ALL x (Y(x) <-> ~X(x))")
+        assert eval_so_full(C4, f, budget=2 ** 8) is True
+        with pytest.raises(BudgetExceededError) as err:
+            eval_so_full(C4, f, budget=2 ** 8 - 1)
+        assert err.value.required == 2 ** 8 and "'Y'" in str(err.value)
+
+    def test_first_quantifier_over_the_budget_is_named(self):
+        f = fm.parse("EX2 R:2 ALL2 S:1 (EX x (R(x,x) | S(x)))")
+        with pytest.raises(BudgetExceededError) as err:
+            eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 3), f, budget=2 ** 9)
+        assert err.value.required == 2 ** 12 and "'S'" in str(err.value)
+
+    def test_nested_individual_quantifiers(self):
+        huge = FiniteStructure(EMPTY_SIGNATURE, 10 ** 9)
+        with pytest.raises(BudgetExceededError) as err:
+            eval_so_full(huge, fm.parse("ALL x x = x"))
+        assert err.value.required == 10 ** 9
+        f = fm.parse("ALL x ALL y (x = y | x != y)")
+        assert eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 4), f, budget=16) is True
+        with pytest.raises(BudgetExceededError, match="4\\^2"):
+            eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 4), f, budget=15)
