@@ -133,24 +133,25 @@ def _cmd_henkin_eval(args):
 def _cmd_separate(args):
     named_k = _load_family(args.k)
     named_l = _load_family(args.l)
-    K = [A for _, A in named_k]
-    L = [A for _, A in named_l]
-    sig = K[0].sig
+    sig = named_k[0][1].sig
     fragment = fs.Fragment.from_strings(json.loads(Path(args.fragment).read_text()), sig)
 
-    def vectors_with_witnesses(named):
-        out = {}
+    def vectors_named_by_witness(named):
+        # Each (structure, formula) pair is evaluated once, here.
+        witnesses = {}
         for name, A in named:
-            v = fs.theory_vector(A, fragment, budget=args.budget)
-            out.setdefault(v.as_string(), name)
-        return [{"bits": bits, "witness": witness}
-                for bits, witness in sorted(out.items())]
+            witnesses.setdefault(fs.theory_vector(A, fragment, budget=args.budget), name)
+        return fs.VectorSet(witnesses, witnesses)
 
-    kv = vectors_with_witnesses(named_k)
-    lv = vectors_with_witnesses(named_l)
-    separator = fs.find_separating_formula(K, L, fragment, budget=args.budget)
-    distance = fs.set_distance(fs.vector_set(K, fragment, budget=args.budget),
-                               fs.vector_set(L, fragment, budget=args.budget))
+    def entries(vs):
+        return sorted(({"bits": v.as_string(), "witness": name}
+                       for v, name in vs.witnesses.items()), key=lambda e: e["bits"])
+
+    kvs = vectors_named_by_witness(named_k)
+    lvs = vectors_named_by_witness(named_l)
+    kv, lv = entries(kvs), entries(lvs)
+    separator = fs.separating_combination(kvs, lvs, fragment)
+    distance = fs.set_distance(kvs, lvs)
     report = {
         "command": "separate",
         "k_vectors": kv,

@@ -142,8 +142,13 @@ def find_separating_formula(K, L, fragment: Fragment, *,
 
     The formula is the disjunction over K's vectors of the conjunction
     of matching literals; it is not minimised."""
-    kv = vector_set(K, fragment, budget=budget)
-    lv = vector_set(L, fragment, budget=budget)
+    return separating_combination(vector_set(K, fragment, budget=budget),
+                                  vector_set(L, fragment, budget=budget), fragment)
+
+
+def separating_combination(kv: VectorSet, lv: VectorSet, fragment: Fragment):
+    """find_separating_formula from the vector sets of K and L over
+    fragment, for a caller that has them already."""
     if kv.vectors & lv.vectors:
         return None
     disjuncts = []

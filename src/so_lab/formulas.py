@@ -12,7 +12,12 @@ pre-order without recursion, together with the variables bound above
 it.  Only the printer, prenex pulling and the evaluators elsewhere
 dispatch over node kinds themselves.
 
-All formula values are immutable and safe to share.
+All formula values are immutable and safe to share.  Each node caches
+its hash on first use, the value the dataclass would compute from its
+fields, so that hashing a formula again (as every cache keyed on
+formulas does) costs one attribute read.  The cache is not pickled (a
+slotted frozen dataclass pickles its fields only), so a loaded node
+hashes afresh: string hashes differ between processes.
 """
 from __future__ import annotations
 
@@ -23,10 +28,18 @@ from .errors import ParseError, ValidationError
 
 
 class Formula:
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __str__(self) -> str:
         return print_formula(self)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._structural_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +108,13 @@ class ForallSO(Formula):
     arity: int
     body: Formula
 
+
+# The generated dataclass hash stays as _structural_hash, which the
+# cached __hash__ calls once per node.
+for _node in (Atom, Eq, Not, And, Or, Implies, Iff, ExistsFO, ForallFO, ExistsSO, ForallSO):
+    _node._structural_hash = _node.__hash__
+    _node.__hash__ = Formula.__hash__
+del _node
 
 _BINARY = (And, Or, Implies, Iff)
 _FO_QUANT = (ExistsFO, ForallFO)

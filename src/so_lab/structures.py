@@ -102,6 +102,11 @@ class FiniteStructure:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild from the relations rather than restore the slots: the
+        # hash of the key differs between processes.
+        return FiniteStructure, (self.sig, self.size, self.rels)
+
     def __repr__(self):
         rels = {name: sorted(self.rels[name]) for name in self.sig.names}
         return f"FiniteStructure(size={self.size}, rels={rels})"
@@ -400,6 +405,28 @@ def _closures(f):
     return build(f, ()), fo_env, so_env, ctx
 
 
+# A budget error states the number of relation choices only while it
+# has at most this many bits; larger ones are left as a power of two.
+_EXACT_EXPONENT_LIMIT = 4096
+
+
+def excess_relation_choices(n, arities, budget):
+    """None when the 2^(n^k1 + n^k2 + ...) ways to choose one relation
+    of each arity on n elements are within budget; otherwise (required,
+    text) for the BudgetExceededError, required being that number (None
+    past _EXACT_EXPONENT_LIMIT bits) and text its written form.  The
+    exponent is compared with the bit length of the budget, so a huge
+    universe never builds an integer of n^k bits."""
+    exponent = sum(n ** k for k in arities)
+    if budget >= 0 and exponent < budget.bit_length():
+        return None
+    text = "2^(" + " + ".join(f"{n}^{k}" for k in arities) + ")"
+    if exponent > _EXACT_EXPONENT_LIMIT:
+        return None, text
+    required = 2 ** exponent
+    return required, f"{text} = {required}"
+
+
 def full_domain(n, budget, depth):
     """so_domain of full semantics on n elements: every relation of the
     arity in mask order, once the product of its candidate count and
@@ -412,12 +439,12 @@ def full_domain(n, budget, depth):
             f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
 
     def so_domain(name, k, outer):
-        required = 2 ** sum(n ** j for j in outer + (k,))
-        if required > budget:
-            exponent = " + ".join(f"{n}^{j}" for j in outer + (k,))
+        excess = excess_relation_choices(n, outer + (k,), budget)
+        if excess is not None:
+            required, count = excess
             nested = " with those of the quantifiers around it" if outer else ""
             raise BudgetExceededError(
-                f"quantifier {name!r} needs 2^({exponent}) = {required} candidate"
+                f"quantifier {name!r} needs {count} candidate"
                 f" relations{nested}, exceeding the budget of {budget}",
                 required=required, budget=budget)
         return iter_relations(n, k)

@@ -7,11 +7,22 @@ relative to an explicit finite pool of candidate structures, and the
 reports say so.  "Has isomorphic ultrapowers" is replaced by equality
 of realized-type vectors, which is what the principal scale makes
 checkable (ultrapowers collapse to their base there).
+
+omits, omitted_by_all, check_omission_axiomatization and
+property_A_check share one realization table per type context and
+budget.  It keeps, for each structure asked about, the frozenset of its
+realized types, built from one shared TwoType object per distinct type
+so that set operations compare types by identity, and the union over
+the last pool asked about.  The tables are held weakly keyed on the
+context: they last exactly as long as the context object that first
+asked for them, and with it they release every structure and type they
+hold.  realized_types itself caches nothing.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import weakref
 from dataclasses import dataclass
 
 from . import formulas as fm
@@ -23,6 +34,7 @@ from .structures import (
     Signature,
     all_relations,
     compile_evaluator,
+    excess_relation_choices,
     full_domain,
 )
 
@@ -46,6 +58,19 @@ class TypeContext:
             raise ValidationError("relation-variable arities must be at least 1")
         if len(set(self.fragment)) != len(self.fragment):
             raise ValidationError("duplicate formula in type fragment")
+
+    def __hash__(self):
+        # Cached on first use, like the hash of a formula node.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.arities, self.fragment))
+            return h
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the cached hash is never restored
+        # into a process whose string hashes differ.
+        return TypeContext, (self.arities, self.fragment)
 
     @property
     def relvar_names(self):
@@ -101,10 +126,11 @@ def realized_types(A: FiniteStructure, ctx: TypeContext, *,
     lexicographic enumeration order."""
     ctx.check_against(A.sig)
     n = A.size
-    total = 2 ** sum(n ** k for k in ctx.arities)
-    if total > budget:
+    excess = excess_relation_choices(n, ctx.arities, budget)
+    if excess is not None:
+        total, count = excess
         raise BudgetExceededError(
-            f"type realization needs {total} relation assignments,"
+            f"type realization needs {count} relation assignments,"
             f" exceeding the budget of {budget}",
             required=total, budget=budget,
         )
@@ -118,39 +144,73 @@ def realized_types(A: FiniteStructure, ctx: TypeContext, *,
     return out
 
 
-_realized_sets: dict = {}
+class _Realizations:
+    """The realization table of one type context under one budget.
+    Realized sets are pure in (structure, context): structures hash by
+    value, so equal structures share an entry.  The budget is part of the
+    key because a set built under a larger budget must not be returned
+    where a smaller one raises."""
+
+    def __init__(self, ctx, budget):
+        # A weak reference: the table is a value of _tables, which is
+        # keyed weakly on the context and must not keep it alive.
+        self.ctx = weakref.ref(ctx)
+        self.budget = budget
+        self.sets = {}        # structure -> frozenset of shared types
+        self.types = {}       # type -> the one object standing for it
+        self.pool = ()
+        self.pool_union = frozenset()
+
+    def of(self, A) -> frozenset:
+        """The types A realizes."""
+        realized = self.sets.get(A)
+        if realized is None:
+            shared = self.types.setdefault
+            realized = self.sets[A] = frozenset(
+                shared(p, p) for p in realized_types(A, self.ctx(), budget=self.budget))
+        return realized
+
+    def union(self, structures) -> set:
+        """The types some member of structures realizes."""
+        out = set()
+        for A in structures:
+            out.update(self.of(A))
+        return out
+
+    def over_pool(self, pool) -> frozenset:
+        """union(pool), remembered for the last pool asked about."""
+        pool = tuple(pool)
+        if pool != self.pool:
+            self.pool_union = frozenset(self.union(pool))
+            self.pool = pool
+        return self.pool_union
 
 
-def _realized_set(A, ctx, budget) -> frozenset:
-    # Realization tables are pure in (A, ctx); structures and contexts
-    # hash by value, so pool-wide scans can share them.  The budget is
-    # part of the key: a table built under a larger budget must not be
-    # returned where a smaller one raises.
-    key = (A, ctx, budget)
-    cached = _realized_sets.get(key)
-    if cached is None:
-        cached = frozenset(realized_types(A, ctx, budget=budget))
-        _realized_sets[key] = cached
-    return cached
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table(ctx: TypeContext, budget: int) -> _Realizations:
+    by_budget = _tables.get(ctx)
+    if by_budget is None:
+        by_budget = _tables[ctx] = {}
+    table = by_budget.get(budget)
+    if table is None:
+        table = by_budget[budget] = _Realizations(ctx, budget)
+    return table
 
 
 def omits(A: FiniteStructure, p: TwoType, ctx: TypeContext, *,
           budget: int = DEFAULT_RELATION_BUDGET) -> bool:
     """True when no choice of relations on A realizes p."""
-    return p not in realized_types(A, ctx, budget=budget)
+    return p not in _table(ctx, budget).of(A)
 
 
 def omitted_by_all(K, pool, ctx: TypeContext, *,
                    budget: int = DEFAULT_RELATION_BUDGET) -> frozenset:
     """The pool-realized types that every member of K omits: the
     computable fragment of the omission set of K."""
-    pool_realized = set()
-    for P in pool:
-        pool_realized.update(_realized_set(P, ctx, budget))
-    k_realized = set()
-    for A in K:
-        k_realized.update(_realized_set(A, ctx, budget))
-    return frozenset(pool_realized - k_realized)
+    table = _table(ctx, budget)
+    return table.over_pool(pool) - table.union(K)
 
 
 @dataclass(frozen=True)
@@ -178,9 +238,8 @@ def check_omission_axiomatization(K, Pi, pool, ctx: TypeContext, *,
     report lists each violation."""
     Pi = set(Pi)
     omitted = omitted_by_all(K, pool, ctx, budget=budget)
-    pool_realized = set()
-    for P in pool:
-        pool_realized.update(_realized_set(P, ctx, budget))
+    table = _table(ctx, budget)
+    pool_realized = table.over_pool(pool)
     realized_in_k = tuple(
         sorted((p for p in Pi - omitted if p in pool_realized), key=lambda p: p.bits)
     )
@@ -188,12 +247,7 @@ def check_omission_axiomatization(K, Pi, pool, ctx: TypeContext, *,
         sorted((p for p in Pi - pool_realized), key=lambda p: p.bits)
     )
     k_set = set(K)
-    unexplained = []
-    for B in pool:
-        if B in k_set:
-            continue
-        if not (_realized_set(B, ctx, budget) & Pi):
-            unexplained.append(B)
+    unexplained = [B for B in pool if B not in k_set and Pi.isdisjoint(table.of(B))]
     ok = not realized_in_k and not not_pool_realized and not unexplained
     return OmissionReport(
         ok=ok,
@@ -224,15 +278,9 @@ def property_A_check(K, pool, ctx: TypeContext, *,
     types are realized somewhere in K must itself lie in K; the report
     lists the counterexamples."""
     k_set = set(K)
-    k_realized = set()
-    for A in K:
-        k_realized.update(_realized_set(A, ctx, budget))
-    counterexamples = []
-    for A in pool:
-        if A in k_set:
-            continue
-        if _realized_set(A, ctx, budget) <= k_realized:
-            counterexamples.append(A)
+    table = _table(ctx, budget)
+    k_realized = table.union(K)
+    counterexamples = [A for A in pool if A not in k_set and table.of(A) <= k_realized]
     return PropertyAReport(
         ok=not counterexamples,
         counterexamples=tuple(counterexamples),

@@ -27,7 +27,6 @@ from .formula_space import (
     vector_set,
 )
 from .structures import (
-    DEFAULT_RELATION_BUDGET,
     EMPTY_SIGNATURE,
     GRAPH_SIGNATURE,
     FiniteStructure,
@@ -39,6 +38,7 @@ from .structures import (
 from .types_omitting import (
     TypeContext,
     check_omission_axiomatization,
+    omits,
     omitted_by_all,
     property_A_check,
 )
@@ -457,15 +457,11 @@ def omission_suite(choices: int = 20, seed: int = 45, *, max_size: int = 3) -> d
         else:
             # Saturate a seed sample under realized-type containment: the
             # result is closed by construction, so the positive branch of
-            # the comparison is exercised too.
-            from .types_omitting import _realized_set
-
-            seed_sample = rng.sample(pool, rng.randint(1, 5))
-            covered = set()
-            for A in seed_sample:
-                covered.update(_realized_set(A, ctx, DEFAULT_RELATION_BUDGET))
-            K = [A for A in pool
-                 if _realized_set(A, ctx, DEFAULT_RELATION_BUDGET) <= covered]
+            # the comparison is exercised too.  A pool member realizes
+            # only types the sample covers exactly when it omits every
+            # pool-realized type the sample omits.
+            uncovered = omitted_by_all(rng.sample(pool, rng.randint(1, 5)), pool, ctx)
+            K = [A for A in pool if all(omits(A, p, ctx) for p in uncovered)]
         pa = property_A_check(K, pool, ctx)
         Pi = omitted_by_all(K, pool, ctx)
         rep = check_omission_axiomatization(K, Pi, pool, ctx)

@@ -1,9 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from so_lab import cli
+import so_lab
+from so_lab import cli, formula_space
 from so_lab.workbench import cycle_graph, double_cycle
 
 
@@ -107,6 +113,32 @@ class TestMalformedInput:
                            "--formula", "ALL x x = x")
         assert code == 3 and "individual quantifiers" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ["--formula", "(EX2 X:2 X(a, b)) | (EX2 Y:1 Y(a))"]),
+        ("types", ["--context", "ctx.json"]),
+    ])
+    def test_relation_quantifier_on_a_huge_universe(self, tmp_path, command, extra):
+        # 2^(n^2) relations on a million elements: the budget stops the
+        # command before that number is built.  A separate process with
+        # capped memory and time, so that a regression fails instead of
+        # exhausting the machine.
+        (tmp_path / "huge.json").write_text(json.dumps({"universe": 10 ** 6, "signature": {}}))
+        (tmp_path / "ctx.json").write_text(json.dumps(
+            {"arities": [2], "fragment": ["EX x X0(x, x)"]}))
+        src = str(Path(so_lab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "so_lab.cli", command, "--structure", "huge.json", *extra],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+            preexec_fn=cap_memory)
+        assert done.returncode == 3 and "2^(1000000^2)" in done.stderr
+
     def test_deeply_nested_formula(self, capsys):
         code, _, err = run(capsys, "parse", "--formula", "~" * 5000 + "p(x)")
         assert code == 2 and "nested" in err
@@ -146,6 +178,58 @@ class TestSpaceCommands:
         code, out, _ = run(capsys, "separate", "--k", kdir, "--l", kdir,
                            "--fragment", str(frag))
         assert code == 1  # identical classes cannot be separated
+
+    def test_separate_evaluates_each_pair_once(self, capsys, tmp_path, monkeypatch):
+        def graph(n, edges):
+            both = sorted({(a, b) for a, b in edges} | {(b, a) for a, b in edges})
+            return json.dumps({"universe": n, "signature": {"edge": 2},
+                               "relations": {"edge": [list(t) for t in both]}})
+
+        def cycle(n):
+            return graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+        for family, files in {"k": {"c4": cycle(4), "c6": cycle(6), "point": graph(1, [])},
+                              "l": {"c3": cycle(3), "c5": cycle(5)}}.items():
+            (tmp_path / family).mkdir()
+            for name, text in files.items():
+                (tmp_path / family / f"{name}.json").write_text(text)
+        (tmp_path / "frag.json").write_text(json.dumps([
+            "ALL x EX y edge(x, y)",
+            "EX2 R:1 ALL x ALL y (edge(x, y) -> (R(x) <-> ~R(y)))",
+            "EX x EX y EX z (edge(x, y) & edge(y, z) & edge(z, x))"]))
+        calls = []
+        counted = formula_space.eval_so_full
+
+        def eval_so_full(*args, **kwargs):
+            calls.append(args[:2])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(formula_space, "eval_so_full", eval_so_full)
+        argv = ["separate", "--k", str(tmp_path / "k"), "--l", str(tmp_path / "l"),
+                "--fragment", str(tmp_path / "frag.json")]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == len(set(calls)) == 5 * 3
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        separator = (
+            "~(ALL x EX y edge(x, y)) & (EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
+            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x))"
+            " | (ALL x EX y edge(x, y)) & (EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
+            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x))")
+        assert text == (
+            "K vectors: 010 (point.json), 110 (c4.json)\n"
+            "L vectors: 100 (c5.json), 101 (c3.json)\n"
+            "distance: 1/2\n"
+            f"separator: {separator}\n")
+        assert out == json.dumps({
+            "command": "separate",
+            "k_vectors": [{"bits": "010", "witness": "point.json"},
+                          {"bits": "110", "witness": "c4.json"}],
+            "l_vectors": [{"bits": "100", "witness": "c5.json"},
+                          {"bits": "101", "witness": "c3.json"}],
+            "distance": "1/2",
+            "separator": separator,
+        }, indent=2) + "\n"
 
     def test_types(self, capsys, c4_file, tmp_path):
         ctx = tmp_path / "ctx.json"

@@ -207,3 +207,15 @@ class TestNestedBudget:
         assert eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 4), f, budget=16) is True
         with pytest.raises(BudgetExceededError, match="4\\^2"):
             eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 4), f, budget=15)
+
+    def test_relation_choices_compare_exponents_first(self):
+        assert structures.excess_relation_choices(4, (2,), 2 ** 16) is None
+        assert structures.excess_relation_choices(4, (2,), 2 ** 16 - 1) == (
+            2 ** 16, "2^(4^2) = 65536")
+        assert structures.excess_relation_choices(3, (1, 2), -1) == (
+            2 ** 12, "2^(3^1 + 3^2) = 4096")
+        # 2^(10^12) is never built: the count is left as a power of two.
+        start = time.perf_counter()
+        assert structures.excess_relation_choices(10 ** 6, (2,), 2 ** 24) == (
+            None, "2^(1000000^2)")
+        assert time.perf_counter() - start < 1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -273,6 +274,33 @@ class TestTraversal:
             f = fm.Not(f)
         assert sum(1 for _ in fm.walk(f)) == 5001
         assert fm.free_fo_variables(f) == ("x",)
+
+
+class TestHash:
+    NODES = (fm.Atom, fm.Eq, fm.Not, fm.And, fm.Or, fm.Implies, fm.Iff,
+             fm.ExistsFO, fm.ForallFO, fm.ExistsSO, fm.ForallSO)
+
+    def test_cached_hash_is_the_structural_hash(self):
+        rng = random.Random(17)
+        sig = Signature.of({"p": 1, "edge": 2})
+        for _ in range(100):
+            f = gen.random_formula(rng, sig, allow_free=True)
+            copy = fm.parse(fm.print_formula(f))
+            assert copy == f and copy is not f
+            for _ in range(2):
+                assert hash(f) == hash(copy)
+            for g, _, _ in fm.walk(f):
+                # What the generated dataclass hash computes from the fields.
+                assert hash(g) == hash(tuple(getattr(g, name) for name in g.__match_args__))
+
+    def test_fields_are_unchanged(self):
+        for node in self.NODES:
+            assert tuple(field.name for field in dataclasses.fields(node)) == node.__match_args__
+            assert "_hash" not in node.__match_args__
+        f = fm.parse("EX x p(x)")
+        hash(f)
+        assert f == fm.ExistsFO("x", fm.Atom("p", ("x",)))
+        assert repr(f) == "ExistsFO(var='x', body=Atom(rel='p', args=('x',)))"
 
 
 def _perturb(f, rng):

@@ -1,11 +1,15 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from so_lab import formulas as fm
 from so_lab import gen
+from so_lab import types_omitting
 from so_lab.errors import BudgetExceededError, ValidationError
 from so_lab.structures import (
+    DEFAULT_RELATION_BUDGET,
     EMPTY_SIGNATURE,
     FiniteStructure,
     Signature,
@@ -44,6 +48,13 @@ class TestTypeContext:
         ctx = TypeContext((1, 2), (fm.parse("EX x X0(x)"),
                                    fm.parse("EX x X1(x,x)")))
         assert TypeContext.from_json_dict(ctx.to_json_dict()) == ctx
+
+    def test_cached_hash_is_the_structural_hash(self):
+        ctx = TypeContext((1, 2), (fm.parse("EX x X0(x)"), fm.parse("EX x X1(x,x)")))
+        for _ in range(2):
+            assert hash(ctx) == hash((ctx.arities, ctx.fragment))
+        copy = TypeContext.from_json_dict(ctx.to_json_dict())
+        assert copy == ctx and len({copy, ctx}) == 1
 
     def test_undeclared_relation_variable(self):
         ctx = unary_ctx("EX x X1(x)")
@@ -223,3 +234,36 @@ class TestPropertyA:
         ctx = unary_ctx("EX x (X0(x) & u(x))")
         report = property_A_check([A], [A, B], ctx)
         assert not report.ok and report.counterexamples == (B,)
+
+
+class TestRealizationTable:
+    def test_one_shared_object_per_type(self):
+        pool = small_pool()
+        ctx = unary_ctx("EX x X0(x)", "ALL x (X0(x) -> u(x))")
+        property_A_check(pool[:4], pool, ctx)
+        table = types_omitting._table(ctx, DEFAULT_RELATION_BUDGET)
+        shared = {}
+        for A in pool:
+            for p in table.of(A):
+                assert shared.setdefault(p, p) is p
+        assert omitted_by_all([], pool, ctx) == frozenset(shared)
+
+    def test_pool_union_is_built_once_per_pool(self):
+        pool = small_pool()
+        ctx = unary_ctx("EX x (X0(x) & u(x))")
+        table = types_omitting._table(ctx, DEFAULT_RELATION_BUDGET)
+        union = table.over_pool(pool)
+        omitted_by_all(pool[:2], pool, ctx)
+        check_omission_axiomatization(pool[:3], frozenset(), list(pool), ctx)
+        assert table.over_pool(tuple(pool)) is union
+        assert table.over_pool(pool[:1]) == set(realized_types(pool[0], ctx))
+
+    def test_freed_with_the_context_and_pool(self):
+        ctx = unary_ctx("EX x (X0(x) & u(x))", "ALL x X0(x)")
+        pool = small_pool()
+        omitted = omitted_by_all(pool[:1], pool, ctx)
+        assert omitted
+        refs = [weakref.ref(ctx), weakref.ref(next(iter(omitted)))]
+        del ctx, pool, omitted
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
