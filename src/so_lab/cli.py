@@ -33,8 +33,8 @@ def _load_family(path):
             raise SoLabError(f"no *.json structure files in {path}")
         return [(f.name, st.FiniteStructure.from_json(f.read_text())) for f in files]
     data = json.loads(p.read_text())
-    if not isinstance(data, list):
-        raise SoLabError(f"{path} is neither a directory nor a JSON array")
+    if not isinstance(data, list) or not data:
+        raise SoLabError(f"{path} is neither a directory nor a nonempty JSON array")
     return [(f"{path}[{i}]", st.FiniteStructure.from_json_dict(d))
             for i, d in enumerate(data)]
 
@@ -244,18 +244,19 @@ def build_parser():
         description="Second-order logic workbench over finite structures.",
     )
 
-    def common(sub, *, seed=False, budget=None):
+    def common(sub, *, seed=False, budget=False):
         """--format everywhere; --seed and --budget where the command reads them."""
         sub.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             sub.add_argument("--seed", type=int, default=42)
         if budget:
-            sub.add_argument("--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
-                             help=f"cap on {budget}")
+            sub.add_argument(
+                "--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
+                help="cap on each of: the n^d assignments of d nested individual"
+                     " quantifiers; the choices of the free relation variables;"
+                     " each relation quantifier's candidates times those of the"
+                     " relation variables around it; the tuple variables SAT grounds")
         return sub
-
-    nested = ("n^d assignments of d nested individual quantifiers and each relation"
-              " quantifier's candidates times those of the ones around it")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -278,7 +279,7 @@ def build_parser():
 
     p = common(subs.add_parser(
         "eval", help="truth in one structure under full or first-order semantics"),
-        budget=f"the {nested} (full semantics)")
+        budget=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--formula")
     p.add_argument("--builtin")
@@ -299,7 +300,7 @@ def build_parser():
         "henkin-eval",
         help="truth with relation quantifiers ranging over the decomposable"
              " relations of an ultraproduct (Henkin semantics)"),
-        budget="the worst-case evaluation steps, estimated before evaluating")
+        budget=True)
     p.add_argument("--family", required=True)
     p.add_argument("--ultrafilter", required=True)
     p.add_argument("--cols", type=int, default=None,
@@ -321,7 +322,7 @@ def build_parser():
     p = common(subs.add_parser(
         "separate",
         help="search for a Boolean combination over a fragment separating"
-             " two structure classes"), budget=f"the {nested}, per formula and structure")
+             " two structure classes"), budget=True)
     p.add_argument("--k", required=True, help="directory or JSON array of structures")
     p.add_argument("--l", required=True)
     p.add_argument("--fragment", required=True, help="JSON array of formula strings")
@@ -329,7 +330,7 @@ def build_parser():
 
     p = common(subs.add_parser(
         "types", help="realized complete types of a structure in a type context"),
-        budget=f"the relation-variable assignments and the {nested}")
+        budget=True)
     p.add_argument("--structure", required=True)
     p.add_argument("--context", required=True, help="JSON type-context file")
     p.set_defaults(func=_cmd_types)

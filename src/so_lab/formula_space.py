@@ -39,7 +39,7 @@ class Fragment:
 
     @staticmethod
     def from_strings(strings, sig: Signature) -> "Fragment":
-        return Fragment(sig, tuple(fm.parse(s) for s in strings))
+        return Fragment(sig, fm.parse_list(strings, "a fragment"))
 
     def to_strings(self):
         return [fm.print_formula(f) for f in self.formulas]
@@ -78,7 +78,7 @@ def theory_vector(obj, fragment: Fragment, *,
     """Bit i holds the truth of the fragment's i-th formula: full
     semantics on plain structures, Henkin semantics on Henkin models."""
     if isinstance(obj, DecomposableHenkinModel):
-        return TheoryVector(tuple(int(henkin_eval(obj, f)) for f in fragment))
+        return TheoryVector(tuple(int(henkin_eval(obj, f, budget=budget)) for f in fragment))
     if isinstance(obj, FiniteStructure):
         return TheoryVector(
             tuple(int(eval_so_full(obj, f, budget=budget)) for f in fragment)

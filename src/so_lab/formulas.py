@@ -642,6 +642,14 @@ def validate_closed(f, sig, allow_free_relvars=False):
     return report
 
 
+def parse_list(strings, what) -> tuple[Formula, ...]:
+    """Parse each string of a decoded JSON array; what names the array
+    in the ValidationError raised for any other value."""
+    if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+        raise ValidationError(f"{what} must be a JSON array of formula strings")
+    return tuple(parse(s) for s in strings)
+
+
 # ---------------------------------------------------------------------------
 # Hierarchy classification
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import formulas as fm, sat
 from .errors import BudgetExceededError, ValidationError
@@ -232,11 +233,16 @@ def compile_evaluator(f):
     """Compile f once, for every structure, to (evaluate, has_so,
     homogeneous, depth): evaluate(A, fo, so, so_domain) is the truth of
     f on A with its free variables valued by fo and so, so_domain(name,
-    arity, outer) yielding what a relation quantifier ranges over (outer:
-    the arities of the relation quantifiers around it); has_so tells
-    whether f has a relation quantifier; homogeneous is (prefix, matrix)
-    when they form one homogeneous prefix over a first-order matrix,
-    else None; depth is the deepest nesting of individual quantifiers.
+    arities) yielding what a relation quantifier ranges over (arities:
+    those of the relation quantifiers around it, then its own); has_so
+    tells whether f has a relation quantifier; homogeneous is (prefix,
+    matrix) when they form one homogeneous prefix over a first-order
+    matrix, else None; depth is the deepest nesting of individual
+    quantifiers.  Three more facts of the same walk are attributes of
+    evaluate, in order of first occurrence: symbols maps each relation
+    symbol no binder covers to its arity (two arities raise
+    ValidationError), free_fo lists the free individual variables and
+    so_arities the arity of each relation quantifier.
 
     One environment holds A's relations, then so, then binders, each
     shadowing the one before.  A symbol no binder covers that neither A
@@ -245,12 +251,20 @@ def compile_evaluator(f):
     closures from a free list, so evaluation is reentrant and
     thread-safe, and clears their environments afterwards.
     """
-    symbols = dict.fromkeys(g.rel for g, _, bound in fm.walk(f)
-                            if isinstance(g, fm.Atom) and g.rel not in bound)
+    symbols, free_fo, so_arities = {}, {}, []
+    for g, fo_bound, so_bound in fm.walk(f):
+        if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
+            so_arities.append(g.arity)
+        elif isinstance(g, fm.Eq):
+            free_fo.update(dict.fromkeys(a for a in (g.left, g.right) if a not in fo_bound))
+        elif isinstance(g, fm.Atom):
+            free_fo.update(dict.fromkeys(a for a in g.args if a not in fo_bound))
+            if g.rel not in so_bound and symbols.setdefault(g.rel, len(g.args)) != len(g.args):
+                raise ValidationError(f"relation symbol {g.rel!r} used with arities"
+                                      f" {symbols[g.rel]} and {len(g.args)}")
     prefix, matrix = fm.so_prefix(f)
-    so_in_matrix = fm.contains_so(matrix)
     kinds = {existential for existential, _, _ in prefix}
-    homogeneous = (prefix, matrix) if len(kinds) == 1 and not so_in_matrix else None
+    homogeneous = (prefix, matrix) if len(kinds) == 1 and len(so_arities) == len(prefix) else None
     depth, stack = 0, [(f, 0)]
     while stack:
         g, d = stack.pop()
@@ -281,7 +295,9 @@ def compile_evaluator(f):
                 env.clear()
             idle.append(closures)
 
-    return evaluate, bool(prefix) or so_in_matrix, homogeneous, depth
+    evaluate.symbols, evaluate.free_fo = symbols, tuple(free_fo)
+    evaluate.so_arities = tuple(so_arities)
+    return evaluate, bool(so_arities), homogeneous, depth
 
 
 def _closures(f):
@@ -367,14 +383,14 @@ def _closures(f):
                     return result
             return ev
         if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
-            name, arity = g.relvar, g.arity
-            body = build(g.body, outer + (arity,))
+            name, arities = g.relvar, outer + (g.arity,)
+            body = build(g.body, arities)
             if isinstance(g, fm.ExistsSO):
 
                 def ev():
                     old = so_env.get(name, _MISSING)
                     result = False
-                    for rel in ctx[1](name, arity, outer):
+                    for rel in ctx[1](name, arities):
                         so_env[name] = rel
                         if body():
                             result = True
@@ -389,7 +405,7 @@ def _closures(f):
                 def ev():
                     old = so_env.get(name, _MISSING)
                     result = True
-                    for rel in ctx[1](name, arity, outer):
+                    for rel in ctx[1](name, arities):
                         so_env[name] = rel
                         if not body():
                             result = False
@@ -427,27 +443,43 @@ def excess_relation_choices(n, arities, budget):
     return required, f"{text} = {required}"
 
 
-def full_domain(n, budget, depth):
-    """so_domain of full semantics on n elements: every relation of the
-    arity in mask order, once the product of its candidate count and
-    those of the relation quantifiers around it is within the budget.
-    Raises BudgetExceededError at once if the n^depth assignments of
-    depth nested individual quantifiers exceed the budget."""
+def relation_domain(n, budget, depth, candidates=None, outer=()):
+    """so_domain of an evaluation on n elements, under the one budget
+    rule of every semantics.  It caps, each on its own, the n^depth
+    assignments of depth nested individual quantifiers, the choices of
+    the outer relation variables (their arities; the caller enumerates
+    them), and each relation quantifier's candidates(k) times those of
+    the outer variables and the relation quantifiers around it, checked
+    once per nesting when a quantifier is first entered.  candidates
+    defaults to every k-ary relation in mask order (full semantics)."""
     if n ** depth > budget:
         raise BudgetExceededError(
             f"{depth} nested individual quantifiers need {n}^{depth} assignments,"
             f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
+    if candidates is None:
+        candidates = partial(iter_relations, n)
+        excess = partial(excess_relation_choices, n, budget=budget)
+    else:
 
-    def so_domain(name, k, outer):
-        excess = excess_relation_choices(n, outer + (k,), budget)
-        if excess is not None:
-            required, count = excess
-            nested = " with those of the quantifiers around it" if outer else ""
-            raise BudgetExceededError(
-                f"quantifier {name!r} needs {count} candidate"
-                f" relations{nested}, exceeding the budget of {budget}",
-                required=required, budget=budget)
-        return iter_relations(n, k)
+        def excess(arities):
+            required = math.prod(len(candidates(k)) for k in arities)
+            return None if required <= budget else (required, required)
+    if outer and (over := excess(outer)):
+        raise BudgetExceededError(
+            f"the free relation variables need {over[1]} assignments,"
+            f" exceeding the budget of {budget}", required=over[0], budget=budget)
+    charged = set()
+
+    def so_domain(name, arities):
+        if arities not in charged:
+            nesting = outer + arities
+            if over := excess(nesting):
+                nested = " with those of the quantifiers around it" if nesting[1:] else ""
+                raise BudgetExceededError(
+                    f"quantifier {name!r} needs {over[1]} candidate relations{nested},"
+                    f" exceeding the budget of {budget}", required=over[0], budget=budget)
+            charged.add(arities)
+        return candidates(arities[-1])
 
     return so_domain
 
@@ -465,21 +497,24 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     """Truth under full semantics: relation quantifiers range over all
     relations of their arity on the universe.
 
-    BudgetExceededError is raised when the n^d assignments of the d
-    deepest nested individual quantifiers exceed the budget, and when a
-    relation quantifier's 2^(n^k) candidates, times those of the
-    relation quantifiers around it, do.  Enumeration is lexicographic in
-    the relation mask and short-circuits.  A formula whose relation
-    quantifiers form one homogeneous prefix over a first-order matrix is
-    decided by SAT instead: the compiled grounder of sat folds the
-    structure's atoms to constants and emits a small CNF over one
+    The budget is charged as relation_domain states; enumeration is
+    lexicographic in the relation mask and short-circuits.  SAT decides
+    a formula whose relation quantifiers form one homogeneous prefix
+    over a first-order matrix instead, charged the n^k1 + n^k2 + ...
+    tuple variables of the prefix: the compiled grounder of sat folds
+    the structure's atoms to constants and emits a small CNF over one
     variable per candidate tuple, which DPLL decides.
     """
     evaluate, _, homogeneous, depth = compile_evaluator(f)
-    so_domain = full_domain(A.size, budget, depth)
+    so_domain = relation_domain(A.size, budget, depth)
     fo = asg.fo if asg else {}
     so = asg.so if asg else {}
     if homogeneous is not None:
+        variables = sum(A.size ** k for _, _, k in homogeneous[0])
+        if variables > budget:
+            raise BudgetExceededError(
+                f"grounding the prefix needs {variables} tuple variables,"
+                f" exceeding the budget of {budget}", required=variables, budget=budget)
         return sat.eval_homogeneous(A, *homogeneous, fo, so)
     return evaluate(A, fo, so, so_domain)
 
@@ -584,23 +619,14 @@ def canonical_key(A: FiniteStructure):
 def iter_structures(sig: Signature, n: int, *, budget: int = DEFAULT_RELATION_BUDGET):
     """All labeled structures of universe size n, lexicographic in the
     per-relation masks."""
-    total = 1
-    for _, arity in sig.relations:
-        total *= relation_count(n, arity)
-        if total > budget:
-            raise BudgetExceededError(
-                f"enumerating size-{n} structures needs {total} candidates,"
-                f" exceeding the budget of {budget}",
-                required=total,
-                budget=budget,
-            )
-    spaces = [tuple_space(n, arity) for _, arity in sig.relations]
-    for masks in itertools.product(*[range(relation_count(n, arity))
-                                     for _, arity in sig.relations]):
-        rels = {}
-        for (name, _), space, mask in zip(sig.relations, spaces, masks):
-            rels[name] = frozenset(t for i, t in enumerate(space) if mask >> i & 1)
-        yield FiniteStructure(sig, n, rels)
+    excess = excess_relation_choices(n, [arity for _, arity in sig.relations], budget)
+    if excess is not None:
+        raise BudgetExceededError(
+            f"enumerating size-{n} structures needs {excess[1]} candidates,"
+            f" exceeding the budget of {budget}", required=excess[0], budget=budget)
+    for masks in itertools.product(*[range(relation_count(n, k)) for _, k in sig.relations]):
+        yield FiniteStructure(sig, n, {name: relation_from_mask(n, k, mask)
+                                       for (name, k), mask in zip(sig.relations, masks)})
 
 
 def models_up_to(f, sig: Signature, nmax: int, *,

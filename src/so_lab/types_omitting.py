@@ -26,7 +26,7 @@ import weakref
 from dataclasses import dataclass
 
 from . import formulas as fm
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 from .formula_space import TheoryVector
 from .structures import (
     DEFAULT_RELATION_BUDGET,
@@ -34,8 +34,7 @@ from .structures import (
     Signature,
     all_relations,
     compile_evaluator,
-    excess_relation_choices,
-    full_domain,
+    relation_domain,
 )
 
 POOL_RELATIVE_NOTE = (
@@ -54,8 +53,9 @@ class TypeContext:
     fragment: tuple[fm.Formula, ...]
 
     def __post_init__(self):
-        if any(k < 1 for k in self.arities):
-            raise ValidationError("relation-variable arities must be at least 1")
+        if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+                   for k in self.arities):
+            raise ValidationError("relation-variable arities must be integers of at least 1")
         if len(set(self.fragment)) != len(self.fragment):
             raise ValidationError("duplicate formula in type fragment")
 
@@ -97,10 +97,12 @@ class TypeContext:
 
     @staticmethod
     def from_json_dict(data) -> "TypeContext":
-        return TypeContext(
-            tuple(data["arities"]),
-            tuple(fm.parse(s) for s in data["fragment"]),
-        )
+        """The context a decoded JSON object describes; raises
+        ValidationError on any value of the wrong JSON type."""
+        if not isinstance(data, dict) or not isinstance(data.get("arities"), list):
+            raise ValidationError("a type context must be a JSON object with an 'arities' array")
+        return TypeContext(tuple(data["arities"]),
+                           fm.parse_list(data.get("fragment"), "'fragment'"))
 
     @staticmethod
     def from_json(text) -> "TypeContext":
@@ -123,21 +125,15 @@ def realized_types(A: FiniteStructure, ctx: TypeContext, *,
                    budget: int = DEFAULT_RELATION_BUDGET):
     """Every type realized on A by some choice of relations of the
     declared kinds, mapped to the first witnessing relation tuple in
-    lexicographic enumeration order."""
+    lexicographic enumeration order.  The designated variables are the
+    outer variables of structures.relation_domain, which charges the
+    budget."""
     ctx.check_against(A.sig)
-    n = A.size
-    excess = excess_relation_choices(n, ctx.arities, budget)
-    if excess is not None:
-        total, count = excess
-        raise BudgetExceededError(
-            f"type realization needs {count} relation assignments,"
-            f" exceeding the budget of {budget}",
-            required=total, budget=budget,
-        )
     compiled = [compile_evaluator(f) for f in ctx.fragment]
-    so_domain = full_domain(n, budget, max((d for _, _, _, d in compiled), default=0))
+    depth = max((d for _, _, _, d in compiled), default=0)
+    so_domain = relation_domain(A.size, budget, depth, outer=ctx.arities)
     out: dict[TwoType, tuple] = {}
-    for combo in itertools.product(*[all_relations(n, k) for k in ctx.arities]):
+    for combo in itertools.product(*[all_relations(A.size, k) for k in ctx.arities]):
         so = dict(zip(ctx.relvar_names, combo))
         bits = tuple(int(evaluate(A, {}, so, so_domain)) for evaluate, _, _, _ in compiled)
         out.setdefault(TwoType(bits), combo)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import formulas as fm
 from .errors import ArityBoundError, BudgetExceededError, SoLabError, ValidationError
 from .structures import (
     DEFAULT_PRODUCT_BUDGET,
@@ -24,7 +23,7 @@ from .structures import (
     compile_evaluator,
     eval_so_full,
     find_isomorphism,
-    relation_count,
+    relation_domain,
     relation_mask,
 )
 
@@ -59,10 +58,10 @@ class Ultrafilter:
         text = text.strip()
         if " x " in text:
             left, right = (part.strip() for part in text.split(" x ", 1))
-            if cols is None:
+            if cols is None or cols < 1:
                 raise ValidationError(
                     "a product ultrafilter literal needs the column count"
-                    " of the family grid"
+                    " of the family grid, at least 1"
                 )
             if size % cols:
                 raise ValidationError(
@@ -72,9 +71,10 @@ class Ultrafilter:
                 Ultrafilter.parse(left, size // cols),
                 Ultrafilter.parse(right, cols),
             )
-        if not text.startswith("principal:"):
+        index = text.removeprefix("principal:").strip()
+        if index == text or not index.isdecimal():
             raise ValidationError(f"unsupported ultrafilter literal {text!r}")
-        return Ultrafilter(size, int(text.split(":", 1)[1]))
+        return Ultrafilter(size, int(index))
 
 
 def product_ultrafilter(F: Ultrafilter, G: Ultrafilter) -> Ultrafilter:
@@ -142,6 +142,10 @@ def ultraproduct(family, U: Ultrafilter, *, path: str = "auto",
         total *= A.size
     if path == "fast" or (path == "auto" and total > product_budget):
         n = family[U.principal].size
+        if n > product_budget:
+            raise BudgetExceededError(
+                f"the principal factor has {n} elements, exceeding the budget of"
+                f" {product_budget}", required=n, budget=product_budget)
         reps = []
         for value in range(n):
             rep = [0] * m
@@ -288,12 +292,8 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     n = result.quotient.size
     upsilon = {}
     for k in range(1, arity_bound + 1):
-        cost = 1
-        for A in family:
-            cost *= relation_count(A.size, k)
-            if cost > literal_budget:
-                break
-        if cost <= literal_budget:
+        # The 2^(|A1|^k + |A2|^k + ...) factor choices, by their exponent.
+        if sum(A.size ** k for A in family) < literal_budget.bit_length():
             boxes = set()
             for combo in itertools.product(*[all_relations(A.size, k) for A in family]):
                 dec = Decomposition(k, combo)
@@ -310,53 +310,30 @@ def full_henkin_model(A: FiniteStructure, arity_bound: int = 2) -> DecomposableH
     return henkin_model([A], Ultrafilter(1, 0), arity_bound)
 
 
-def _work_estimate(g, n, domain_sizes):
-    if isinstance(g, (fm.Atom, fm.Eq)):
-        return 1
-    if isinstance(g, fm.Not):
-        return _work_estimate(g.sub, n, domain_sizes)
-    if isinstance(g, (fm.And, fm.Or, fm.Implies, fm.Iff)):
-        return (_work_estimate(g.left, n, domain_sizes)
-                + _work_estimate(g.right, n, domain_sizes))
-    if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
-        return n * _work_estimate(g.body, n, domain_sizes)
-    if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
-        return domain_sizes(g.arity) * _work_estimate(g.body, n, domain_sizes)
-    raise TypeError(f"not a formula node: {g!r}")
-
-
 def henkin_eval(M: DecomposableHenkinModel, f, *,
                 budget: int = DEFAULT_RELATION_BUDGET) -> bool:
     """Truth in a Henkin model: the first-order part is Tarski on the
     base and relation quantifiers range over the materialised relation
-    universe only.  Free relation variables are universally closed
-    before evaluation.
-
-    The worst-case evaluation work (products of quantifier ranges) is
-    estimated up front; exceeding the budget raises rather than hanging.
+    universe only.  Free relation variables are closed universally: f
+    is evaluated for each choice of their values from the relation
+    universe, until one makes it false.  The budget is charged as
+    structures.relation_domain states, with these as its outer variables.
     """
-    for name, k in reversed(fm.free_relation_variables(f, M.base.sig)):
-        f = fm.ForallSO(name, k, f)
-    for arity in fm.so_quantifier_arities(f):
+    evaluate, _, _, depth = compile_evaluator(f)
+    free = {name: k for name, k in evaluate.symbols.items() if M.base.sig.arity(name) is None}
+    outer = tuple(free.values())
+    for arity in outer + evaluate.so_arities:
         if arity > M.arity_bound:
             raise ArityBoundError(
                 f"quantifier arity {arity} exceeds the model bound {M.arity_bound}"
             )
-    free = fm.free_fo_variables(f)
-    if free:
+    if evaluate.free_fo:
         raise ValidationError(
-            f"formula has free first-order variables: {', '.join(free)}"
+            f"formula has free first-order variables: {', '.join(evaluate.free_fo)}"
         )
-    estimate = _work_estimate(f, M.base.size,
-                              lambda k: len(M.relations_of_arity(k)))
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"evaluation needs about {estimate} steps, exceeding the budget"
-            f" of {budget}",
-            required=estimate, budget=budget,
-        )
-    evaluate = compile_evaluator(f)[0]
-    return evaluate(M.base, {}, {}, lambda name, k, outer: M.relations_of_arity(k))
+    so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
+    return all(evaluate(M.base, {}, dict(zip(free, values)), so_domain)
+               for values in itertools.product(*map(M.relations_of_arity, outer)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +357,19 @@ class LosReport:
 
 
 def check_los(family, U: Ultrafilter, f, *,
-              relation_budget: int = DEFAULT_RELATION_BUDGET,
+              budget: int = DEFAULT_RELATION_BUDGET,
               product_budget: int = DEFAULT_PRODUCT_BUDGET) -> LosReport:
     """Compare truth of the closed sentence f in the Henkin model of the
-    ultraproduct against largeness of its truth set across the factors.
-    Disagreement is a defect, never a valid outcome."""
+    ultraproduct against largeness of its truth set across the factors,
+    both evaluations under budget.  Disagreement is a defect, never a
+    valid outcome."""
     family = _check_family(family, U)
-    arities = fm.so_quantifier_arities(f)
-    bound = max(arities) if arities else 1
+    bound = max(compile_evaluator(f)[0].so_arities, default=1)
     M = henkin_model(family, U, bound, product_budget=product_budget)
-    ultra_truth = henkin_eval(M, f)
+    ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(
         i for i in range(U.size)
-        if eval_so_full(family[i], f, budget=relation_budget)
+        if eval_so_full(family[i], f, budget=budget)
     )
     large = U.member(set(true_indices))
     return LosReport(ultra_truth, large, ultra_truth == large, true_indices)

@@ -39,6 +39,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(cwd, *argv):
+    """so-lab in a separate process with 1 GB of address space and 20 s,
+    so that a regression fails instead of exhausting the machine."""
+    src = str(Path(so_lab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "so_lab.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=20, preexec_fn=cap_memory)
+
+
 class TestBasicCommands:
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "--formula", "EX2 R:2 ALL x EX y R(x,y)")
@@ -119,25 +134,46 @@ class TestMalformedInput:
     ])
     def test_relation_quantifier_on_a_huge_universe(self, tmp_path, command, extra):
         # 2^(n^2) relations on a million elements: the budget stops the
-        # command before that number is built.  A separate process with
-        # capped memory and time, so that a regression fails instead of
-        # exhausting the machine.
+        # command before that number is built.
         (tmp_path / "huge.json").write_text(json.dumps({"universe": 10 ** 6, "signature": {}}))
         (tmp_path / "ctx.json").write_text(json.dumps(
             {"arities": [2], "fragment": ["EX x X0(x, x)"]}))
-        src = str(Path(so_lab.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        limit = 1 << 30
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "so_lab.cli", command, "--structure", "huge.json", *extra],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
-            preexec_fn=cap_memory)
+        done = run_capped(tmp_path, command, "--structure", "huge.json", *extra)
         assert done.returncode == 3 and "2^(1000000^2)" in done.stderr
+
+    def test_sat_prefix_on_a_huge_universe(self, tmp_path):
+        # 3,000,000 assignments of one individual quantifier are within
+        # the budget, the 9 * 10^12 tuple variables SAT would ground are
+        # not.
+        (tmp_path / "huge.json").write_text(json.dumps({"universe": 3 * 10 ** 6, "signature": {}}))
+        done = run_capped(tmp_path, "eval", "--structure", "huge.json",
+                          "--formula", "EX2 X:2 ALL x X(x, x)")
+        assert done.returncode == 3 and "tuple variables" in done.stderr
+
+    @pytest.mark.parametrize("document", [{"arities": 5, "fragment": []}, [1]])
+    def test_context_of_wrong_type(self, capsys, c4_file, tmp_path, document):
+        path = tmp_path / "ctx.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run(capsys, "types", "--structure", c4_file, "--context", str(path))
+        assert code == 2 and "error" in err
+
+    def test_fragment_entry_not_a_string(self, capsys, families, tmp_path):
+        kdir, ldir = families
+        path = tmp_path / "frag.json"
+        path.write_text("[3]")
+        code, _, err = run(capsys, "separate", "--k", kdir, "--l", ldir,
+                           "--fragment", str(path))
+        assert code == 2 and "formula strings" in err
+
+    @pytest.mark.parametrize("literal, cols", [
+        ("principal:abc", None),
+        ("principal:0 x principal:0", "0"),
+    ])
+    def test_malformed_ultrafilter(self, capsys, families, literal, cols):
+        kdir, _ = families
+        argv = ["ultraproduct", "--family", kdir, "--ultrafilter", literal]
+        code, _, err = run(capsys, *argv, *(["--cols", cols] if cols else []))
+        assert code == 2 and "error" in err
 
     def test_deeply_nested_formula(self, capsys):
         code, _, err = run(capsys, "parse", "--formula", "~" * 5000 + "p(x)")
@@ -317,8 +353,24 @@ _STRUCTURE_LIKE = hyp.fixed_dictionaries({}, optional={
 })
 
 
+# Documents shaped like type contexts and fragments, for the same reason.
+_FORMULAS = hyp.lists(_TOKENS | hyp.sampled_from([
+    "EX x X0(x)", "ALL x (X0(x) -> p(x))", "EX2 Y:2 EX x (X0(x) & Y(x, x))"]) | _JSON,
+    max_size=3)
+_CONTEXT_LIKE = hyp.fixed_dictionaries({}, optional={
+    "arities": hyp.lists(hyp.integers(-1, 2) | _JSON, max_size=2) | _JSON,
+    "fragment": _FORMULAS | _JSON,
+})
+
+
 class TestExitCodeContract:
     """Commands other than check end in 0, 2 or 3 on any input."""
+
+    @staticmethod
+    def _write(tmp_path_factory, name, document):
+        path = tmp_path_factory.mktemp("fuzz") / name
+        path.write_text(json.dumps(document))
+        return str(path)
 
     @settings(max_examples=200, deadline=None)
     @given(command=hyp.sampled_from(["parse", "classify", "prenex"]),
@@ -333,3 +385,35 @@ class TestExitCodeContract:
         path.write_text(json.dumps(document))
         code = cli.main(["eval", "--structure", str(path), "--formula", "ALL x x = x"])
         assert code in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_JSON | _CONTEXT_LIKE)
+    def test_context_document(self, tmp_path_factory, document):
+        structure = self._write(tmp_path_factory, "p.json", {
+            "universe": 2, "signature": {"p": 1}, "relations": {"p": [[0]]}})
+        context = self._write(tmp_path_factory, "context.json", document)
+        code = cli.main(["types", "--structure", structure, "--context", context,
+                         "--budget", "4096"])
+        assert code in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_JSON | _FORMULAS)
+    def test_fragment_document(self, tmp_path_factory, document):
+        family = self._write(tmp_path_factory, "family.json", [
+            {"universe": n, "signature": {"p": 1}, "relations": {"p": [[0]]}} for n in (1, 2)])
+        fragment = self._write(tmp_path_factory, "fragment.json", document)
+        code = cli.main(["separate", "--k", family, "--l", family, "--fragment", fragment,
+                         "--budget", "4096"])
+        assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=hyp.sampled_from(["ultraproduct", "separate"]),
+           document=_JSON | hyp.lists(_STRUCTURE_LIKE, max_size=3))
+    def test_family_document(self, tmp_path_factory, command, document):
+        family = self._write(tmp_path_factory, "family.json", document)
+        if command == "ultraproduct":
+            argv = ["ultraproduct", "--family", family, "--ultrafilter", "principal:0"]
+        else:
+            fragment = self._write(tmp_path_factory, "fragment.json", ["EX x p(x)"])
+            argv = ["separate", "--k", family, "--l", family, "--fragment", fragment]
+        assert cli.main(argv) in (0, 1, 2, 3)

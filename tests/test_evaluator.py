@@ -1,6 +1,7 @@
 """The compiled evaluator behind eval_fo, eval_so_full, henkin_eval and
 realized_types: scope of relation names, reentrancy, compiling once per
 formula, and the nested budget of full semantics."""
+import random
 import sys
 import threading
 import time
@@ -9,13 +10,14 @@ import weakref
 import pytest
 
 from so_lab import formulas as fm
-from so_lab import structures
+from so_lab import gen, structures
 from so_lab.errors import BudgetExceededError, ValidationError
 from so_lab.structures import (
     EMPTY_SIGNATURE,
     GRAPH_SIGNATURE,
     Assignment,
     FiniteStructure,
+    Signature,
     eval_fo,
     eval_so_full,
 )
@@ -107,9 +109,9 @@ class TestReentrancy:
             for inner, inner_answer in zip(models, answers):
                 seen = []
                 assert henkin_eval(_ReentrantModel(M, inner, f, seen), f) is answer
-                # The work estimate asks once per quantifier, evaluation after.
-                assert len(seen) > len(fm.so_quantifier_arities(f))
-                assert set(seen) == {inner_answer}
+                # Evaluation asks for the relation universe when it charges
+                # a quantifier and each time it enters one.
+                assert seen and set(seen) == {inner_answer}
 
     def test_four_threads_agree_with_one(self):
         formulas = [fm.parse(text) for text in SENTENCES]
@@ -169,7 +171,7 @@ class TestCompiledOnce:
 
         f = fm.parse("EX2 X:1 ALL2 Y:1 EX x (X(x) | Y(x) | Z(x, x))")
         evaluate = structures.compile_evaluator(f)[0]
-        domain = structures.full_domain(C4.size, 2 ** 24, 1)
+        domain = structures.relation_domain(C4.size, 2 ** 24, 1)
         relation = Relation(LOOP)
         refs = [weakref.ref(domain), weakref.ref(relation)]
         assert evaluate(C4, {"u": 1}, {"Z": relation}, domain) is True
@@ -219,3 +221,76 @@ class TestNestedBudget:
         assert structures.excess_relation_choices(10 ** 6, (2,), 2 ** 24) == (
             None, "2^(1000000^2)")
         assert time.perf_counter() - start < 1
+
+
+class TestOneBudgetRule:
+    """Full semantics, Henkin semantics and type realization charge the
+    budget through one relation domain."""
+
+    def test_henkin_and_full_stop_alike(self):
+        # On the trivial ultrapower the relation universe is every
+        # relation, so both semantics charge the same numbers.  Each
+        # budget below is one less than, or equal to, a charge the
+        # evaluation meets, until it answers.
+        rng = random.Random(7)
+        sig = Signature.of({"p": 1, "edge": 2})
+        structures_ = [gen.random_structure(rng, sig, 1 + i % 3) for i in range(12)]
+        models = [full_henkin_model(A, 2) for A in structures_]
+        checked = stops = 0
+        while checked < 200:
+            f = gen.random_formula(rng, sig, max_quant_depth=3, max_so=2,
+                                   max_binary_so=1, so_probability=0.5)
+            _, has_so, homogeneous, _ = structures.compile_evaluator(f)
+            if not has_so or homogeneous is not None:
+                continue
+            i = rng.randrange(len(structures_))
+            A, M = structures_[i], models[i]
+            budget = 0
+            while True:
+                outcomes = []
+                for evaluate in (lambda: henkin_eval(M, f, budget=budget),
+                                 lambda: eval_so_full(A, f, budget=budget)):
+                    try:
+                        outcomes.append(evaluate())
+                    except BudgetExceededError as err:
+                        outcomes.append(("stop", err.required))
+                assert outcomes[0] == outcomes[1], (fm.print_formula(f), A, budget)
+                if not isinstance(outcomes[0], tuple):
+                    break
+                stops += 1
+                required = outcomes[0][1]
+                assert required > budget
+                budget = required - 1 if budget < required - 1 else required
+            checked += 1
+        assert stops >= 2 * checked
+
+    def test_free_relation_variables_are_outer_quantifiers(self):
+        M = full_henkin_model(FiniteStructure(EMPTY_SIGNATURE, 3), 2)
+        f = fm.parse("EX2 Y:2 EX x (X(x) | Y(x, x))")
+        assert henkin_eval(M, f, budget=2 ** 12) is True
+        with pytest.raises(BudgetExceededError) as err:
+            henkin_eval(M, f, budget=2 ** 12 - 1)
+        assert err.value.required == 2 ** 12 and "'Y'" in str(err.value)
+        with pytest.raises(BudgetExceededError) as err:
+            henkin_eval(M, f, budget=7)
+        assert err.value.required == 8 and "free relation variables" in str(err.value)
+
+    def test_each_nesting_is_charged_once(self, monkeypatch):
+        charged = []
+        excess = structures.excess_relation_choices
+        monkeypatch.setattr(structures, "excess_relation_choices",
+                            lambda n, arities, budget: charged.append(arities)
+                            or excess(n, arities, budget))
+        f = fm.parse("ALL2 X:1 EX2 Y:1 ALL x (Y(x) <-> ~X(x))")
+        assert eval_so_full(C4, f) is True
+        # Y is entered once for each of the 16 values of X.
+        assert charged == [(1,), (1, 1)]
+
+    def test_second_henkin_evaluation_walks_no_formula(self, monkeypatch):
+        f = fm.parse("EX2 Y:1 ALL x EX y (edge(x, y) & (Y(y) | Z(x)))")
+        assert henkin_eval(full_henkin_model(C4, 1), f) is True
+        for name in ("walk", "free_relation_variables", "so_quantifier_arities",
+                     "free_fo_variables"):
+            monkeypatch.setattr(fm, name, lambda *args, name=name: pytest.fail(name))
+        assert henkin_eval(full_henkin_model(GRAPHS[0], 1), f) is True
+        assert henkin_eval(full_henkin_model(GRAPHS[3], 1), f) is False

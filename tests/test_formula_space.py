@@ -64,6 +64,14 @@ class TestTheoryVector:
             v = theory_vector(FiniteStructure(EMPTY_SIGNATURE, n), frag)
             assert v.bits == (0,)
 
+    def test_henkin_models_read_the_budget(self):
+        frag = Fragment(SIG, (fm.parse("EX2 R:1 EX x R(x)"),))
+        M = full_henkin_model(FiniteStructure(SIG, 2), 1)
+        assert vector_set([M], frag, budget=4).vectors == {TheoryVector((1,))}
+        with pytest.raises(BudgetExceededError) as err:
+            vector_set([M], frag, budget=1)
+        assert err.value.required == 2
+
     def test_full_henkin_model_matches_base(self):
         rng = random.Random(0)
         formulas = tuple(gen.formula_corpus(21, 6, SIG, max_quant_depth=2,

@@ -1,8 +1,15 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import so_lab
 from so_lab import formulas as fm
 from so_lab import gen
 from so_lab.errors import BudgetExceededError, ValidationError
@@ -105,6 +112,14 @@ class TestEvalSoFull:
         with pytest.raises(BudgetExceededError) as err:
             eval_so_full(A, f, budget=100)
         assert err.value.required == 2 ** 9 and "R" in str(err.value)
+
+    def test_sat_path_is_charged_its_tuple_variables(self):
+        f = fm.parse("EX2 X:2 ALL x X(x, x)")
+        A = FiniteStructure(EMPTY_SIGNATURE, 4)
+        assert eval_so_full(A, f, budget=16) is True
+        with pytest.raises(BudgetExceededError, match="16 tuple variables") as err:
+            eval_so_full(A, f, budget=15)
+        assert err.value.required == 16
 
     def test_agrees_with_eval_fo_on_delta0(self):
         rng = random.Random(3)
@@ -210,3 +225,24 @@ class TestModelsUpTo:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             models_up_to(fm.parse("ALL x edge(x,x)"), GRAPH_SIGNATURE, 3, budget=100)
+
+    def test_huge_universe_stops_before_counting(self):
+        # 2^(10^10) candidate structures: the exponent is compared with
+        # the budget, so no such number is built.  A separate process
+        # with capped memory and time, so that a regression fails
+        # instead of exhausting the machine.
+        script = ("from so_lab.structures import GRAPH_SIGNATURE, iter_structures\n"
+                  "next(iter_structures(GRAPH_SIGNATURE, 10 ** 5))\n")
+        src = str(Path(so_lab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=20, preexec_fn=cap_memory)
+        assert time.perf_counter() - start < 5
+        assert "BudgetExceededError" in done.stderr and "2^(100000^2)" in done.stderr

@@ -103,6 +103,14 @@ class TestRealizedTypes:
         with pytest.raises(BudgetExceededError):
             realized_types(A, SIMPLE, budget=4)
 
+    def test_designated_variables_are_outer_quantifiers(self):
+        A = FiniteStructure(EMPTY_SIGNATURE, 3)
+        ctx = unary_ctx("EX2 Y:2 EX x (X0(x) & Y(x, x))")
+        assert set(realized_types(A, ctx, budget=2 ** 12)) == {TwoType((0,)), TwoType((1,))}
+        with pytest.raises(BudgetExceededError) as err:
+            realized_types(A, ctx, budget=2 ** 12 - 1)
+        assert err.value.required == 2 ** 12 and "'Y'" in str(err.value)
+
 
 class TestOmits:
     def test_realized_type_not_omitted(self):

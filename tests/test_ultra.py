@@ -3,7 +3,7 @@ import random
 import pytest
 
 from so_lab import formulas as fm
-from so_lab import gen
+from so_lab import gen, ultra
 from so_lab.errors import ArityBoundError, BudgetExceededError, ValidationError
 from so_lab.structures import (
     EMPTY_SIGNATURE,
@@ -155,6 +155,13 @@ class TestUltraproduct:
             ultraproduct(family, Ultrafilter(4, 0), path="explicit", product_budget=10)
         # The automatic route falls back to the fast path instead.
         assert ultraproduct(family, Ultrafilter(4, 0), product_budget=10).explicit is False
+
+    def test_fast_path_budget(self):
+        # One class representative per element of the principal factor.
+        with pytest.raises(BudgetExceededError) as err:
+            ultraproduct([FiniteStructure(EMPTY_SIGNATURE, 100)], Ultrafilter(1, 0),
+                         product_budget=10)
+        assert err.value.required == 100
 
 
 class TestDecomposable:
@@ -332,6 +339,23 @@ class TestCheckLos:
             f = gen.random_formula(rng, SIG, max_quant_depth=3,
                                    max_so=2, max_binary_so=1)
             assert check_los(family, U, f).agree
+
+
+    def test_one_budget_for_both_sides(self, monkeypatch):
+        family = gen.random_family(random.Random(15), SIG, 2, 3)
+        f = fm.parse("EX2 R:1 ALL x (R(x) | ~p(x))")
+        budgets = []
+        for name in ("henkin_eval", "eval_so_full"):
+            def counted(*args, real=getattr(ultra, name), name=name, **kwargs):
+                budgets.append((name, kwargs["budget"]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(ultra, name, counted)
+        assert check_los(family, Ultrafilter(2, 0), f, budget=12345).agree
+        assert set(budgets) == {("henkin_eval", 12345), ("eval_so_full", 12345)}
+        with pytest.raises(BudgetExceededError):
+            check_los(family, Ultrafilter(2, 0), f, budget=1)
+        with pytest.raises(TypeError):
+            check_los(family, Ultrafilter(2, 0), f, relation_budget=12345)
 
 
 class TestCheckFubini:
