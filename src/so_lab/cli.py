@@ -122,7 +122,7 @@ def _cmd_henkin_eval(args):
     family = [A for _, A in _load_family(args.family)]
     U = ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
     f = _formula_from_args(args)
-    M = ultra.henkin_model(family, U, args.arity_bound)
+    M = ultra.henkin_model(family, U, args.arity_bound, budget=args.budget)
     value = ultra.henkin_eval(M, f, budget=args.budget)
     report = {"command": "henkin-eval", "ultrafilter": U.literal(),
               "arity_bound": args.arity_bound, "result": value}

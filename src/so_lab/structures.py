@@ -536,13 +536,20 @@ def _element_profile(A):
     return [tuple(p) for p in profiles]
 
 
-def find_isomorphism(A: FiniteStructure, B: FiniteStructure):
+def find_isomorphism(A: FiniteStructure, B: FiniteStructure, *,
+                     budget: int = DEFAULT_PRODUCT_BUDGET):
     """The lexicographically least isomorphism A -> B as an image tuple,
-    or None when the structures are not isomorphic."""
+    or None when the structures are not isomorphic.  The search weighs
+    each element of A against each of B, so the n^2 pairs are charged
+    against budget before any per-element work."""
     if A.sig != B.sig:
         raise ValidationError("signature mismatch")
     if A.size != B.size:
         return None
+    if A.size ** 2 > budget:
+        raise BudgetExceededError(
+            f"an isomorphism search on {A.size} elements weighs {A.size}^2 pairs,"
+            f" exceeding the budget of {budget}", required=A.size ** 2, budget=budget)
     pa = _element_profile(A)
     pb = _element_profile(B)
     if sorted(pa) != sorted(pb):

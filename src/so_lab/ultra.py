@@ -22,9 +22,11 @@ from .structures import (
     all_relations,
     compile_evaluator,
     eval_so_full,
+    excess_relation_choices,
     find_isomorphism,
     relation_domain,
-    relation_mask,
+    tuple_index,
+    tuple_space,
 )
 
 DEFAULT_LITERAL_BUDGET = 2 ** 10
@@ -134,14 +136,16 @@ def ultraproduct(family, U: Ultrafilter, *, path: str = "auto",
     The explicit path builds the full product and quotients it through the
     literal large-set tests, then confirms the result isomorphic to the
     principal factor; the fast path returns the principal factor directly.
+    The automatic route takes the explicit path when both the product and
+    the n^2 pairs of that isomorphism search are within product_budget.
     """
     family = _check_family(family, U)
     m = U.size
+    n = family[U.principal].size
     total = 1
     for A in family:
         total *= A.size
-    if path == "fast" or (path == "auto" and total > product_budget):
-        n = family[U.principal].size
+    if path == "fast" or (path == "auto" and max(total, n * n) > product_budget):
         if n > product_budget:
             raise BudgetExceededError(
                 f"the principal factor has {n} elements, exceeding the budget of"
@@ -190,7 +194,7 @@ def ultraproduct(family, U: Ultrafilter, *, path: str = "auto",
         provenance=Provenance(family, U),
         explicit=True,
     )
-    if find_isomorphism(quotient, family[U.principal]) is None:
+    if find_isomorphism(quotient, family[U.principal], budget=product_budget) is None:
         raise SoLabError("quotient failed to match the principal factor; this is a defect")
     return result
 
@@ -277,28 +281,90 @@ class DecomposableHenkinModel:
         return self.upsilon[k]
 
 
+def _largeness_table(U: Ultrafilter) -> list[bool]:
+    """U.member of every subset of the index set, by bitmask: entry S
+    is the largeness of {i : bit i of S is set}."""
+    return [U.member({i for i in range(U.size) if S >> i & 1}) for S in range(2 ** U.size)]
+
+
+def _factor_masks(result: UltraproductResult, i: int, k: int) -> list[int]:
+    """The quotient mask of every k-ary relation on factor i, in mask
+    order: the set of quotient k-tuples whose i-th components form a
+    tuple of that relation, as a bitmask over structures.tuple_space."""
+    reps = result.class_representatives
+    index = tuple_index(result.provenance.family[i].size, k)
+    pre = [0] * len(index)
+    for j, q in enumerate(tuple_space(len(reps), k)):
+        pre[index[tuple(reps[x][i] for x in q)]] |= 1 << j
+    masks = [0] * 2 ** len(pre)
+    for r in range(1, len(masks)):
+        low = r & -r
+        masks[r] = masks[r ^ low] | pre[low.bit_length() - 1]
+    return masks
+
+
+def _box_masks(result: UltraproductResult, k: int, large):
+    """The quotient mask of the box of every choice of one k-ary
+    relation per factor, in the order of itertools.product over each
+    factor's all_relations; large is _largeness_table of the
+    ultrafilter.  recompose gives the same boxes one by one."""
+    factors = [_factor_masks(result, i, k) for i in range(len(result.provenance.family))]
+    last = factors.pop()
+    top = 1 << len(factors)
+    full = (1 << len(result.class_representatives) ** k) - 1
+    for outer in itertools.product(*factors):
+        # (S, cell): the nonempty set of tuples held by exactly the
+        # factors in S so far; at most one cell per quotient tuple.
+        cells = [(0, full)]
+        for i, q in enumerate(outer):
+            cells = [(S | b, d) for S, c in cells for b, p in ((0, ~q), (1 << i, q))
+                     if (d := c & p)]
+        out = held = 0
+        for S, cell in cells:
+            if large[S]:
+                out |= cell
+            if large[S | top]:
+                held |= cell
+        for mi in last:
+            yield (out & ~mi) | (held & mi)
+
+
 def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
+                 budget: int = DEFAULT_RELATION_BUDGET,
                  literal_budget: int = DEFAULT_LITERAL_BUDGET,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> DecomposableHenkinModel:
     """Materialise the decomposable relations of the ultraproduct for
     every arity up to arity_bound.
 
-    When the factor-choice space is small the boxes are enumerated
-    literally and deduplicated; otherwise the principal shortcut applies
-    (every relation is decomposable, so the set is the full powerset).
-    Both routes agree and the tests compare them."""
+    Each arity is charged its 2^(n^k) relations on the n-element
+    quotient against budget before either route builds anything.  When
+    the factor choices are below literal_budget, every box is
+    enumerated: U.member is asked once per subset of the indices, each
+    factor relation becomes a mask over the quotient's k-tuples, and a
+    choice's box is the mask of the tuples whose componentwise
+    membership set is large.  That is recompose's double-large-set test
+    on whole masks, not the principal shortcut: it gives the right boxes
+    for any notion of largeness.  The distinct masks, in mask order, are
+    the universe.  Otherwise the principal shortcut applies (every
+    relation is decomposable, so the set is the full powerset).  Both
+    routes agree and the tests compare them."""
+    family = _check_family(family, U)
+    n = family[U.principal].size  # the size of the quotient
+    for k in range(1, arity_bound + 1):
+        if over := excess_relation_choices(n, (k,), budget):
+            raise BudgetExceededError(
+                f"the {k}-ary relations on the quotient number {over[1]},"
+                f" exceeding the budget of {budget}", required=over[0], budget=budget)
     result = ultraproduct(family, U, product_budget=product_budget)
-    family = result.provenance.family
-    n = result.quotient.size
     upsilon = {}
+    large = None
     for k in range(1, arity_bound + 1):
         # The 2^(|A1|^k + |A2|^k + ...) factor choices, by their exponent.
         if sum(A.size ** k for A in family) < literal_budget.bit_length():
-            boxes = set()
-            for combo in itertools.product(*[all_relations(A.size, k) for A in family]):
-                dec = Decomposition(k, combo)
-                boxes.add(recompose(dec, result))
-            upsilon[k] = tuple(sorted(boxes, key=lambda r: relation_mask(n, k, r)))
+            if large is None:
+                large = _largeness_table(U)
+            relations = all_relations(n, k)
+            upsilon[k] = tuple(relations[b] for b in sorted(set(_box_masks(result, k, large))))
         else:
             upsilon[k] = all_relations(n, k)
     return DecomposableHenkinModel(result, upsilon, arity_bound)
@@ -365,7 +431,7 @@ def check_los(family, U: Ultrafilter, f, *,
     valid outcome."""
     family = _check_family(family, U)
     bound = max(compile_evaluator(f)[0].so_arities, default=1)
-    M = henkin_model(family, U, bound, product_budget=product_budget)
+    M = henkin_model(family, U, bound, budget=budget, product_budget=product_budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(
         i for i in range(U.size)
@@ -405,7 +471,7 @@ def check_fubini(grid, F: Ultrafilter, G: Ultrafilter, *,
         for j in range(G.size)
     ]
     rhs = ultraproduct(inner, G, product_budget=product_budget)
-    witness = find_isomorphism(lhs.quotient, rhs.quotient)
+    witness = find_isomorphism(lhs.quotient, rhs.quotient, budget=product_budget)
     if witness is None:
         raise SoLabError("no isomorphism between the two constructions; this is a defect")
     return FubiniReport((F.size, G.size), witness, len(flat))

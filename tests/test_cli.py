@@ -150,6 +150,18 @@ class TestMalformedInput:
                           "--formula", "EX2 X:2 ALL x X(x, x)")
         assert done.returncode == 3 and "tuple variables" in done.stderr
 
+    @pytest.mark.parametrize("universe, argv", [
+        # 2^(5^2) binary relations on the quotient, at the default arity bound.
+        (5, ["henkin-eval", "--family", "fam.json", "--ultrafilter", "principal:0",
+             "--formula", "EX x x = x"]),
+        # (10^8)^2 element pairs for the isomorphism search.
+        (10 ** 8, ["insep", "--k", "fam.json", "--l", "fam.json"]),
+    ])
+    def test_family_beyond_the_budget(self, tmp_path, universe, argv):
+        (tmp_path / "fam.json").write_text(json.dumps([{"universe": universe, "signature": {}}]))
+        done = run_capped(tmp_path, *argv)
+        assert done.returncode == 3 and "budget" in done.stderr
+
     @pytest.mark.parametrize("document", [{"arities": 5, "fragment": []}, [1]])
     def test_context_of_wrong_type(self, capsys, c4_file, tmp_path, document):
         path = tmp_path / "ctx.json"
@@ -407,13 +419,19 @@ class TestExitCodeContract:
         assert code in (0, 1, 2, 3)
 
     @settings(max_examples=300, deadline=None)
-    @given(command=hyp.sampled_from(["ultraproduct", "separate"]),
+    @given(command=hyp.sampled_from(["ultraproduct", "separate", "henkin-eval", "insep"]),
            document=_JSON | hyp.lists(_STRUCTURE_LIKE, max_size=3))
     def test_family_document(self, tmp_path_factory, command, document):
         family = self._write(tmp_path_factory, "family.json", document)
         if command == "ultraproduct":
             argv = ["ultraproduct", "--family", family, "--ultrafilter", "principal:0"]
+        elif command == "henkin-eval":
+            argv = ["henkin-eval", "--family", family, "--ultrafilter", "principal:0",
+                    "--formula", "EX2 X:1 EX x X(x)", "--budget", "4096"]
+        elif command == "insep":
+            argv = ["insep", "--k", family, "--l", family]
         else:
             fragment = self._write(tmp_path_factory, "fragment.json", ["EX x p(x)"])
             argv = ["separate", "--k", family, "--l", family, "--fragment", fragment]
-        assert cli.main(argv) in (0, 1, 2, 3)
+        # separate exits 1 when no formula separates the two families.
+        assert cli.main(argv) in ((0, 1, 2, 3) if command == "separate" else (0, 2, 3))

@@ -175,6 +175,19 @@ class TestFindIsomorphism:
         with pytest.raises(ValidationError, match="signature"):
             find_isomorphism(cycle_graph(3), FiniteStructure(MIXED, 3))
 
+    def test_search_budget(self):
+        # n^2 pairs are charged before any per-element work; unequal
+        # sizes are answered without a search.
+        A = FiniteStructure(EMPTY_SIGNATURE, 10)
+        with pytest.raises(BudgetExceededError) as err:
+            find_isomorphism(A, A, budget=99)
+        assert err.value.required == 100
+        assert find_isomorphism(A, A, budget=100) == tuple(range(10))
+        huge = FiniteStructure(EMPTY_SIGNATURE, 10 ** 8)
+        assert find_isomorphism(A, huge) is None
+        with pytest.raises(BudgetExceededError):
+            find_isomorphism(huge, huge)
+
     def test_symmetry(self):
         rng = random.Random(8)
         for _ in range(60):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,10 @@ from so_lab.structures import (
 )
 from so_lab.ultra import (
     DecomposableHenkinModel,
+    Decomposition,
+    Provenance,
     Ultrafilter,
+    UltraproductResult,
     build_ultrachain,
     check_fubini,
     check_los,
@@ -32,6 +36,39 @@ from so_lab.ultra import (
 from so_lab.workbench import builtin
 
 SIG = Signature.of({"p": 1, "edge": 2})
+
+
+class Largeness:
+    """An index-set stand-in whose member is any predicate, not only a
+    principal one: the box of a decomposition is its literal largeness
+    test, whatever the notion of largeness."""
+
+    def __init__(self, size, member):
+        self.size = size
+        self.member = member
+
+
+def majority(size):
+    return Largeness(size, lambda subset: 2 * len(subset) > size)
+
+
+def every_point(family, U):
+    """An UltraproductResult over U whose classes are all the points of
+    the product, one each, so that no index decides a box alone."""
+    reps = tuple(itertools.product(*[range(A.size) for A in family]))
+    return UltraproductResult(FiniteStructure(family[0].sig, len(reps)), reps,
+                              Provenance(tuple(family), U), True)
+
+
+def assert_boxes_match_recompose(result, k):
+    """Every factor choice's box mask equals recompose's box."""
+    n = len(result.class_representatives)
+    family = result.provenance.family
+    large = ultra._largeness_table(result.provenance.ultrafilter)
+    masks = list(ultra._box_masks(result, k, large))
+    choices = itertools.product(*[all_relations(A.size, k) for A in family])
+    assert masks == [relation_mask(n, k, recompose(Decomposition(k, combo), result))
+                     for combo in choices]
 
 
 def subsets(universe):
@@ -156,6 +193,14 @@ class TestUltraproduct:
         # The automatic route falls back to the fast path instead.
         assert ultraproduct(family, Ultrafilter(4, 0), product_budget=10).explicit is False
 
+    def test_automatic_route_within_the_isomorphism_budget(self):
+        # 500 elements: 500 tuples, but 500^2 pairs for the quotient check.
+        A = FiniteStructure(EMPTY_SIGNATURE, 500)
+        assert ultraproduct([A], Ultrafilter(1, 0)).explicit is False
+        with pytest.raises(BudgetExceededError):
+            ultraproduct([A], Ultrafilter(1, 0), path="explicit")
+        assert ultraproduct([A], Ultrafilter(1, 0), product_budget=500 ** 2).explicit
+
     def test_fast_path_budget(self):
         # One class representative per element of the principal factor.
         with pytest.raises(BudgetExceededError) as err:
@@ -192,11 +237,66 @@ class TestDecomposable:
         dec = is_decomposable(frozenset(), result, arity=2)
         assert dec is not None and all(not f for f in dec.factors)
 
+    def test_recompose_by_hand(self):
+        # Principal index 1: the box is the quotient tuples whose second
+        # component lies in the second factor.
+        A2, A3 = FiniteStructure(SIG, 2), FiniteStructure(SIG, 3)
+        result = ultraproduct([A2, A3], Ultrafilter(2, 1))
+        dec = Decomposition(1, (frozenset({(0,)}), frozenset({(2,)})))
+        assert recompose(dec, result) == {(2,)}
+        # Majority over three indices: only the second representative is
+        # held by at least two factors.
+        family = [FiniteStructure(SIG, 2)] * 3
+        reps = ((0, 0, 0), (1, 1, 0), (0, 1, 1))
+        result = UltraproductResult(FiniteStructure(SIG, 3), reps,
+                                    Provenance(tuple(family), majority(3)), True)
+        dec = Decomposition(1, (frozenset({(1,)}), frozenset({(1,)}), frozenset({(0,)})))
+        assert recompose(dec, result) == {(1,)}
+        dec = Decomposition(2, (frozenset({(1, 1), (0, 1)}), frozenset({(0, 1), (1, 0)}),
+                                frozenset({(0, 1), (1, 1)})))
+        assert recompose(dec, result) == {(0, 1), (0, 2)}
+
     def test_empty_relation_requires_arity(self):
         rng = random.Random(6)
         result = ultraproduct(gen.random_family(rng, SIG, 2, 2), Ultrafilter(2, 0))
         with pytest.raises(ValidationError):
             is_decomposable(frozenset(), result)
+
+
+class TestBoxMasks:
+    """The box mask of each factor choice against recompose, choice by
+    choice: under a principal ultrafilter the set of boxes is the full
+    powerset whatever the boxes are, so only this catches a wrong box."""
+
+    def test_principal_families(self):
+        rng = random.Random(18)
+        checked = 0
+        while checked < 40:
+            m = rng.randint(1, 3)
+            family = gen.random_family(rng, SIG, m, 3)
+            k = rng.choice((1, 2))
+            if sum(A.size ** k for A in family) > 9:
+                continue
+            # Principal at every index, so that reversed index bits fail.
+            for principal in range(m):
+                assert_boxes_match_recompose(ultraproduct(family, Ultrafilter(m, principal)), k)
+            checked += 1
+
+    def test_majority(self):
+        rng = random.Random(19)
+        for sizes, k in (((2, 2, 2), 1), ((1, 2, 2), 1), ((2, 1, 1), 2), ((1, 2, 1, 2, 1), 1)):
+            family = [gen.random_structure(rng, SIG, size) for size in sizes]
+            assert_boxes_match_recompose(every_point(family, majority(len(family))), k)
+
+    def test_arbitrary_largeness(self):
+        # A seeded truth table over the subsets of the indices, neither
+        # monotone nor symmetric.
+        rng = random.Random(20)
+        for sizes, k in (((2, 2, 2), 1), ((2, 1, 3), 1), ((1, 2, 1), 2), ((2, 2), 2)):
+            family = [gen.random_structure(rng, SIG, size) for size in sizes]
+            table = {frozenset(s): rng.random() < 0.5 for s in subsets(list(range(len(sizes))))}
+            U = Largeness(len(sizes), lambda subset, table=table: table[frozenset(subset)])
+            assert_boxes_match_recompose(every_point(family, U), k)
 
 
 class TestHenkinModel:
@@ -226,6 +326,17 @@ class TestHenkinModel:
         shortcut = henkin_model(family, U, 1, literal_budget=0)
         assert literal.relations_of_arity(1) == shortcut.relations_of_arity(1)
         assert len(literal.relations_of_arity(1)) == 4
+
+    def test_budget_charged_per_arity_before_building(self, monkeypatch):
+        A = FiniteStructure(SIG, 3)
+        # Charged before the quotient is even built.
+        monkeypatch.setattr(ultra, "ultraproduct", None)
+        with pytest.raises(BudgetExceededError) as err:
+            henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9 - 1)
+        assert err.value.required == 2 ** 9
+        monkeypatch.undo()
+        M = henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9)
+        assert len(M.relations_of_arity(2)) == 2 ** 9
 
     def test_upsilon_deterministic_order(self):
         A = FiniteStructure(SIG, 2)
@@ -345,13 +456,14 @@ class TestCheckLos:
         family = gen.random_family(random.Random(15), SIG, 2, 3)
         f = fm.parse("EX2 R:1 ALL x (R(x) | ~p(x))")
         budgets = []
-        for name in ("henkin_eval", "eval_so_full"):
+        for name in ("henkin_model", "henkin_eval", "eval_so_full"):
             def counted(*args, real=getattr(ultra, name), name=name, **kwargs):
                 budgets.append((name, kwargs["budget"]))
                 return real(*args, **kwargs)
             monkeypatch.setattr(ultra, name, counted)
         assert check_los(family, Ultrafilter(2, 0), f, budget=12345).agree
-        assert set(budgets) == {("henkin_eval", 12345), ("eval_so_full", 12345)}
+        assert set(budgets) == {("henkin_model", 12345), ("henkin_eval", 12345),
+                                ("eval_so_full", 12345)}
         with pytest.raises(BudgetExceededError):
             check_los(family, Ultrafilter(2, 0), f, budget=1)
         with pytest.raises(TypeError):
