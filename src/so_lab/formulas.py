@@ -1,34 +1,41 @@
 """Second-order formulas over purely relational signatures.
 
-Provides the AST, a recursive-descent parser for the concrete syntax,
-a printer that round-trips (parse(print(f)) == f), scope validation,
-prenex normalisation of relation quantifiers, and classification into
-the alternation hierarchy (Delta0 / Sigma(n) / Pi(n)).
+Provides the AST, a parser for the concrete syntax, a printer that
+round-trips (parse(print(f)) == f), scope validation, prenex
+normalisation of relation quantifiers, and classification into the
+alternation hierarchy (Delta0 / Sigma(n) / Pi(n)).
 
-Three helpers carry every traversal: children(f) lists the immediate
-subformulas, rebuild(f, kids) puts a node back together around new
-children (optionally as its dual), and walk(f) visits every node in
-pre-order without recursion, together with the variables bound above
-it.  Only the printer, prenex pulling and the evaluators elsewhere
-dispatch over node kinds themselves.
+One pass, scope(f), finds what parsing and evaluation need to know of
+a formula: free individual variables, the relation symbols no binder
+covers with their arities, relation-quantifier arities, nesting depth
+and tree height, and the first arity fault.  parse and every evaluator
+read it instead of walking the formula.  Three helpers carry the other
+traversals: children(f) lists the immediate subformulas, rebuild(f,
+kids) puts a node back together around new children (optionally as its
+dual), and walk(f) visits every node in pre-order without recursion,
+together with the variables bound above it.  Only the printer, prenex
+pulling, validate and the evaluators' compilers dispatch over node
+kinds themselves.
 
 All formula values are immutable and safe to share.  Each node caches
 its hash on first use, the value the dataclass would compute from its
 fields, so that hashing a formula again (as every cache keyed on
-formulas does) costs one attribute read.  The cache is not pickled (a
-slotted frozen dataclass pickles its fields only), so a loaded node
-hashes afresh: string hashes differ between processes.
+formulas does) costs one attribute read; scope(f) is cached on the node
+the same way.  Neither cache is pickled (a slotted frozen dataclass
+pickles its fields only), so a loaded node hashes afresh: string hashes
+differ between processes.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
 
 class Formula:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_scope")
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -121,7 +128,10 @@ _FO_QUANT = (ExistsFO, ForallFO)
 _SO_QUANT = (ExistsSO, ForallSO)
 _LEAVES = (Atom, Eq)
 
-KEYWORDS = frozenset({"ALL", "EX", "ALL2", "EX2"})
+# The quantifier each keyword introduces; the parser and the printer share it.
+_QUANTIFIERS = {"ALL": ForallFO, "EX": ExistsFO, "ALL2": ForallSO, "EX2": ExistsSO}
+_KEYWORD_OF = {node: keyword for keyword, node in _QUANTIFIERS.items()}
+KEYWORDS = frozenset(_QUANTIFIERS)
 
 # The deepest syntax tree parse accepts.  The rewriting passes and the
 # evaluators recurse once or twice per level, so deeper input would end
@@ -177,8 +187,7 @@ def walk(f):
     while stack:
         item = pop()
         yield item
-        # Dispatch inline, leaves first, rather than through children():
-        # this loop is under every free-variable query of the evaluators.
+        # Dispatch inline, leaves first, rather than through children().
         g, fo_bound, so_bound = item
         kind = type(g)
         if kind in _LEAVES:
@@ -192,6 +201,81 @@ def walk(f):
         elif kind in _BINARY:
             push((g.right, fo_bound, so_bound))
             push((g.left, fo_bound, so_bound))
+
+
+class Scope(NamedTuple):
+    """What scope(f) finds, each in pre-order, first occurrence first.
+
+    free_fo: the free individual variables.  symbols: each relation
+    symbol no binder covers, mapped to the arity of its first use.
+    clashes: (name, first, k) for each use of such a symbol at an arity
+    k other than its first.  so_arities: the arity of each relation
+    quantifier.  depth: the deepest nesting of individual quantifiers.
+    height: the levels of the syntax tree.  fault: the first arity fault
+    as a message, or None: a clash, an atom whose binder declares
+    another arity, or a binder arity below 1.
+    """
+    free_fo: tuple[str, ...]
+    symbols: dict
+    clashes: tuple[tuple[str, int, int], ...]
+    so_arities: tuple[int, ...]
+    depth: int
+    height: int
+    fault: str | None
+
+
+def scope(f) -> Scope:
+    """The Scope of f, from one pass without recursion, cached on f."""
+    out = getattr(f, "_scope", None)
+    if out is None:
+        out = _scope_pass(f)
+        if isinstance(f, Formula):
+            object.__setattr__(f, "_scope", out)
+    return out
+
+
+def _scope_pass(f):
+    free_fo, symbols, clashes, so_arities = {}, {}, [], []
+    fault = None
+    depth = height = 0
+    stack = [(f, frozenset(), {}, 0, 1)]
+    while stack:
+        g, fo_bound, so_bound, d, level = stack.pop()
+        if level > height:
+            height = level
+        kind = type(g)
+        level += 1
+        if kind is Atom or kind is Eq:
+            for a in g.args if kind is Atom else (g.left, g.right):
+                if a not in fo_bound and a not in free_fo:
+                    free_fo[a] = None
+        if kind is Atom:
+            k = len(g.args)
+            declared = so_bound.get(g.rel)
+            if declared is None:
+                first = symbols.setdefault(g.rel, k)
+                if first != k:
+                    clashes.append((g.rel, first, k))
+                    fault = fault or f"symbol {g.rel!r} applied with both {first} and {k} arguments"
+            elif declared != k:
+                fault = fault or (f"relation variable {g.rel!r} declared with arity {declared}"
+                                  f" but applied to {k} arguments")
+        elif kind in _BINARY:
+            stack.append((g.right, fo_bound, so_bound, d, level))
+            stack.append((g.left, fo_bound, so_bound, d, level))
+        elif kind is Not:
+            stack.append((g.sub, fo_bound, so_bound, d, level))
+        elif kind in _FO_QUANT:
+            if d >= depth:
+                depth = d + 1
+            stack.append((g.body, fo_bound | {g.var}, so_bound, d + 1, level))
+        elif kind in _SO_QUANT:
+            so_arities.append(g.arity)
+            if g.arity < 1:
+                fault = fault or f"binder {g.relvar!r} declares arity {g.arity} < 1"
+            stack.append((g.body, fo_bound, {**so_bound, g.relvar: g.arity}, d, level))
+    return Scope(tuple(free_fo), symbols, tuple(clashes), tuple(so_arities), depth, height,
+                 fault)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +314,10 @@ def _tokenize(text):
     return tokens
 
 
+# Each connective's precedence, loosest first, and its node.
+_CONNECTIVES = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -244,9 +332,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+    def error(self, message):
+        raise ParseError(message, *self.peek()[2:])
 
     def expect_op(self, op):
         kind, lexeme, _, _ = self.peek()
@@ -254,101 +341,90 @@ class _Parser:
             self.error(f"expected {op!r}, found {lexeme or 'end of input'!r}")
         return self.take()
 
-    def nested(self, parse):
-        """parse() one level deeper, bounding the parser's own recursion."""
+    def enter(self):
+        """One level deeper, bounding the nesting of the input."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.error(f"formula is nested more than {MAX_DEPTH} levels deep")
-        out = parse()
-        self.depth -= 1
-        return out
 
     def at_op(self, op):
         kind, lexeme, _, _ = self.peek()
         return kind == "op" and lexeme == op
 
     def formula(self):
+        """A quantifier prefix over unary operands joined by connectives,
+        which one loop applies by precedence: a level of parentheses costs
+        two frames, this one and unary's, a quantifier or negation none."""
+        binders = []
         kind, lexeme, _, _ = self.peek()
-        if kind == "name" and lexeme in KEYWORDS:
+        while kind == "name" and lexeme in KEYWORDS:
             self.take()
-            if lexeme in ("ALL", "EX"):
-                var = self.variable()
-                body = self.nested(self.formula)
-                return (ForallFO if lexeme == "ALL" else ExistsFO)(var, body)
-            relvar = self.relvar_binder()
-            self.expect_op(":")
-            arity = self.nat()
-            body = self.nested(self.formula)
-            return (ForallSO if lexeme == "ALL2" else ExistsSO)(relvar, arity, body)
-        return self.iff()
+            node = _QUANTIFIERS[lexeme]
+            if node in _FO_QUANT:
+                binders.append((node, (self.variable(),)))
+            else:
+                # Uppercase by convention; may shadow a (lowercase) signature symbol.
+                relvar = self.word("a relation variable")
+                self.expect_op(":")
+                binders.append((node, (relvar, self.nat())))
+            self.enter()
+            kind, lexeme, _, _ = self.peek()
+        operands = [self.unary()]
+        pending = []  # (precedence, node) of each connective not yet applied
+        while True:
+            op = _CONNECTIVES.get(self.peek()[1])
+            # Apply the pending connectives that bind at least as tightly
+            # as op, or more tightly when op is the right-grouping ->.
+            bar = 0 if op is None else op[0] + (op[1] is Implies)
+            while pending and pending[-1][0] >= bar:
+                right = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], right)
+            if op is None:
+                break
+            self.take()
+            pending.append(op)
+            operands.append(self.unary())
+        out = operands[0]
+        for node, fields in reversed(binders):
+            out = node(*fields, out)
+        self.depth -= len(binders)
+        return out
+
+    def word(self, what, kind="name", lower=False):
+        """The next lexeme; it must be of kind, no keyword, and start in lower case if lower."""
+        token, lexeme, line, col = self.take()
+        if token != kind or lexeme in KEYWORDS or lower and not lexeme[0].islower():
+            raise ParseError(f"expected {what}, found {lexeme or 'end of input'!r}", line, col)
+        return lexeme
 
     def variable(self):
-        kind, lexeme, line, col = self.take()
-        if kind != "name" or lexeme in KEYWORDS or not lexeme[0].islower():
-            raise ParseError(f"expected a variable, found {lexeme or 'end of input'!r}", line, col)
-        return lexeme
-
-    def relvar_binder(self):
-        # The reference convention is an uppercase initial, but binders may
-        # deliberately shadow (lowercase) signature symbols.
-        kind, lexeme, line, col = self.take()
-        if kind != "name" or lexeme in KEYWORDS:
-            raise ParseError(
-                f"expected a relation variable, found {lexeme or 'end of input'!r}", line, col
-            )
-        return lexeme
+        return self.word("a variable", lower=True)
 
     def nat(self):
-        kind, lexeme, line, col = self.take()
-        if kind != "nat":
-            raise ParseError(f"expected an arity, found {lexeme or 'end of input'!r}", line, col)
-        value = int(lexeme)
+        line, col = self.peek()[2:]
+        value = int(self.word("an arity", "nat"))
         if value < 1:
             raise ParseError("arities must be at least 1", line, col)
         return value
 
-    def iff(self):
-        out = self.imp()
-        while self.at_op("<->"):
-            self.take()
-            out = Iff(out, self.imp())
-        return out
-
-    def imp(self):
-        parts = [self.or_()]
-        while self.at_op("->"):
-            self.take()
-            parts.append(self.or_())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Implies(part, out)
-        return out
-
-    def or_(self):
-        out = self.and_()
-        while self.at_op("|"):
-            self.take()
-            out = Or(out, self.and_())
-        return out
-
-    def and_(self):
-        out = self.unary()
-        while self.at_op("&"):
-            self.take()
-            out = And(out, self.unary())
-        return out
-
     def unary(self):
-        kind, lexeme, _, _ = self.peek()
-        if kind == "op" and lexeme == "~":
+        negations = 0
+        while self.at_op("~"):
             self.take()
-            return Not(self.nested(self.unary))
-        if kind == "op" and lexeme == "(":
+            self.enter()
+            negations += 1
+        if self.at_op("("):
             self.take()
-            out = self.nested(self.formula)
+            self.enter()
+            out = self.formula()
             self.expect_op(")")
-            return out
-        return self.atom()
+            self.depth -= 1
+        else:
+            out = self.atom()
+        for _ in range(negations):
+            out = Not(out)
+        self.depth -= negations
+        return out
 
     def atom(self):
         kind, lexeme, line, col = self.peek()
@@ -378,76 +454,42 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula.
 
-    Raises ParseError with line/column on malformed input, when a
-    relation name is applied with two different argument counts inside
-    the same scope, and when parentheses, negations and quantifiers, or
-    the syntax tree, nest more than MAX_DEPTH levels deep (each operator
-    of a chain such as a & b & c adds a level to the tree).
+    Raises ParseError with line/column on malformed input, when
+    parentheses, negations and quantifiers, or the syntax tree, nest
+    more than MAX_DEPTH levels deep (each operator of a chain such as
+    a & b & c adds a level to the tree), and on the arity fault, if
+    any, that scope(f) finds.
     """
     parser = _Parser(text)
     out = parser.formula()
     kind, lexeme, line, col = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {lexeme!r}", line, col)
-    # Every node of the tree consumes a token, so short input needs no walk.
-    if len(parser.tokens) > MAX_DEPTH and _height(out) > MAX_DEPTH:
+    found = scope(out)
+    if found.height > MAX_DEPTH:
         raise ParseError(f"formula is nested more than {MAX_DEPTH} levels deep")
-    _check_arity_consistency(out)
+    if found.fault:
+        raise ParseError(found.fault)
     return out
-
-
-def _height(f):
-    """Levels of the syntax tree of f, counted without recursion."""
-    height = 0
-    stack = [(f, 1)]
-    while stack:
-        g, level = stack.pop()
-        height = max(height, level)
-        stack += ((h, level + 1) for h in children(g))
-    return height
-
-
-def _check_arity_consistency(f):
-    free_use: dict[str, int] = {}
-    for g, _, bound in walk(f):
-        if not isinstance(g, Atom):
-            continue
-        k = len(g.args)
-        if g.rel in bound:
-            if bound[g.rel] != k:
-                raise ParseError(
-                    f"relation variable {g.rel!r} declared with arity {bound[g.rel]}"
-                    f" but applied to {k} arguments"
-                )
-        elif g.rel in free_use:
-            if free_use[g.rel] != k:
-                raise ParseError(
-                    f"symbol {g.rel!r} applied with both {free_use[g.rel]} and {k} arguments"
-                )
-        else:
-            free_use[g.rel] = k
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
+# Precedence levels around those of the connectives in _CONNECTIVES.
 _LEVEL_QUANT = 0
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
 _LEVEL_UNARY = 5
 _LEVEL_ATOM = 6
-
-_LEVELS = {Atom: _LEVEL_ATOM, Eq: _LEVEL_ATOM, And: _LEVEL_AND, Or: _LEVEL_OR,
-           Implies: _LEVEL_IMP, Iff: _LEVEL_IFF}
+_SYMBOLS = {node: (op, level) for op, (level, node) in _CONNECTIVES.items()}
 
 
 def _level(f):
     if isinstance(f, Not):
         return _LEVEL_ATOM if isinstance(f.sub, Eq) else _LEVEL_UNARY
-    return _LEVELS.get(type(f), _LEVEL_QUANT)
+    if isinstance(f, _LEAVES):
+        return _LEVEL_ATOM
+    return _SYMBOLS.get(type(f), (None, _LEVEL_QUANT))[1]
 
 
 def print_formula(f: Formula) -> str:
@@ -466,20 +508,15 @@ def _print(f, min_level):
         if isinstance(f.sub, Eq):
             return f"{f.sub.left} != {f.sub.right}"
         return "~" + _print(f.sub, _LEVEL_UNARY)
-    if isinstance(f, And):
-        return _print(f.left, _LEVEL_AND) + " & " + _print(f.right, _LEVEL_UNARY)
-    if isinstance(f, Or):
-        return _print(f.left, _LEVEL_OR) + " | " + _print(f.right, _LEVEL_AND)
-    if isinstance(f, Implies):
-        return _print(f.left, _LEVEL_OR) + " -> " + _print(f.right, _LEVEL_IMP)
-    if isinstance(f, Iff):
-        return _print(f.left, _LEVEL_IFF) + " <-> " + _print(f.right, _LEVEL_IMP)
+    if type(f) in _SYMBOLS:
+        op, level = _SYMBOLS[type(f)]
+        # -> groups to the right, the other connectives to the left.
+        left, right = (level + 1, level) if isinstance(f, Implies) else (level, level + 1)
+        return _print(f.left, left) + f" {op} " + _print(f.right, right)
     if isinstance(f, _FO_QUANT):
-        keyword = "EX" if isinstance(f, ExistsFO) else "ALL"
-        return f"{keyword} {f.var} " + _print(f.body, _LEVEL_QUANT)
+        return f"{_KEYWORD_OF[type(f)]} {f.var} " + _print(f.body, _LEVEL_QUANT)
     if isinstance(f, _SO_QUANT):
-        keyword = "EX2" if isinstance(f, ExistsSO) else "ALL2"
-        return f"{keyword} {f.relvar}:{f.arity} " + _print(f.body, _LEVEL_QUANT)
+        return f"{_KEYWORD_OF[type(f)]} {f.relvar}:{f.arity} " + _print(f.body, _LEVEL_QUANT)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -487,17 +524,12 @@ def _print(f, min_level):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-def subformulas(f):
-    """Every node of f in pre-order, left to right."""
-    return (g for g, _, _ in walk(f))
-
-
 def contains_so(f) -> bool:
-    return any(isinstance(g, _SO_QUANT) for g, _, _ in walk(f))
+    return bool(scope(f).so_arities)
 
 
 def so_quantifier_arities(f) -> tuple[int, ...]:
-    return tuple(g.arity for g, _, _ in walk(f) if isinstance(g, _SO_QUANT))
+    return scope(f).so_arities
 
 
 def so_prefix(f):
@@ -515,18 +547,7 @@ def so_prefix(f):
 
 def free_fo_variables(f) -> tuple[str, ...]:
     """Free first-order variables in first-occurrence order."""
-    out = {}
-    for g, bound, _ in walk(f):
-        if isinstance(g, Atom):
-            names = g.args
-        elif isinstance(g, Eq):
-            names = (g.left, g.right)
-        else:
-            continue
-        for a in names:
-            if a not in bound:
-                out.setdefault(a)
-    return tuple(out)
+    return scope(f).free_fo
 
 
 def free_relation_variables(f, sig) -> tuple[tuple[str, int], ...]:
@@ -535,17 +556,12 @@ def free_relation_variables(f, sig) -> tuple[tuple[str, int], ...]:
     Returned in first-occurrence order with the arity of their use; a
     name used with two arities raises ValidationError.
     """
-    arities = {}
-    for g, _, bound in walk(f):
-        if not isinstance(g, Atom) or g.rel in bound or sig.arity(g.rel) is not None:
-            continue
-        k = len(g.args)
-        if arities.setdefault(g.rel, k) != k:
+    found = scope(f)
+    for name, first, k in found.clashes:
+        if sig.arity(name) is None:
             raise ValidationError(
-                f"free relation variable {g.rel!r} used with arities"
-                f" {arities[g.rel]} and {k}"
-            )
-    return tuple(arities.items())
+                f"free relation variable {name!r} used with arities {first} and {k}")
+    return tuple((name, k) for name, k in found.symbols.items() if sig.arity(name) is None)
 
 
 def all_names(f) -> set[str]:

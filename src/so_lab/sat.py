@@ -17,6 +17,9 @@ inside a disjunction gets an auxiliary variable g, defined in one
 direction only (g -> conjunct, after Plaisted and Greenbaum) and shared
 per (subformula, values of its free variables).  A small DPLL with
 counter-based unit propagation branches over the tuple variables only.
+
+The grounder trusts its symbols and arities, which structures.eval_so_full
+has checked; only the free individual variables are checked here, eagerly.
 """
 from __future__ import annotations
 
@@ -86,52 +89,37 @@ class _Grounder:
         self.tvars = {}
         base = 0
         for _, name, arity in prefix:
-            self.tvars[name] = (base + 1, arity)
+            self.tvars[name] = base + 1
             base += n ** arity
         self.nbase = base
-        # Per-call inputs in first-use order: ("var", slot, name) and
-        # ("rel", slot, name).  Slots of free variables that index tuple
-        # variables are range-checked.
-        self.inputs = []
+        # Per-call inputs from slot 1 on, first occurrence first: the free
+        # individual variables, then the relations of structure atoms.
+        # Slots of free variables that index tuple variables are
+        # range-checked.
+        found = fm.scope(matrix)
+        self.free = {name: slot for slot, name in enumerate(found.free_fo, 1)}
+        rels = [name for name in found.symbols if name not in self.tvars]
+        self.rels = {name: slot for slot, name in enumerate(rels, 1 + len(self.free))}
+        self.nslots = 1 + len(self.free) + len(self.rels)
         self.indexing = set()
-        self.nslots = 1
-        self._symbols = {}
-        self._free = {}
         self._gate_ids = 0
         self.root = self._conj(self._nnf(matrix, negate, {}))
 
     # -- negation normal form ------------------------------------------
 
-    def _slot(self):
-        self.nslots += 1
-        return self.nslots - 1
-
     def _var(self, name, scope):
         slot = scope.get(name)
-        if slot is None:
-            slot = self._free.get(name)
-            if slot is None:
-                slot = self._free[name] = self._slot()
-                self.inputs.append(("var", slot, name))
-        return slot
+        return self.free[name] if slot is None else slot
 
     def _nnf(self, g, neg, scope):
         if isinstance(g, fm.Atom):
             if g.rel in self.tvars:
-                first, arity = self.tvars[g.rel]
-                if len(g.args) != arity:
-                    raise ValidationError(
-                        f"relation variable {g.rel!r} declared with arity {arity}"
-                        f" but applied to {len(g.args)} arguments")
+                first = self.tvars[g.rel]
                 slots = tuple(self._var(a, scope) for a in g.args)
-                self.indexing.update(s for s in slots if s in self._free.values())
+                self.indexing.update(s for s in slots if s in self.free.values())
                 return _Node("tvar", (first, slots), not neg, frozenset(slots), True)
-            slot = self._symbols.get(g.rel)
-            if slot is None:
-                slot = self._symbols[g.rel] = self._slot()
-                self.inputs.append(("rel", slot, g.rel))
             slots = tuple(self._var(a, scope) for a in g.args)
-            return _Node("rel", (slot, slots), not neg, frozenset(slots), False)
+            return _Node("rel", (self.rels[g.rel], slots), not neg, frozenset(slots), False)
         if isinstance(g, fm.Eq):
             slots = (self._var(g.left, scope), self._var(g.right, scope))
             return _Node("eq", slots, not neg, frozenset(slots), False)
@@ -157,7 +145,8 @@ class _Grounder:
                 pairs = ((ln, rp), (lp, rn))
             return self._join(True, [self._join(False, list(p)) for p in pairs])
         if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
-            slot = self._slot()
+            slot = self.nslots
+            self.nslots += 1
             body = self._nnf(g.body, neg, {**scope, g.var: slot})
             kind = "ex" if isinstance(g, fm.ExistsFO) != neg else "all"
             return _Node(kind, (slot, body), True, body.free - {slot}, body.symbolic)
@@ -324,22 +313,17 @@ class _Grounder:
 
     def satisfiable(self, A, fo_env, so_env) -> bool:
         frame = [None] * self.nslots
-        for kind, slot, name in self.inputs:
-            if kind == "var":
-                value = fo_env.get(name)
-                if value is None:
-                    raise ValidationError(f"unassigned free variable {name!r}")
-                if slot in self.indexing and not (
-                        isinstance(value, int) and 0 <= value < self.n):
-                    raise ValidationError(
-                        f"free variable {name!r} = {value!r} is outside the universe")
-            else:
-                value = so_env.get(name)
-                if value is None:
-                    value = A.rels.get(name)
-                    if value is None:
-                        raise ValidationError(f"unknown symbol {name!r}")
+        for name, slot in self.free.items():
+            value = fo_env.get(name)
+            if value is None:
+                raise ValidationError(f"unassigned free variable {name!r}")
+            if slot in self.indexing and not (
+                    isinstance(value, int) and 0 <= value < self.n):
+                raise ValidationError(
+                    f"free variable {name!r} = {value!r} is outside the universe")
             frame[slot] = value
+        for name, slot in self.rels.items():
+            frame[slot] = so_env[name] if name in so_env else A.rels[name]
         run = _Run(self.nbase)
         frame[0] = run
         if not self.root(frame, run.clauses):

@@ -3,12 +3,16 @@
 Structures live on universes {0..n-1} with relations stored as tuple
 sets.  compile_evaluator turns a formula, once and for any structure,
 into Tarski-style closures that eval_fo, eval_so_full, henkin_eval and
-realized_types share.  Under full semantics relation quantifiers range
-over all relations of their arity: by lexicographic enumeration within
-a budget on nested candidates or, for a homogeneous prefix over a
-first-order matrix, by satisfiability (see sat): a grounder compiled
-once per matrix, prefix and universe size emits CNF with one Boolean
-per candidate tuple, and a small DPLL decides it.
+realized_types share.  What it knows of the formula's scope it reads
+from formulas.scope, which also finds arity faults; check_symbols, run
+before every evaluation (the SAT path's too), rejects a symbol the
+structure does not interpret or interprets at another arity.  Under
+full semantics relation quantifiers range over all relations of their
+arity: by lexicographic enumeration within a budget on nested
+candidates or, for a homogeneous prefix over a first-order matrix, by
+satisfiability (see sat): a grounder compiled once per matrix, prefix
+and universe size emits CNF with one Boolean per candidate tuple, and a
+small DPLL decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -33,22 +37,21 @@ class Signature:
     relations: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.relations]
-        if len(set(names)) != len(names):
+        arities = dict(self.relations)
+        if len(arities) != len(self.relations):
             raise ValidationError("duplicate relation name in signature")
         for name, arity in self.relations:
             if arity < 1:
                 raise ValidationError(f"relation {name!r} has arity {arity} < 1")
+        # Not a field: equality, hashing and repr see relations only.
+        object.__setattr__(self, "_arity", arities)
 
     @staticmethod
     def of(mapping) -> "Signature":
         return Signature(tuple(mapping.items()))
 
     def arity(self, name):
-        for n, k in self.relations:
-            if n == name:
-                return k
-        return None
+        return self._arity.get(name)
 
     @property
     def names(self):
@@ -228,6 +231,20 @@ def _flatten(g, node_type):
         yield g
 
 
+def check_symbols(symbols, A, so):
+    """Raise ValidationError unless so or A interprets each relation
+    symbol of symbols, a mapping to the arity of its use, and A at that
+    arity; so shadows A.  Every evaluation calls this before it starts,
+    so an ill-typed atom fails also in a branch never reached."""
+    arities = A.sig._arity
+    for name, k in symbols.items():
+        if name not in so and arities.get(name) != k:
+            if name not in arities:
+                raise ValidationError(f"unknown symbol {name!r}")
+            raise ValidationError(f"arity mismatch: {name!r} has arity {arities[name]},"
+                                  f" applied to {k} arguments")
+
+
 @lru_cache(maxsize=32)
 def compile_evaluator(f):
     """Compile f once, for every structure, to (evaluate, has_so,
@@ -238,45 +255,27 @@ def compile_evaluator(f):
     tells whether f has a relation quantifier; homogeneous is (prefix,
     matrix) when they form one homogeneous prefix over a first-order
     matrix, else None; depth is the deepest nesting of individual
-    quantifiers.  Three more facts of the same walk are attributes of
-    evaluate, in order of first occurrence: symbols maps each relation
-    symbol no binder covers to its arity (two arities raise
-    ValidationError), free_fo lists the free individual variables and
-    so_arities the arity of each relation quantifier.
+    quantifiers.  The facts come from formulas.scope(f), and its arity
+    fault, if any, raises ValidationError here.
 
     One environment holds A's relations, then so, then binders, each
-    shadowing the one before.  A symbol no binder covers that neither A
-    nor so interprets raises ValidationError before evaluation, an
-    unassigned individual variable at the root.  Each call takes its own
-    closures from a free list, so evaluation is reentrant and
-    thread-safe, and clears their environments afterwards.
+    shadowing the one before.  check_symbols runs before evaluation; an
+    unassigned individual variable raises ValidationError when reached.
+    Each call takes its own closures from a free list, so evaluation is
+    reentrant and thread-safe, and clears their environments afterwards.
     """
-    symbols, free_fo, so_arities = {}, {}, []
-    for g, fo_bound, so_bound in fm.walk(f):
-        if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
-            so_arities.append(g.arity)
-        elif isinstance(g, fm.Eq):
-            free_fo.update(dict.fromkeys(a for a in (g.left, g.right) if a not in fo_bound))
-        elif isinstance(g, fm.Atom):
-            free_fo.update(dict.fromkeys(a for a in g.args if a not in fo_bound))
-            if g.rel not in so_bound and symbols.setdefault(g.rel, len(g.args)) != len(g.args):
-                raise ValidationError(f"relation symbol {g.rel!r} used with arities"
-                                      f" {symbols[g.rel]} and {len(g.args)}")
+    found = fm.scope(f)
+    if found.fault:
+        raise ValidationError(found.fault)
     prefix, matrix = fm.so_prefix(f)
     kinds = {existential for existential, _, _ in prefix}
-    homogeneous = (prefix, matrix) if len(kinds) == 1 and len(so_arities) == len(prefix) else None
-    depth, stack = 0, [(f, 0)]
-    while stack:
-        g, d = stack.pop()
-        d += isinstance(g, (fm.ExistsFO, fm.ForallFO))
-        depth = max(depth, d)
-        stack += ((h, d) for h in fm.children(g))
+    one_block = len(kinds) == 1 and len(found.so_arities) == len(prefix)
+    homogeneous = (prefix, matrix) if one_block else None
+    symbols = found.symbols
     idle = []
 
     def evaluate(A, fo, so, so_domain):
-        for name in symbols:
-            if name not in so and name not in A.rels:
-                raise ValidationError(f"unknown symbol {name!r}")
+        check_symbols(symbols, A, so)
         try:
             closures = idle.pop()
         except IndexError:
@@ -295,9 +294,7 @@ def compile_evaluator(f):
                 env.clear()
             idle.append(closures)
 
-    evaluate.symbols, evaluate.free_fo = symbols, tuple(free_fo)
-    evaluate.so_arities = tuple(so_arities)
-    return evaluate, bool(so_arities), homogeneous, depth
+    return evaluate, bool(found.so_arities), homogeneous, found.depth
 
 
 def _closures(f):
@@ -515,6 +512,7 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
             raise BudgetExceededError(
                 f"grounding the prefix needs {variables} tuple variables,"
                 f" exceeding the budget of {budget}", required=variables, budget=budget)
+        check_symbols(fm.scope(f).symbols, A, so)
         return sat.eval_homogeneous(A, *homogeneous, fo, so)
     return evaluate(A, fo, so, so_domain)
 

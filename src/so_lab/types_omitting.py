@@ -77,22 +77,28 @@ class TypeContext:
         return tuple(f"X{i}" for i in range(len(self.arities)))
 
     def check_against(self, sig: Signature):
+        """Each fragment formula must be closed, free of arity faults, and
+        apply each free symbol, of sig or else declared, at its arity."""
         declared = dict(zip(self.relvar_names, self.arities))
         for f in self.fragment:
-            report = fm.validate(f, sig, allow_free_relvars=True).raise_on_error()
-            if report.free_variables:
+            found = fm.scope(f)
+            if found.fault:
+                raise ValidationError(found.fault)
+            if found.free_fo:
                 raise ValidationError(
                     f"type fragment formula {f} has free first-order variables"
                 )
-            for name, k in report.free_relation_variables:
-                if name not in declared:
+            for name, k in found.symbols.items():
+                arity = sig.arity(name)
+                if arity is None:
+                    if name not in declared:
+                        raise ValidationError(
+                            f"formula {f} uses undeclared relation variable {name!r}"
+                        )
+                    arity = declared[name]
+                if arity != k:
                     raise ValidationError(
-                        f"formula {f} uses undeclared relation variable {name!r}"
-                    )
-                if declared[name] != k:
-                    raise ValidationError(
-                        f"relation variable {name!r} declared with arity {declared[name]}"
-                        f" but used with arity {k}"
+                        f"arity mismatch: {name!r} has arity {arity}, applied to {k} arguments"
                     )
 
     @staticmethod

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import formulas as fm
 from .errors import ArityBoundError, BudgetExceededError, SoLabError, ValidationError
 from .structures import (
     DEFAULT_PRODUCT_BUDGET,
@@ -128,16 +129,16 @@ def _check_family(family, U):
     return family
 
 
-def ultraproduct(family, U: Ultrafilter, *, path: str = "auto",
+def ultraproduct(family, U: Ultrafilter, *,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> UltraproductResult:
     """Quotient of the full product by U-almost-everywhere equality, with
     relations induced componentwise.
 
-    The explicit path builds the full product and quotients it through the
-    literal large-set tests, then confirms the result isomorphic to the
-    principal factor; the fast path returns the principal factor directly.
-    The automatic route takes the explicit path when both the product and
-    the n^2 pairs of that isomorphism search are within product_budget.
+    When both the full product and the n^2 pairs of the isomorphism
+    search below are within product_budget, the explicit path builds the
+    product and quotients it through the literal large-set tests, then
+    confirms the result isomorphic to the principal factor.  Otherwise
+    the fast path returns the principal factor directly.
     """
     family = _check_family(family, U)
     m = U.size
@@ -145,26 +146,18 @@ def ultraproduct(family, U: Ultrafilter, *, path: str = "auto",
     total = 1
     for A in family:
         total *= A.size
-    if path == "fast" or (path == "auto" and max(total, n * n) > product_budget):
+    if max(total, n * n) > product_budget:
         if n > product_budget:
             raise BudgetExceededError(
                 f"the principal factor has {n} elements, exceeding the budget of"
                 f" {product_budget}", required=n, budget=product_budget)
-        reps = []
-        for value in range(n):
-            rep = [0] * m
-            rep[U.principal] = value
-            reps.append(tuple(rep))
+        # Class q is represented by q at the principal index, 0 elsewhere.
+        before, after = (0,) * U.principal, (0,) * (m - U.principal - 1)
         return UltraproductResult(
             quotient=family[U.principal],
-            class_representatives=tuple(reps),
+            class_representatives=tuple(before + (q,) + after for q in range(n)),
             provenance=Provenance(family, U),
             explicit=False,
-        )
-    if total > product_budget:
-        raise BudgetExceededError(
-            f"full product has {total} tuples, exceeding the budget of {product_budget}",
-            required=total, budget=product_budget,
         )
 
     reps = []
@@ -331,14 +324,13 @@ def _box_masks(result: UltraproductResult, k: int, large):
 
 def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
                  budget: int = DEFAULT_RELATION_BUDGET,
-                 literal_budget: int = DEFAULT_LITERAL_BUDGET,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> DecomposableHenkinModel:
     """Materialise the decomposable relations of the ultraproduct for
     every arity up to arity_bound.
 
     Each arity is charged its 2^(n^k) relations on the n-element
     quotient against budget before either route builds anything.  When
-    the factor choices are below literal_budget, every box is
+    the factor choices are below DEFAULT_LITERAL_BUDGET, every box is
     enumerated: U.member is asked once per subset of the indices, each
     factor relation becomes a mask over the quotient's k-tuples, and a
     choice's box is the mask of the tuples whose componentwise
@@ -360,7 +352,7 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     large = None
     for k in range(1, arity_bound + 1):
         # The 2^(|A1|^k + |A2|^k + ...) factor choices, by their exponent.
-        if sum(A.size ** k for A in family) < literal_budget.bit_length():
+        if sum(A.size ** k for A in family) < DEFAULT_LITERAL_BUDGET.bit_length():
             if large is None:
                 large = _largeness_table(U)
             relations = all_relations(n, k)
@@ -386,16 +378,17 @@ def henkin_eval(M: DecomposableHenkinModel, f, *,
     structures.relation_domain states, with these as its outer variables.
     """
     evaluate, _, _, depth = compile_evaluator(f)
-    free = {name: k for name, k in evaluate.symbols.items() if M.base.sig.arity(name) is None}
+    found = fm.scope(f)
+    free = {name: k for name, k in found.symbols.items() if M.base.sig.arity(name) is None}
     outer = tuple(free.values())
-    for arity in outer + evaluate.so_arities:
+    for arity in outer + found.so_arities:
         if arity > M.arity_bound:
             raise ArityBoundError(
                 f"quantifier arity {arity} exceeds the model bound {M.arity_bound}"
             )
-    if evaluate.free_fo:
+    if found.free_fo:
         raise ValidationError(
-            f"formula has free first-order variables: {', '.join(evaluate.free_fo)}"
+            f"formula has free first-order variables: {', '.join(found.free_fo)}"
         )
     so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
     return all(evaluate(M.base, {}, dict(zip(free, values)), so_domain)
@@ -430,7 +423,7 @@ def check_los(family, U: Ultrafilter, f, *,
     both evaluations under budget.  Disagreement is a defect, never a
     valid outcome."""
     family = _check_family(family, U)
-    bound = max(compile_evaluator(f)[0].so_arities, default=1)
+    bound = max(fm.so_quantifier_arities(f), default=1)
     M = henkin_model(family, U, bound, budget=budget, product_budget=product_budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(

@@ -121,6 +121,16 @@ class TestMalformedInput:
                            "--formula", "ALL x x = x")
         assert code == 2 and "range" in err
 
+    def test_ill_typed_atom(self, capsys, tmp_path):
+        path = tmp_path / "unary.json"
+        path.write_text(json.dumps({"universe": 3, "signature": {"p": 1},
+                                    "relations": {"p": [[0]]}}))
+        for semantics in ("fo", "full"):
+            code, out, err = run(capsys, "eval", "--structure", str(path), "--semantics",
+                                 semantics, "--formula", "~(EX x EX y p(x, y))")
+            assert code == 2 and not out
+            assert "arity mismatch: 'p' has arity 1, applied to 2 arguments" in err
+
     def test_universe_beyond_the_budget(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"universe": 2 ** 63, "signature": {}}))

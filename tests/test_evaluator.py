@@ -86,6 +86,48 @@ class TestScope:
             eval_fo(C4, f, Assignment({"x": 0}, {}))
 
 
+UNARY_P = FiniteStructure(Signature.of({"p": 1}), 3, {"p": [(0,)]})
+MISMATCH = "arity mismatch: 'p' has arity 1, applied to 2 arguments"
+# X is bound at arity 2 and applied to one argument; parse rejects the
+# text of this formula, so it is built by hand.
+BOUND_MISMATCH = fm.ExistsSO("X", 2, fm.ExistsFO("x", fm.Atom("X", ("x",))))
+
+
+class TestIllTypedAtoms:
+    """An atom applied at an arity other than its symbol's is a usage
+    error on every path, never an answer."""
+
+    def test_eval_fo(self):
+        with pytest.raises(ValidationError, match=MISMATCH):
+            eval_fo(UNARY_P, fm.parse("~(EX x EX y p(x, y))"))
+
+    def test_enumeration_path(self):
+        f = fm.parse("~(EX x EX y p(x, y)) | (EX2 X:1 ALL2 Y:1 EX x (X(x) | Y(x)))")
+        assert structures.compile_evaluator(f)[2] is None
+        with pytest.raises(ValidationError, match=MISMATCH):
+            eval_so_full(UNARY_P, f)
+        with pytest.raises(ValidationError, match="declared with arity 2"):
+            eval_so_full(UNARY_P, fm.Not(BOUND_MISMATCH))
+
+    def test_sat_path(self):
+        f = fm.parse("EX2 X:1 ALL x ALL y (X(x) -> p(x, y))")
+        with pytest.raises(ValidationError, match=MISMATCH):
+            eval_so_full(UNARY_P, f)
+        with pytest.raises(ValidationError, match="declared with arity 2"):
+            eval_so_full(UNARY_P, BOUND_MISMATCH)
+
+    def test_henkin_eval(self):
+        M = full_henkin_model(UNARY_P, 2)
+        with pytest.raises(ValidationError, match=MISMATCH):
+            henkin_eval(M, fm.parse("~(EX x EX y p(x, y))"))
+        with pytest.raises(ValidationError, match="declared with arity 2"):
+            henkin_eval(M, fm.Not(BOUND_MISMATCH))
+
+    def test_well_typed_use_still_answers(self):
+        f = fm.parse("~(EX x EX y (p(x) & p(y) & x != y))")
+        assert eval_fo(UNARY_P, f) is True and eval_so_full(UNARY_P, f) is True
+
+
 class _ReentrantModel:
     """A Henkin model that evaluates the same sentence on another model
     each time a relation quantifier asks for its relation universe."""
@@ -154,6 +196,16 @@ class TestCompiledOnce:
         assert answers == expected and built == [f, g]
         assert [henkin_eval(full_henkin_model(A, 1), f) for A in GRAPHS] == expected[:4]
         assert built == [f, g]
+
+    def test_scope_is_computed_once(self, monkeypatch):
+        passes = []
+        scope_pass = fm._scope_pass
+        monkeypatch.setattr(fm, "_scope_pass", lambda g: passes.append(g) or scope_pass(g))
+        structures.compile_evaluator.cache_clear()
+        f = fm.parse("ALL2 X:1 EX2 Y:1 ALL x (Y(x) <-> ~X(x) | edge(x, x))")
+        assert eval_so_full(C4, f) is True
+        assert henkin_eval(full_henkin_model(C4, 1), f) is True
+        assert passes == [f] and passes[0] is f
 
     def test_facts(self):
         evaluate, has_so, homogeneous, depth = structures.compile_evaluator(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -58,6 +59,39 @@ class TestParse:
     def test_depth_limit(self, text):
         with pytest.raises(ParseError, match="nested more than"):
             fm.parse(text)
+
+    @pytest.mark.parametrize("shape", [
+        lambda levels: "(" * levels + "p(x)" + ")" * levels,
+        lambda levels: "ALL x " * (levels - 1) + "p(x)",
+        lambda levels: "~" * (levels - 1) + "p(x)",
+        lambda levels: " & ".join(["p(x)"] * levels),
+    ], ids=["parentheses", "quantifiers", "negations", "chain"])
+    def test_depth_limit_deep_in_the_stack(self, shape):
+        # The parser's own frames per level must leave room for a caller
+        # 400 frames deep under the default recursion limit.
+        def deep(frames, text):
+            return deep(frames - 1, text) if frames else fm.parse(text)
+
+        assert isinstance(deep(400, shape(fm.MAX_DEPTH)), fm.Formula)
+        with pytest.raises(ParseError, match="nested more than"):
+            deep(400, shape(fm.MAX_DEPTH + 1))
+
+    def test_depth_counts_nesting_not_siblings(self):
+        # 60 siblings, each nested six levels deep: the parser's count
+        # of open levels must drop back after each one.
+        f = fm.parse(" & ".join(["((ALL x ALL y ~~p(x)))"] * 60))
+        assert fm.scope(f).height == 59 + 5
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a(x) -> b(x) -> c(x)", "a(x) -> (b(x) -> c(x))"),
+        ("a(x) <-> b(x) <-> c(x)", "(a(x) <-> b(x)) <-> c(x)"),
+        ("a(x) | b(x) & c(x) -> d(x) <-> e(x)", "((a(x) | (b(x) & c(x))) -> d(x)) <-> e(x)"),
+        ("a(x) & b(x) | c(x) & d(x) | e(x)", "((a(x) & b(x)) | (c(x) & d(x))) | e(x)"),
+        ("a(x) -> b(x) | c(x) -> d(x)", "a(x) -> ((b(x) | c(x)) -> d(x))"),
+        ("ALL x a(x) & ~~b(x) -> (EX2 X:1 X(x))", "ALL x ((a(x) & ~(~b(x))) -> (EX2 X:1 X(x)))"),
+    ])
+    def test_precedence_and_grouping(self, text, expected):
+        assert fm.parse(text) == fm.parse(expected)
 
     def test_depth_at_the_limit_parses(self):
         f = fm.parse("~" * (fm.MAX_DEPTH - 1) + "p(x)")
@@ -274,6 +308,35 @@ class TestTraversal:
             f = fm.Not(f)
         assert sum(1 for _ in fm.walk(f)) == 5001
         assert fm.free_fo_variables(f) == ("x",)
+
+
+class TestScope:
+    def test_facts(self):
+        f = fm.parse("(EX2 X:2 ALL x (X(x, y) | p(x))) & (ALL z EX x edge(z, w))"
+                     " | (ALL2 Y:1 Y(v))")
+        found = fm.scope(f)
+        assert found.free_fo == ("y", "w", "v")
+        assert found.symbols == {"p": 1, "edge": 2} and found.clashes == ()
+        assert found.so_arities == (2, 1) and found.depth == 2
+        assert found.height == 6 and found.fault is None
+
+    def test_faults_in_pre_order(self):
+        clash = fm.And(fm.Atom("p", ("x",)), fm.Or(fm.Atom("p", ("x", "y")), fm.Atom("p", ())))
+        found = fm.scope(clash)
+        assert found.clashes == (("p", 1, 2), ("p", 1, 0))
+        assert found.fault == "symbol 'p' applied with both 1 and 2 arguments"
+        bound = fm.ExistsSO("X", 2, fm.And(fm.Atom("X", ("x",)), fm.Atom("q", ("x", "x"))))
+        assert fm.scope(bound).fault == (
+            "relation variable 'X' declared with arity 2 but applied to 1 arguments")
+        assert fm.scope(fm.ForallSO("X", 0, fm.Atom("X", ()))).fault == (
+            "binder 'X' declares arity 0 < 1")
+
+    def test_cached_on_the_node_and_not_pickled(self):
+        f = fm.parse("EX2 X:1 ALL x X(x)")
+        assert fm.scope(f) is fm.scope(f)
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and not hasattr(copy, "_scope")
+        assert fm.scope(copy) == fm.scope(f)
 
 
 class TestHash:

@@ -173,32 +173,37 @@ class TestUltraproduct:
 
     def test_explicit_matches_fast_path(self):
         rng = random.Random(2)
-        for _ in range(30):
+        checked = 0
+        while checked < 30:
             m = rng.randint(1, 3)
             family = gen.random_family(rng, SIG, m, 3)
             U = Ultrafilter(m, rng.randrange(m))
-            explicit = ultraproduct(family, U, path="explicit")
-            fast = ultraproduct(family, U, path="fast")
+            n = family[U.principal].size
+            if n == 1:
+                continue
+            explicit = ultraproduct(family, U)
+            # A budget of n elements is below the n^2 pairs of the
+            # quotient check, so the fast path answers.
+            fast = ultraproduct(family, U, product_budget=n)
             assert explicit.explicit and not fast.explicit
             assert find_isomorphism(explicit.quotient, fast.quotient) is not None
+            checked += 1
 
     def test_family_size_mismatch(self):
         with pytest.raises(ValidationError, match="index set"):
             ultraproduct([FiniteStructure(SIG, 1)], Ultrafilter(2, 0))
 
     def test_explicit_budget(self):
+        # 3^4 = 81 tuples in the full product, 3^2 pairs for the quotient check.
         family = [FiniteStructure(EMPTY_SIGNATURE, 3)] * 4
-        with pytest.raises(BudgetExceededError):
-            ultraproduct(family, Ultrafilter(4, 0), path="explicit", product_budget=10)
-        # The automatic route falls back to the fast path instead.
-        assert ultraproduct(family, Ultrafilter(4, 0), product_budget=10).explicit is False
+        assert ultraproduct(family, Ultrafilter(4, 0), product_budget=81).explicit is True
+        # Past the budget the route falls back to the fast path.
+        assert ultraproduct(family, Ultrafilter(4, 0), product_budget=80).explicit is False
 
     def test_automatic_route_within_the_isomorphism_budget(self):
         # 500 elements: 500 tuples, but 500^2 pairs for the quotient check.
         A = FiniteStructure(EMPTY_SIGNATURE, 500)
         assert ultraproduct([A], Ultrafilter(1, 0)).explicit is False
-        with pytest.raises(BudgetExceededError):
-            ultraproduct([A], Ultrafilter(1, 0), path="explicit")
         assert ultraproduct([A], Ultrafilter(1, 0), product_budget=500 ** 2).explicit
 
     def test_fast_path_budget(self):
@@ -316,15 +321,20 @@ class TestHenkinModel:
             for k in (1, 2):
                 assert set(M.relations_of_arity(k)) == set(all_relations(n, k))
 
-    def test_literal_box_enumeration_matches_shortcut(self):
-        # Deduplicated boxes over every factor choice vs the powerset route.
+    def test_literal_box_enumeration_matches_shortcut(self, monkeypatch):
+        # Deduplicated boxes over every factor choice vs the powerset.
         rng = random.Random(8)
         family = [gen.random_structure(rng, SIG, 2),
                   gen.random_structure(rng, SIG, 3)]
         U = Ultrafilter(2, 0)
-        literal = henkin_model(family, U, 1, literal_budget=2 ** 12)
-        shortcut = henkin_model(family, U, 1, literal_budget=0)
-        assert literal.relations_of_arity(1) == shortcut.relations_of_arity(1)
+        calls = []
+        box_masks = ultra._box_masks
+        monkeypatch.setattr(ultra, "_box_masks", lambda *args: calls.append(args[1])
+                            or box_masks(*args))
+        # 2^(2 + 3) factor choices are within DEFAULT_LITERAL_BUDGET.
+        literal = henkin_model(family, U, 1)
+        assert calls == [1]
+        assert literal.relations_of_arity(1) == all_relations(2, 1)
         assert len(literal.relations_of_arity(1)) == 4
 
     def test_budget_charged_per_arity_before_building(self, monkeypatch):

@@ -42,7 +42,7 @@ class TestBuiltins:
         prefix, matrix = fm.so_prefix(named.formula)
         assert prefix == ((True, "R", 2),)
         # Four conjuncts: irreflexive, transitive, total, no top element.
-        assert len(list(fm.subformulas(matrix))) > 4
+        assert len(list(fm.walk(matrix))) > 4
 
     def test_at_least_truth(self):
         for n in range(1, 9):
