@@ -15,8 +15,10 @@ expansions included, becomes its own clause, and a disjunction nested
 inside a conjunction is inlined as a clause.  Only a conjunction nested
 inside a disjunction gets an auxiliary variable g, defined in one
 direction only (g -> conjunct, after Plaisted and Greenbaum) and shared
-per (subformula, values of its free variables).  A small DPLL with
-counter-based unit propagation branches over the tuple variables only.
+per (subformula, values of its free variables).  A conflict-driven
+clause-learning solver (first-UIP learning, non-chronological
+backjumping, two watched literals) branches over the tuple variables
+only, in a fixed order, and counts its work.
 
 The grounder trusts its symbols and arities, which structures.eval_so_full
 has checked; only the free individual variables are checked here, eagerly.
@@ -24,6 +26,7 @@ has checked; only the free individual variables are checked here, eagerly.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from . import formulas as fm
 from .errors import SoLabError, ValidationError
@@ -311,7 +314,9 @@ class _Grounder:
 
     # -- grounding and solving -------------------------------------------
 
-    def satisfiable(self, A, fo_env, so_env) -> bool:
+    def ground(self, A, fo_env, so_env):
+        """The _Run holding the clauses of the grounding on A, or None
+        when the matrix folds to false."""
         frame = [None] * self.nslots
         for name, slot in self.free.items():
             value = fo_env.get(name)
@@ -326,109 +331,314 @@ class _Grounder:
             frame[slot] = so_env[name] if name in so_env else A.rels[name]
         run = _Run(self.nbase)
         frame[0] = run
-        if not self.root(frame, run.clauses):
+        return run if self.root(frame, run.clauses) else None
+
+    def satisfiable(self, A, fo_env, so_env) -> bool:
+        run = self.ground(A, fo_env, so_env)
+        return run is not None and _Solver(run.clauses, run.nvars, self.nbase).solve()
+
+
+# ---------------------------------------------------------------------------
+# Clause learning
+# ---------------------------------------------------------------------------
+
+class Counters:
+    """The work of one solver: decisions, assignments made by
+    propagation, conflicts, learnt clauses and input clauses dropped as
+    tautologies.  The counts depend only on the clauses and their order,
+    so tests can bound them."""
+
+    __slots__ = ("decisions", "propagations", "conflicts", "learnt", "dropped")
+
+    def __init__(self):
+        self.decisions = self.propagations = self.conflicts = 0
+        self.learnt = self.dropped = 0
+
+
+def _clean(clause):
+    """The clause without repeated literals, or None when it contains a
+    literal and its negation."""
+    lits = dict.fromkeys(clause)
+    if any(-lit in lits for lit in lits):
+        return None
+    return list(lits)
+
+
+class _Solver:
+    """Satisfiability of clauses over variables 1..nvars by conflict-driven
+    clause learning: first-UIP learnt clauses and non-chronological
+    backjumping (GRASP), branching over the tuple variables 1..nbase only,
+    in index order, positive literal first.
+
+    Loading drops every tautology and repeated literal.  A binary clause
+    (a | b) becomes the two implications ~a -> b and ~b -> a in implied;
+    a longer clause is watched by the literals at its positions 0 and 1
+    (Chaff).  Literals are nonzero ints, -v the negation of v, and lists
+    indexed by literal have 2 * nvars + 1 entries, a negative literal
+    indexing from the end.
+
+    Branching over the tuple variables only stays complete.  In negation
+    normal form every auxiliary variable g occurs positively only where
+    its conjunction is used, and negatively only in its own clauses
+    (~g | c).  Learnt clauses are implied by the input clauses, so adding
+    them changes no model, and two-watched-literal propagation reaches
+    the same unit fixpoint as propagation that counts the false literals
+    of every clause.  Once every tuple variable is fixed, each
+    subformula is true or false; a false conjunction has a clause c
+    whose literals are all false, by induction on depth, so propagation
+    forces its g false.  If no conflict remains, setting every undecided
+    g to the truth of its conjunction satisfies every input clause, so
+    the answer is "satisfiable".
+
+    solve() adds the learnt clauses to the loaded lists and sets the
+    counters, so each _Solver is solved once."""
+
+    def __init__(self, clauses, nvars, nbase):
+        self.nvars = nvars
+        size = 2 * nvars + 1
+        implied = [[] for _ in range(size)]
+        watches = [[] for _ in range(size)]
+        units = []
+        longs = []
+        dropped = 0
+        self.empty = False
+        # Binary and ternary clauses, nearly all of the input, are
+        # checked inline; only the rest, and any clause that repeats a
+        # literal, pay for _clean.
+        for c in clauses:
+            k = len(c)
+            if k == 2:
+                a, b = c
+                if a != b and a != -b:
+                    implied[-a].append(b)
+                    implied[-b].append(a)
+                    continue
+            elif k == 3:
+                a, b, d = c
+                if (a != b and a != d and b != d
+                        and a != -b and a != -d and b != -d):
+                    longs.append(c)
+                    continue
+            elif k == 1:
+                units.append(c[0])
+                continue
+            elif not k:
+                self.empty = True
+                continue
+            c = _clean(c)
+            if c is None:
+                dropped += 1
+            elif len(c) == 1:
+                units.append(c[0])
+            elif len(c) == 2:
+                a, b = c
+                implied[-a].append(b)
+                implied[-b].append(a)
+            else:
+                longs.append(c)
+        for c in longs:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        self.implied = implied
+        self.watches = watches
+        self.units = units
+        self.counters = Counters()
+        self.counters.dropped = dropped
+        # Tuple variables folded away during grounding are irrelevant to
+        # the answer, and those only in unit clauses are fixed at level
+        # 0; branching over them would only pad the search.
+        present = set(chain.from_iterable(longs))
+        self.order = [v for v in range(1, nbase + 1)
+                      if v in present or -v in present or implied[v] or implied[-v]]
+
+    def solve(self) -> bool:
+        counts = self.counters
+        if self.empty:
             return False
-        if not run.clauses:
-            return True
-        return _dpll(run.clauses, run.nvars, self.nbase)
-
-
-# ---------------------------------------------------------------------------
-# DPLL
-# ---------------------------------------------------------------------------
-
-def _dpll(clauses, nvars, nbase):
-    """Satisfiability of the clauses over variables 1..nvars, branching
-    over the tuple variables 1..nbase only.
-
-    That stays complete.  In negation normal form every auxiliary
-    variable g occurs positively only where its conjunction is used, and
-    negatively only in its own clauses (~g | c).  Once every tuple
-    variable is fixed, each subformula is true or false; a false
-    conjunction has a clause c whose literals are all false, by
-    induction on depth, so unit propagation forces its g false.  If no
-    conflict remains, setting every undecided g to the truth of its
-    conjunction satisfies all clauses, so the answer is "satisfiable"."""
-    # occ[lit] lists the clauses containing lit; a negative literal
-    # indexes from the end of the list.
-    occ = [[] for _ in range(2 * nvars + 1)]
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            occ[lit].append(ci)
-    npos = [len(c) for c in clauses]
-    nsat = [0] * len(clauses)
-    # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned.
-    value = [0] * (2 * nvars + 1)
-    trail = []
-
-    def set_literal(lit, units):
-        if value[lit]:
-            return value[lit] > 0
-        value[lit] = 1
-        value[-lit] = -1
-        trail.append(lit)
-        ok = True
-        for ci in occ[lit]:
-            nsat[ci] += 1
-        # Finish every counter update before reporting a conflict, or a
-        # later undo would restore counts that were never decremented.
-        for ci in occ[-lit]:
-            left = npos[ci] - 1
-            npos[ci] = left
-            if left < 2 and not nsat[ci]:
-                if not left:
-                    ok = False
-                else:
-                    for l in clauses[ci]:
-                        if not value[l]:
-                            units.append(l)
+        implied = self.implied
+        watches = self.watches
+        order = self.order
+        size = 2 * self.nvars + 1
+        # value[lit] is 1 when lit is true, -1 when false, 0 when
+        # unassigned; level and reason are indexed by the true literal.
+        # A reason is None for a decision or a level-0 unit, the other
+        # (false) literal of a binary clause, or a longer clause whose
+        # first literal is the one it forced.
+        value = [0] * size
+        level = [0] * size
+        reason = [None] * size
+        trail = []
+        # Per decision level from 1 on: the trail length before the
+        # decision and the decision's index in order.
+        trail_lim = []
+        branch_at = []
+        decisions = propagations = conflicts = learnt = 0
+        head = 0
+        start = 0
+        dl = 0
+        try:
+            for lit in self.units:
+                if value[lit] < 0:
+                    conflicts += 1
+                    return False
+                if not value[lit]:
+                    value[lit] = 1
+                    value[-lit] = -1
+                    trail.append(lit)
+                    propagations += 1
+            while True:
+                conflict = None
+                while head < len(trail):
+                    lit = trail[head]
+                    head += 1
+                    false = -lit
+                    for b in implied[lit]:
+                        vb = value[b]
+                        if not vb:
+                            value[b] = 1
+                            value[-b] = -1
+                            level[b] = dl
+                            reason[b] = false
+                            trail.append(b)
+                            propagations += 1
+                        elif vb < 0:
+                            conflict = (b, false)
                             break
-        return ok
+                    if conflict is not None:
+                        break
+                    watching = watches[false]
+                    if not watching:
+                        continue
+                    # Each clause watching the now false literal moves to
+                    # a literal that is not false, or stays (kept) and
+                    # forces its other watch or is the conflict.
+                    kept = []
+                    watches[false] = kept
+                    moved = 0
+                    for c in watching:
+                        if c[0] == false:
+                            c[0] = c[1]
+                            c[1] = false
+                        first = c[0]
+                        vf = value[first]
+                        if vf > 0:
+                            kept.append(c)
+                            continue
+                        for k in range(2, len(c)):
+                            other = c[k]
+                            if value[other] >= 0:
+                                c[1] = other
+                                c[k] = false
+                                watches[other].append(c)
+                                moved += 1
+                                break
+                        else:
+                            kept.append(c)
+                            if vf:
+                                conflict = c
+                                # The clauses not visited yet stay too.
+                                kept.extend(watching[len(kept) + moved:])
+                                break
+                            value[first] = 1
+                            value[-first] = -1
+                            level[first] = dl
+                            reason[first] = c
+                            trail.append(first)
+                            propagations += 1
+                    if conflict is not None:
+                        break
 
-    def propagate(units):
-        while units:
-            if not set_literal(units.pop(), units):
-                return False
-        return True
+                if conflict is None:
+                    while start < len(order) and value[order[start]]:
+                        start += 1
+                    if start == len(order):
+                        return True
+                    var = order[start]
+                    decisions += 1
+                    dl += 1
+                    trail_lim.append(len(trail))
+                    branch_at.append(start)
+                    value[var] = 1
+                    value[-var] = -1
+                    level[var] = dl
+                    reason[var] = None
+                    trail.append(var)
+                    continue
 
-    def undo(mark):
-        while len(trail) > mark:
-            lit = trail.pop()
-            value[lit] = value[-lit] = 0
-            for ci in occ[lit]:
-                nsat[ci] -= 1
-            for ci in occ[-lit]:
-                npos[ci] += 1
-
-    units = [c[0] for c in clauses if len(c) == 1]
-    if not propagate(units):
-        return False
-
-    # Tuple variables folded away during grounding are irrelevant to the
-    # answer; branching over them would only pad the search.
-    branch_order = [v for v in range(1, nbase + 1) if occ[v] or occ[-v]]
-
-    # Depth-first search, positive literal first, over an explicit stack
-    # of (branch index, variable, trail mark, negative tried): one entry
-    # per decision, so a deep search cannot exhaust Python's own stack.
-    decisions = []
-    start = 0
-    while True:
-        var = 0
-        for i in range(start, len(branch_order)):
-            if not value[branch_order[i]]:
-                var = branch_order[i]
-                break
-        if var == 0:
-            return True
-        decisions.append((i, var, len(trail), False))
-        ok = propagate([var])
-        while not ok:
-            if not decisions:
-                return False
-            i, var, mark, negative_tried = decisions.pop()
-            undo(mark)
-            if not negative_tried:
-                decisions.append((i, var, mark, True))
-                ok = propagate([-var])
-        start = i + 1
+                conflicts += 1
+                if not dl:
+                    return False
+                # First UIP: resolve the conflict clause with the reasons
+                # of its literals of the current level, latest first,
+                # until one such literal is left.  seen holds the true
+                # literals met so far; rest collects the learnt clause's
+                # literals of lower levels (level 0 ones are dropped).
+                seen = set()
+                rest = []
+                pending = 0
+                i = len(trail)
+                lits = conflict
+                while True:
+                    for q in lits:
+                        t = -q
+                        if t not in seen:
+                            lv = level[t]
+                            if lv == dl:
+                                seen.add(t)
+                                pending += 1
+                            elif lv:
+                                seen.add(t)
+                                rest.append(q)
+                    i -= 1
+                    while trail[i] not in seen:
+                        i -= 1
+                    t = trail[i]
+                    pending -= 1
+                    if not pending:
+                        break
+                    why = reason[t]
+                    lits = (why,) if type(why) is int else why[1:]
+                uip = -t
+                learnt += 1
+                # Backjump to the highest level among the other literals,
+                # where the learnt clause forces uip; that literal is
+                # watched next to uip.
+                back = 0
+                if rest:
+                    top = 0
+                    for j, q in enumerate(rest):
+                        lv = level[-q]
+                        if lv > back:
+                            back = lv
+                            top = j
+                    rest[0], rest[top] = rest[top], rest[0]
+                mark = trail_lim[back]
+                for lit in trail[mark:]:
+                    value[lit] = value[-lit] = 0
+                del trail[mark:]
+                del trail_lim[back:]
+                start = branch_at[back]
+                del branch_at[back:]
+                dl = back
+                head = mark
+                if not rest:
+                    why = None
+                elif len(rest) == 1:
+                    why = rest[0]
+                    implied[-uip].append(why)
+                    implied[-why].append(uip)
+                else:
+                    why = [uip, *rest]
+                    watches[uip].append(why)
+                    watches[rest[0]].append(why)
+                value[uip] = 1
+                value[-uip] = -1
+                level[uip] = dl
+                reason[uip] = why
+                trail.append(uip)
+                propagations += 1
+        finally:
+            counts.decisions = decisions
+            counts.propagations = propagations
+            counts.conflicts = conflicts
+            counts.learnt = learnt

@@ -12,7 +12,7 @@ arity: by lexicographic enumeration within a budget on nested
 candidates or, for a homogeneous prefix over a first-order matrix, by
 satisfiability (see sat): a grounder compiled once per matrix, prefix
 and universe size emits CNF with one Boolean per candidate tuple, and a
-small DPLL decides it.
+clause-learning (CDCL) solver decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -500,7 +500,7 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     over a first-order matrix instead, charged the n^k1 + n^k2 + ...
     tuple variables of the prefix: the compiled grounder of sat folds
     the structure's atoms to constants and emits a small CNF over one
-    variable per candidate tuple, which DPLL decides.
+    variable per candidate tuple, which a clause-learning solver decides.
     """
     evaluate, _, homogeneous, depth = compile_evaluator(f)
     so_domain = relation_domain(A.size, budget, depth)

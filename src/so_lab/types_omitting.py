@@ -77,9 +77,16 @@ class TypeContext:
         return tuple(f"X{i}" for i in range(len(self.arities)))
 
     def check_against(self, sig: Signature):
-        """Each fragment formula must be closed, free of arity faults, and
-        apply each free symbol, of sig or else declared, at its arity."""
+        """No designated name may be a symbol of sig, since evaluation
+        would let it shadow the structure's relation.  Each fragment
+        formula must be closed, free of arity faults, and apply each free
+        symbol, of sig or else declared, at its arity."""
         declared = dict(zip(self.relvar_names, self.arities))
+        for name in declared:
+            if sig.arity(name) is not None:
+                raise ValidationError(
+                    f"designated relation variable {name!r} is also a symbol of the signature"
+                )
         for f in self.fragment:
             found = fm.scope(f)
             if found.fault:

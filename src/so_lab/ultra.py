@@ -328,8 +328,9 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     """Materialise the decomposable relations of the ultraproduct for
     every arity up to arity_bound.
 
-    Each arity is charged its 2^(n^k) relations on the n-element
-    quotient against budget before either route builds anything.  When
+    Both routes hold every k-ary relation on the n-element quotient, a
+    set of up to n^k tuples, so each arity is charged 2^(n^k) * n^k
+    against budget before either route builds anything.  When
     the factor choices are below DEFAULT_LITERAL_BUDGET, every box is
     enumerated: U.member is asked once per subset of the indices, each
     factor relation becomes a mask over the quotient's k-tuples, and a
@@ -343,10 +344,16 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     family = _check_family(family, U)
     n = family[U.principal].size  # the size of the quotient
     for k in range(1, arity_bound + 1):
-        if over := excess_relation_choices(n, (k,), budget):
+        # The relations alone are compared first, by exponent, so a huge
+        # quotient never builds an integer of n^k bits.
+        tuples = n ** k
+        over = excess_relation_choices(n, (k,), budget)
+        if over or tuples * 2 ** tuples > budget:
+            relations = over[0] if over else 2 ** tuples
             raise BudgetExceededError(
-                f"the {k}-ary relations on the quotient number {over[1]},"
-                f" exceeding the budget of {budget}", required=over[0], budget=budget)
+                f"the {k}-ary relations on the quotient, 2^({n}^{k}) sets of up to"
+                f" {n}^{k} tuples, exceed the budget of {budget}",
+                required=None if relations is None else relations * tuples, budget=budget)
     result = ultraproduct(family, U, product_budget=product_budget)
     upsilon = {}
     large = None

@@ -166,6 +166,10 @@ class TestMalformedInput:
              "--formula", "EX x x = x"]),
         # (10^8)^2 element pairs for the isomorphism search.
         (10 ** 8, ["insep", "--k", "fam.json", "--l", "fam.json"]),
+        # 2^23 unary relations of up to 23 tuples each: the relations
+        # alone are within the budget of 2^24, the tuples are not.
+        (23, ["henkin-eval", "--family", "fam.json", "--ultrafilter", "principal:0",
+              "--arity-bound", "1", "--formula", "EX x x = x"]),
     ])
     def test_family_beyond_the_budget(self, tmp_path, universe, argv):
         (tmp_path / "fam.json").write_text(json.dumps([{"universe": universe, "signature": {}}]))
@@ -178,6 +182,16 @@ class TestMalformedInput:
         path.write_text(json.dumps(document))
         code, _, err = run(capsys, "types", "--structure", c4_file, "--context", str(path))
         assert code == 2 and "error" in err
+
+    def test_context_shadowing_a_signature_symbol(self, capsys, tmp_path):
+        structure = tmp_path / "a.json"
+        structure.write_text(json.dumps({
+            "universe": 2, "signature": {"X0": 1}, "relations": {"X0": [[0]]}}))
+        context = tmp_path / "ctx.json"
+        context.write_text(json.dumps({"arities": [2], "fragment": ["EX x X0(x)"]}))
+        code, out, err = run(capsys, "types", "--structure", str(structure),
+                             "--context", str(context))
+        assert code == 2 and out == "" and "'X0' is also a symbol" in err
 
     def test_fragment_entry_not_a_string(self, capsys, families, tmp_path):
         kdir, ldir = families

@@ -1,10 +1,11 @@
-"""Differential test of the SAT path of eval_so_full.
+"""Differential tests of the SAT path of eval_so_full and its solver.
 
 Closed sentences whose relation quantifiers form one homogeneous prefix
 over a first-order matrix are decided by sat.eval_homogeneous.  The
 reference below never touches sat.py: it loops over every assignment of
 the relation variables with all_relations and evaluates the matrix with
-eval_fo.
+eval_fo.  The solver alone is checked against truth tables on random
+CNFs, and its counters bound its work on `infinite`.
 """
 import itertools
 import random
@@ -12,15 +13,19 @@ import random
 import pytest
 
 from so_lab import formulas as fm
+from so_lab import sat
 from so_lab.errors import ValidationError
 from so_lab.structures import (
+    EMPTY_SIGNATURE,
     Assignment,
+    FiniteStructure,
     Signature,
     all_relations,
     eval_fo,
     eval_so_full,
     iter_structures,
 )
+from so_lab.workbench import builtin
 
 SIG = Signature.of({"p": 1, "edge": 2})
 STRUCTURES = {n: list(iter_structures(SIG, n)) for n in (1, 2, 3)}
@@ -184,3 +189,102 @@ def test_free_variable_outside_the_universe():
     f = fm.parse("EX2 X:1 (X(x) & ~X(y))")
     with pytest.raises(ValidationError, match="outside the universe"):
         eval_so_full(STRUCTURES[2][5], f, Assignment({"x": 0, "y": 2}, {}))
+
+
+# ---------------------------------------------------------------------------
+# The clause-learning solver on its own
+# ---------------------------------------------------------------------------
+
+def truth_table(clauses, nvars):
+    """Satisfiability by trying every assignment, as bit masks."""
+    masks = []
+    for clause in clauses:
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            else:
+                neg |= 1 << (-lit - 1)
+        masks.append((pos, neg))
+    full = (1 << nvars) - 1
+    return any(all(m & pos or (full ^ m) & neg for pos, neg in masks)
+               for m in range(1 << nvars))
+
+
+def random_cnf(rng):
+    """Up to ten variables and about 4.3 clauses per variable, mostly of
+    three literals, near the threshold where learning has work to do;
+    now and then a unit, a repeated literal, a tautology or the empty
+    clause."""
+    nvars = rng.randint(1, 10)
+    clauses = []
+    for _ in range(round(4.3 * nvars)):
+        k = 1 if rng.random() < 0.02 else rng.choice((2, 3, 3, 3, 3, 4))
+        variables = rng.sample(range(1, nvars + 1), min(k, nvars))
+        clause = [rng.choice((1, -1)) * v for v in variables]
+        roll = rng.random()
+        if roll < 0.05:
+            clause.insert(rng.randrange(len(clause) + 1), clause[0])
+        elif roll < 0.1:
+            clause.insert(rng.randrange(len(clause) + 1), -clause[0])
+        clauses.append(clause)
+    if rng.random() < 0.02:
+        clauses.insert(rng.randrange(len(clauses) + 1), [])
+    return clauses, nvars
+
+
+def test_solver_agrees_with_the_truth_table():
+    rng = random.Random(2011)
+    answers = []
+    for _ in range(600):
+        clauses, nvars = random_cnf(rng)
+        want = truth_table(clauses, nvars)
+        got = sat._Solver([list(c) for c in clauses], nvars, nvars).solve()
+        assert got == want, (clauses, nvars)
+        answers.append(got)
+    # Both answers are common, so a solver stuck on either one fails.
+    assert 150 < sum(answers) < 450
+
+
+def _infinite_clauses(n):
+    f = builtin("infinite").formula
+    prefix, matrix = fm.so_prefix(f)
+    grounder = sat._grounder(matrix, prefix, n, False)
+    run = grounder.ground(FiniteStructure(EMPTY_SIGNATURE, n, {}), {}, {})
+    return run.clauses, run.nvars, grounder.nbase
+
+
+def _tautology(clause):
+    return any(-lit in clause for lit in clause)
+
+
+def test_no_tautology_reaches_the_watch_or_implication_lists():
+    clauses, nvars, nbase = _infinite_clauses(7)
+    tautologies = sum(map(_tautology, clauses))
+    assert tautologies > 0
+    solver = sat._Solver([list(c) for c in clauses], nvars, nbase)
+    assert solver.counters.dropped == tautologies
+    for lit in range(-nvars, nvars + 1):
+        # lit -> m stands for the clause (~lit | m).
+        assert lit not in solver.implied[lit]
+        for clause in solver.watches[lit]:
+            assert lit in clause[:2]
+            assert not _tautology(clause) and len(set(clause)) == len(clause)
+
+
+# Conflicts of `infinite` on n elements, as counted when the solver was
+# written; the bounds below allow 1.5 times these.
+INFINITE_CONFLICTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 18, 6: 53, 7: 148, 8: 382,
+                      9: 940, 10: 2215}
+
+
+@pytest.mark.parametrize("n", sorted(INFINITE_CONFLICTS))
+def test_infinite_is_false_on_every_finite_universe(n):
+    # The grounding eval_so_full hands the solver: `infinite` is false
+    # when it is unsatisfiable.
+    solver = sat._Solver(*_infinite_clauses(n))
+    assert solver.solve() is False
+    counts = solver.counters
+    assert 0 < counts.conflicts <= 1.5 * INFINITE_CONFLICTS[n]
+    # Every conflict but the last, at level 0, teaches one clause.
+    assert counts.learnt == counts.conflicts - 1

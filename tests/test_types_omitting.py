@@ -71,6 +71,16 @@ class TestTypeContext:
         with pytest.raises(ValidationError, match="free first-order"):
             ctx.check_against(EMPTY_SIGNATURE)
 
+    def test_designated_name_that_is_a_signature_symbol(self):
+        # A binary X0 would shadow the structure's unary X0 in evaluation,
+        # and the only realized type would silently be (0,).
+        A = FiniteStructure(Signature.of({"X0": 1}), 2, {"X0": {(0,)}})
+        ctx = TypeContext((2,), (fm.parse("EX x X0(x)"),))
+        with pytest.raises(ValidationError, match="'X0' is also a symbol"):
+            ctx.check_against(A.sig)
+        with pytest.raises(ValidationError, match="'X0' is also a symbol"):
+            realized_types(A, ctx)
+
 
 class TestRealizedTypes:
     def test_singleton_universe_two_types(self):

@@ -341,11 +341,12 @@ class TestHenkinModel:
         A = FiniteStructure(SIG, 3)
         # Charged before the quotient is even built.
         monkeypatch.setattr(ultra, "ultraproduct", None)
+        # 2^9 binary relations of up to 9 tuples each.
         with pytest.raises(BudgetExceededError) as err:
-            henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9 - 1)
-        assert err.value.required == 2 ** 9
+            henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9 * 9 - 1)
+        assert err.value.required == 2 ** 9 * 9
         monkeypatch.undo()
-        M = henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9)
+        M = henkin_model([A], Ultrafilter(1, 0), 2, budget=2 ** 9 * 9)
         assert len(M.relations_of_arity(2)) == 2 ** 9
 
     def test_upsilon_deterministic_order(self):
