@@ -2,17 +2,17 @@
 
 Structures live on universes {0..n-1} with relations stored as tuple
 sets.  compile_evaluator turns a formula, once and for any structure,
-into Tarski-style closures that eval_fo, eval_so_full, henkin_eval and
-realized_types share.  What it knows of the formula's scope it reads
-from formulas.scope, which also finds arity faults; check_symbols, run
-before every evaluation (the SAT path's too), rejects a symbol the
-structure does not interpret or interprets at another arity.  Under
-full semantics relation quantifiers range over all relations of their
-arity: by lexicographic enumeration within a budget on nested
-candidates or, for a homogeneous prefix over a first-order matrix, by
-satisfiability (see sat): a grounder compiled once per matrix, prefix
-and universe size emits CNF with one Boolean per candidate tuple, and a
-clause-learning (CDCL) solver decides it.
+into miniscoped Tarski-style closures that eval_fo, eval_so_full,
+henkin_eval and realized_types share.  What it knows of the formula's
+scope it reads from formulas.scope, which also finds arity faults;
+check_symbols, run before every evaluation (the SAT path's too),
+rejects a symbol the structure does not interpret or interprets at
+another arity.  Under full semantics relation quantifiers range over
+all relations of their arity: by lexicographic enumeration within a
+budget on nested candidates or, for a homogeneous prefix over a
+first-order matrix, by satisfiability (see sat): a grounder compiled
+once per matrix, prefix and universe size emits CNF with one Boolean
+per candidate tuple, and a clause-learning (CDCL) solver decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -223,14 +223,6 @@ def iter_relations(n: int, k: int):
 _MISSING = object()
 
 
-def _flatten(g, node_type):
-    if isinstance(g, node_type):
-        yield from _flatten(g.left, node_type)
-        yield from _flatten(g.right, node_type)
-    else:
-        yield g
-
-
 def check_symbols(symbols, A, so):
     """Raise ValidationError unless so or A interprets each relation
     symbol of symbols, a mapping to the arity of its use, and A at that
@@ -243,6 +235,18 @@ def check_symbols(symbols, A, so):
                 raise ValidationError(f"unknown symbol {name!r}")
             raise ValidationError(f"arity mismatch: {name!r} has arity {arities[name]},"
                                   f" applied to {k} arguments")
+
+
+def check_assignment(names, A, fo):
+    """Raise ValidationError unless fo values each individual variable
+    of names with an element of A, as the SAT grounder requires too."""
+    size = A.size
+    for name in names:
+        value = fo.get(name)
+        if value is None:
+            raise ValidationError(f"unassigned free variable {name!r}")
+        if not (isinstance(value, int) and 0 <= value < size):
+            raise ValidationError(f"free variable {name!r} = {value!r} is outside the universe")
 
 
 @lru_cache(maxsize=32)
@@ -258,11 +262,23 @@ def compile_evaluator(f):
     quantifiers.  The facts come from formulas.scope(f), and its arity
     fault, if any, raises ValidationError here.
 
+    The closures are miniscoped: under EX x, each conjunct of the
+    body's & spine that does not mention x, has no relation quantifier
+    and comes before every conjunct that has one is decided once, in
+    front of the loop over x; under ALL x the parts of the body's |
+    spine move out alike.  Both steps are sound because every universe
+    is nonempty.  A relation quantifier is reached under the same
+    conditions as in f as written, and the budget is charged from
+    scope(f) of f as written, so every budget stop is unchanged.
+
     One environment holds A's relations, then so, then binders, each
-    shadowing the one before.  check_symbols runs before evaluation; an
-    unassigned individual variable raises ValidationError when reached.
-    Each call takes its own closures from a free list, so evaluation is
-    reentrant and thread-safe, and clears their environments afterwards.
+    shadowing the one before.  check_symbols runs before evaluation.
+    check_assignment runs when evaluation answers or meets an unassigned
+    variable, so a free individual variable without a value in A's
+    universe raises ValidationError however far evaluation got, and a
+    budget stop met first still stops it.  Each call takes its own
+    closures from a free list, so evaluation is reentrant and
+    thread-safe, and clears their environments afterwards.
     """
     found = fm.scope(f)
     if found.fault:
@@ -271,7 +287,7 @@ def compile_evaluator(f):
     kinds = {existential for existential, _, _ in prefix}
     one_block = len(kinds) == 1 and len(found.so_arities) == len(prefix)
     homogeneous = (prefix, matrix) if one_block else None
-    symbols = found.symbols
+    symbols, free_fo = found.symbols, found.free_fo
     idle = []
 
     def evaluate(A, fo, so, so_domain):
@@ -286,103 +302,177 @@ def compile_evaluator(f):
         so_env.update(so)
         ctx[:] = range(A.size), so_domain
         try:
-            return root()
-        except KeyError as exc:
-            raise ValidationError(f"unassigned free variable {exc.args[0]!r}") from None
+            answer = root()
+        except KeyError:
+            # Only an unassigned free variable is missing from fo_env.
+            check_assignment(free_fo, A, fo)
+            raise
         finally:
             for env in closures[1:]:
                 env.clear()
             idle.append(closures)
+        if free_fo:
+            check_assignment(free_fo, A, fo)
+        return answer
 
     return evaluate, bool(found.so_arities), homogeneous, found.depth
 
 
+class _Bits(dict):
+    """A bit of its own for each name asked for, assigned on first use."""
+
+    def __missing__(self, name):
+        bit = self[name] = 1 << len(self)
+        return bit
+
+
 def _closures(f):
     """Closures for f over environments of their own and ctx = [universe,
-    so_domain], keeping left-to-right short-circuit order."""
+    so_domain], miniscoped as compile_evaluator states.  Connectives keep
+    their left-to-right short-circuit order otherwise.
+
+    The build returns a part (closure, free, so) for each subformula:
+    free is a mask of its free individual variables, one bit per name,
+    and so tells whether it has a relation quantifier."""
     fo_env = {}
     so_env = {}
     ctx = []
+    bits = _Bits()
+
+    def join(parts, conjunction):
+        """One part for the & (or |) of parts, in their order."""
+        if len(parts) == 1:
+            return parts[0]
+        fns = []
+        free = 0
+        so = False
+        for fn, part_free, part_so in parts:
+            fns.append(fn)
+            free |= part_free
+            so = so or part_so
+        if conjunction:
+
+            def ev():
+                for p in fns:
+                    if not p():
+                        return False
+                return True
+        else:
+
+            def ev():
+                for p in fns:
+                    if p():
+                        return True
+                return False
+        return ev, free, so
+
+    def spine(g, conjunction, outer):
+        """Parts whose & (conjunction) or | is g: its connective spine
+        flattened into one list, left to right, with each matching
+        quantifier split."""
+        node, quantifier = (fm.And, fm.ExistsFO) if conjunction else (fm.Or, fm.ForallFO)
+        parts = []
+        stack = [g]
+        while stack:
+            p = stack.pop()
+            kind = type(p)
+            if kind is node:
+                stack.append(p.right)
+                stack.append(p.left)
+            elif kind is quantifier:
+                parts += miniscoped(p, conjunction, outer)
+            else:
+                parts.append(build(p, outer))
+        return parts
+
+    def miniscoped(g, conjunction, outer):
+        """Parts whose & (EX) or | (ALL) is the quantifier g: those of its
+        body that may go in front of the loop, then the loop."""
+        var = g.var
+        bit = bits[var]
+        parts = spine(g.body, conjunction, outer)
+        pulled, rest = [], []
+        for i, part in enumerate(parts):
+            if part[2]:
+                # Nothing moves ahead of a part with a relation quantifier.
+                rest += parts[i:]
+                break
+            (rest if part[1] & bit else pulled).append(part)
+        if not rest:
+            return pulled
+        body, free, so = join(rest, conjunction)
+        if conjunction:
+
+            def ev():
+                old = fo_env.get(var, _MISSING)
+                result = False
+                for e in ctx[0]:
+                    fo_env[var] = e
+                    if body():
+                        result = True
+                        break
+                if old is _MISSING:
+                    del fo_env[var]
+                else:
+                    fo_env[var] = old
+                return result
+        else:
+
+            def ev():
+                old = fo_env.get(var, _MISSING)
+                result = True
+                for e in ctx[0]:
+                    fo_env[var] = e
+                    if not body():
+                        result = False
+                        break
+                if old is _MISSING:
+                    del fo_env[var]
+                else:
+                    fo_env[var] = old
+                return result
+        pulled.append((ev, free & ~bit, so))
+        return pulled
 
     def build(g, outer):
-        if isinstance(g, fm.Atom):
+        kind = type(g)
+        if kind is fm.Atom:
             rel_name, args = g.rel, g.args
             if len(args) == 1:
                 a0 = args[0]
-                return lambda: (fo_env[a0],) in so_env[rel_name]
+                return lambda: (fo_env[a0],) in so_env[rel_name], bits[a0], False
             if len(args) == 2:
                 a0, a1 = args
-                return lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name]
-            return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name]
-        if isinstance(g, fm.Eq):
+                return (lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name],
+                        bits[a0] | bits[a1], False)
+            free = 0
+            for a in args:
+                free |= bits[a]
+            return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name], free, False
+        if kind is fm.Eq:
             left, right = g.left, g.right
-            return lambda: fo_env[left] == fo_env[right]
-        if isinstance(g, fm.Not):
-            sub = build(g.sub, outer)
-            return lambda: not sub()
-        if isinstance(g, (fm.And, fm.Or)):
-            # Flatten connective spines into one loop: same evaluation
-            # order, far fewer frames on long chains.
-            parts = [build(p, outer) for p in _flatten(g, type(g))]
-            if isinstance(g, fm.And):
-
-                def ev():
-                    for p in parts:
-                        if not p():
-                            return False
-                    return True
+            return lambda: fo_env[left] == fo_env[right], bits[left] | bits[right], False
+        if kind is fm.Not:
+            sub, free, so = build(g.sub, outer)
+            return lambda: not sub(), free, so
+        if kind is fm.And or kind is fm.Or:
+            conjunction = kind is fm.And
+            return join(spine(g, conjunction, outer), conjunction)
+        if kind is fm.ExistsFO or kind is fm.ForallFO:
+            conjunction = kind is fm.ExistsFO
+            return join(miniscoped(g, conjunction, outer), conjunction)
+        if kind is fm.Implies or kind is fm.Iff:
+            left, left_free, left_so = build(g.left, outer)
+            right, right_free, right_so = build(g.right, outer)
+            if kind is fm.Implies:
+                fn = lambda: (not left()) or right()
             else:
-
-                def ev():
-                    for p in parts:
-                        if p():
-                            return True
-                    return False
-            return ev
-        if isinstance(g, (fm.Implies, fm.Iff)):
-            left = build(g.left, outer)
-            right = build(g.right, outer)
-            if isinstance(g, fm.Implies):
-                return lambda: (not left()) or right()
-            return lambda: left() == right()
-        if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
-            var = g.var
-            body = build(g.body, outer)
-            if isinstance(g, fm.ExistsFO):
-
-                def ev():
-                    old = fo_env.get(var, _MISSING)
-                    result = False
-                    for e in ctx[0]:
-                        fo_env[var] = e
-                        if body():
-                            result = True
-                            break
-                    if old is _MISSING:
-                        del fo_env[var]
-                    else:
-                        fo_env[var] = old
-                    return result
-            else:
-
-                def ev():
-                    old = fo_env.get(var, _MISSING)
-                    result = True
-                    for e in ctx[0]:
-                        fo_env[var] = e
-                        if not body():
-                            result = False
-                            break
-                    if old is _MISSING:
-                        del fo_env[var]
-                    else:
-                        fo_env[var] = old
-                    return result
-            return ev
-        if isinstance(g, (fm.ExistsSO, fm.ForallSO)):
+                fn = lambda: left() == right()
+            return fn, left_free | right_free, left_so or right_so
+        if kind is fm.ExistsSO or kind is fm.ForallSO:
             name, arities = g.relvar, outer + (g.arity,)
-            body = build(g.body, arities)
-            if isinstance(g, fm.ExistsSO):
+            body, free, _ = build(g.body, arities)
+            if kind is fm.ExistsSO:
 
                 def ev():
                     old = so_env.get(name, _MISSING)
@@ -412,10 +502,10 @@ def _closures(f):
                     else:
                         so_env[name] = old
                     return result
-            return ev
+            return ev, free, True
         raise TypeError(f"not a formula node: {g!r}")
 
-    return build(f, ()), fo_env, so_env, ctx
+    return build(f, ())[0], fo_env, so_env, ctx
 
 
 # A budget error states the number of relation choices only while it

@@ -80,21 +80,33 @@ _HAMILTONIAN_TEXT = (
 )
 
 
+def _balanced_and(parts):
+    """The conjunction of parts, in order, as a tree of logarithmic
+    height: the n(n-1)/2 inequalities of at_least:n as one chain would
+    nest past the interpreter's recursion limit from n = 27 on."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return fm.And(_balanced_and(parts[:mid]), _balanced_and(parts[mid:]))
+
+
 def _at_least(n: int) -> fm.Formula:
     if n < 1:
         raise ValidationError("at_least requires n >= 1")
+    # n quantifier levels, ceil(log2(n(n-1)/2)) of & and two of ~(x = y):
+    # refused past MAX_DEPTH, as parse refuses text, since the evaluators
+    # recurse once or more per level.
+    if n + (n * (n - 1) // 2 - 1).bit_length() + 2 > fm.MAX_DEPTH:
+        raise ValidationError(
+            f"at_least:{n} is nested more than {fm.MAX_DEPTH} levels deep")
     names = [f"x{i}" for i in range(n)]
     if n == 1:
-        body = fm.Eq(names[0], names[0])
+        out = fm.Eq(names[0], names[0])
     else:
-        parts = [
+        out = _balanced_and([
             fm.Not(fm.Eq(names[i], names[j]))
             for i in range(n) for j in range(i + 1, n)
-        ]
-        body = parts[0]
-        for p in parts[1:]:
-            body = fm.And(body, p)
-    out = body
+        ])
     for name in reversed(names):
         out = fm.ExistsFO(name, out)
     return out

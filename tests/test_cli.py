@@ -94,6 +94,19 @@ class TestBasicCommands:
                            "ALL2 X:2 EX2 Y:2 ALL x ALL y (Y(x,y) <-> X(y,x))")
         assert code == 3 and "'Y'" in err and "4^2 + 4^2" in err
 
+    def test_many_pairwise_distinct_elements(self, capsys, tmp_path):
+        # at_least:40 has 780 inequalities; as one chain they nested too
+        # deep to hash.
+        for size, expected in ((3, 3), (1, 0)):
+            path = tmp_path / f"blank{size}.json"
+            path.write_text(json.dumps({"universe": size, "signature": {}}))
+            code, out, err = run(capsys, "eval", "--structure", str(path),
+                                 "--builtin", "at_least:40")
+            assert code == expected, err
+        assert out.strip() == "false"
+        code, _, err = run(capsys, "eval", "--structure", str(path), "--builtin", "at_least:87")
+        assert code == 2 and "nested more than 100 levels" in err
+
 
 class TestMalformedInput:
     """Malformed input is a usage error (exit 2), never a traceback."""

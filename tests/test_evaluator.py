@@ -1,6 +1,7 @@
 """The compiled evaluator behind eval_fo, eval_so_full, henkin_eval and
 realized_types: scope of relation names, reentrancy, compiling once per
-formula, and the nested budget of full semantics."""
+formula, the nested budget of full semantics, free individual variables
+and miniscoping."""
 import random
 import sys
 import threading
@@ -346,3 +347,187 @@ class TestOneBudgetRule:
             monkeypatch.setattr(fm, name, lambda *args, name=name: pytest.fail(name))
         assert henkin_eval(full_henkin_model(GRAPHS[0], 1), f) is True
         assert henkin_eval(full_henkin_model(GRAPHS[3], 1), f) is False
+
+
+class TestFreeVariables:
+    """A free individual variable without a value in the universe is a
+    usage error on the enumeration path, as on the SAT path, whether or
+    not evaluation reads it."""
+
+    @pytest.mark.parametrize("evaluate", [eval_fo, eval_so_full])
+    def test_value_outside_the_universe(self, evaluate):
+        with pytest.raises(ValidationError, match="'x' = 99 is outside the universe"):
+            evaluate(C4, fm.parse("edge(x, y)"), Assignment({"x": 99, "y": 0}, {}))
+
+    @pytest.mark.parametrize("evaluate", [eval_fo, eval_so_full])
+    def test_unassigned_variable_never_reached(self, evaluate):
+        # EX x edge(x, x) is false on C4, so q0 = z is never evaluated.
+        f = fm.parse("(EX x edge(x, x)) & q0 = z")
+        with pytest.raises(ValidationError, match="unassigned free variable 'q0'"):
+            evaluate(C4, f)
+
+
+# ---------------------------------------------------------------------------
+# Miniscoping: a differential test against a reference evaluator
+# ---------------------------------------------------------------------------
+
+MINI_SIG = Signature.of({"p": 1, "edge": 2})
+# u is never bound, so it is free wherever it occurs; x, y and z are
+# free where no quantifier binds them.
+NAMES = ("x", "y", "z", "u")
+SO_VARS = (("X", 1), ("Y", 2))
+
+
+def _chain(rng, node, parts):
+    """parts joined by node in order, nested at random."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = rng.randrange(1, len(parts))
+    return node(_chain(rng, node, parts[:cut]), _chain(rng, node, parts[cut:]))
+
+
+def _leaf(rng, so_bound):
+    roll = rng.random()
+    if roll < 0.2:
+        return fm.Eq(rng.choice(NAMES), rng.choice(NAMES))
+    symbols = [("p", 1), ("edge", 2)] + [(name, k) for name, k in SO_VARS if name in so_bound]
+    name, k = rng.choice(symbols)
+    return fm.Atom(name, tuple(rng.choice(NAMES) for _ in range(k)))
+
+
+def _formula(rng, depth, so_bound=frozenset()):
+    """A formula over MINI_SIG shaped to exercise miniscoping: quantifiers
+    over & and | spines whose parts often omit the bound variable, with
+    relation quantifiers before and after them and -> among them."""
+    if depth == 0 or rng.random() < 0.1:
+        return _leaf(rng, so_bound)
+    roll = rng.random()
+    if roll < 0.5:
+        var = rng.choice(NAMES[:3])
+        conjunction = rng.random() < 0.5
+        parts = [_formula(rng, depth - 1, so_bound) for _ in range(rng.randint(1, 4))]
+        free = [name for name, _ in SO_VARS if name not in so_bound]
+        if free and rng.random() < 0.5:
+            name = rng.choice(free)
+            k = dict(SO_VARS)[name]
+            node = rng.choice((fm.ExistsSO, fm.ForallSO))
+            inner = _formula(rng, depth - 1, so_bound | {name})
+            parts.insert(rng.randrange(len(parts) + 1), node(name, k, inner))
+        # Mostly the spine that matches the quantifier, which may pull.
+        if rng.random() < 0.8:
+            node = fm.And if conjunction else fm.Or
+        else:
+            node = fm.Or if conjunction else fm.And
+        quantifier = fm.ExistsFO if conjunction else fm.ForallFO
+        return quantifier(var, _chain(rng, node, parts))
+    if roll < 0.6:
+        return fm.Not(_formula(rng, depth - 1, so_bound))
+    if roll < 0.8:
+        node = rng.choice((fm.Implies, fm.Iff, fm.And, fm.Or))
+        return node(_formula(rng, depth - 1, so_bound), _formula(rng, depth - 1, so_bound))
+    free = [name for name, _ in SO_VARS if name not in so_bound]
+    if not free:
+        return _formula(rng, depth - 1, so_bound)
+    name = rng.choice(free)
+    node = rng.choice((fm.ExistsSO, fm.ForallSO))
+    return node(name, dict(SO_VARS)[name], _formula(rng, depth - 1, so_bound | {name}))
+
+
+def _reference(f, n, rels, fo, entered, outer=()):
+    """Truth of f written as is, short-circuiting left to right, with
+    relation quantifiers over every relation in mask order; appends
+    (name, arities) to entered each time one is entered, as the
+    compiled evaluator asks its so_domain."""
+    kind = type(f)
+    if kind is fm.Atom:
+        return tuple(fo[a] for a in f.args) in rels[f.rel]
+    if kind is fm.Eq:
+        return fo[f.left] == fo[f.right]
+    if kind is fm.Not:
+        return not _reference(f.sub, n, rels, fo, entered, outer)
+    if kind in (fm.And, fm.Or, fm.Implies, fm.Iff):
+        left = _reference(f.left, n, rels, fo, entered, outer)
+        if kind is fm.And and not left or kind is fm.Or and left:
+            return left
+        if kind is fm.Implies and not left:
+            return True
+        right = _reference(f.right, n, rels, fo, entered, outer)
+        return left == right if kind is fm.Iff else right
+    if kind in (fm.ExistsFO, fm.ForallFO):
+        values = (_reference(f.body, n, rels, {**fo, f.var: e}, entered, outer)
+                  for e in range(n))
+        return any(values) if kind is fm.ExistsFO else all(values)
+    arities = outer + (f.arity,)
+    entered.append((f.relvar, arities))
+    values = (_reference(f.body, n, {**rels, f.relvar: R}, fo, entered, arities)
+              for R in structures.iter_relations(n, f.arity))
+    return any(values) if kind is fm.ExistsSO else all(values)
+
+
+def _pullable(f):
+    """How many quantifiers of f have a part of their spine that
+    miniscoping moves out, and how many of those also have a part with
+    a relation quantifier after it."""
+    pulled = before_so = 0
+    for g, _, _ in fm.walk(f):
+        if type(g) not in (fm.ExistsFO, fm.ForallFO):
+            continue
+        node = fm.And if type(g) is fm.ExistsFO else fm.Or
+        parts, stack = [], [g.body]
+        while stack:
+            h = stack.pop()
+            if type(h) is node:
+                stack += [h.right, h.left]
+            else:
+                parts.append(h)
+        has_so = [bool(fm.scope(h).so_arities) for h in parts]
+        first_so = has_so.index(True) if True in has_so else len(parts)
+        if any(g.var not in fm.scope(h).free_fo for h in parts[:first_so]):
+            pulled += 1
+            before_so += first_so < len(parts)
+    return pulled, before_so
+
+
+class TestMiniscoping:
+    def test_differential_against_the_reference(self):
+        rng = random.Random(11)
+        structures_ = [gen.random_structure(rng, MINI_SIG, 1 + i % 3) for i in range(9)]
+        models = [full_henkin_model(A, 2) for A in structures_]
+        pulled = before_so = implications = with_free = enumerated = 0
+        for _ in range(1000):
+            f = _formula(rng, 3)
+            i = rng.randrange(len(structures_))
+            if 2 in fm.scope(f).so_arities and structures_[i].size == 3:
+                i -= 1  # a binary relation quantifier on 2 elements at most
+            A, M = structures_[i], models[i]
+            fo = {name: rng.randrange(A.size) for name in NAMES}
+            found = fm.scope(f)
+            counts = _pullable(f)
+            pulled += counts[0]
+            before_so += counts[1]
+            implications += any(type(g) is fm.Implies for g, _, _ in fm.walk(f))
+            with_free += bool(found.free_fo)
+            enumerated += structures.compile_evaluator(f)[1:3] == (True, None)
+            entered = []
+            expected = _reference(f, A.size, A.rels, fo, entered)
+            assert eval_so_full(A, f, Assignment(fo, {})) is expected, fm.print_formula(f)
+            # The compiled closures enter the relation quantifiers of f as
+            # written, in the same order and as often.
+            asked = []
+
+            def so_domain(name, arities):
+                asked.append((name, arities))
+                return structures.iter_relations(A.size, arities[-1])
+
+            evaluate = structures.compile_evaluator(f)[0]
+            assert evaluate(A, fo, {}, so_domain) is expected
+            assert asked == entered, fm.print_formula(f)
+            sentence = fm.universal_closure(f)
+            assert henkin_eval(M, sentence) is _reference(sentence, A.size, A.rels, {}, [])
+        assert pulled > 1000 and before_so > 400 and implications > 200
+        assert with_free > 900 and enumerated > 600
+
+    def test_cardinality_walks_no_full_product(self):
+        start = time.perf_counter()
+        assert eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 7), builtin("at_least:8").formula) is False
+        assert time.perf_counter() - start < 1

@@ -54,6 +54,11 @@ class TestBuiltins:
     def test_at_least_parameter_forms(self):
         assert builtin("at_least:3").formula == builtin("at_least", n=3).formula
 
+    def test_at_least_nests_no_deeper_than_parse_accepts(self):
+        assert fm.scope(builtin("at_least:86").formula).height == fm.MAX_DEPTH
+        with pytest.raises(ValidationError, match="nested more than"):
+            builtin("at_least:87")
+
     def test_hamiltonian_examples(self):
         ham = builtin("hamiltonian").formula
         assert str(fm.classify(ham)) == "Sigma(1)"
