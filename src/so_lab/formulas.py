@@ -9,13 +9,12 @@ One pass, scope(f), finds what parsing and evaluation need to know of
 a formula: free individual variables, the relation symbols no binder
 covers with their arities, relation-quantifier arities, nesting depth
 and tree height, and the first arity fault.  parse and every evaluator
-read it instead of walking the formula.  Three helpers carry the other
-traversals: children(f) lists the immediate subformulas, rebuild(f,
-kids) puts a node back together around new children (optionally as its
-dual), and walk(f) visits every node in pre-order without recursion,
-together with the variables bound above it.  Only the printer, prenex
-pulling, validate and the evaluators' compilers dispatch over node
-kinds themselves.
+read it instead of walking the formula.  walk(f) visits every node in
+pre-order without recursion, together with the variables bound above
+it, for validate and all_names.  prenex_so is one recursive rewrite:
+it renames binders apart, pushes negation inward and moves each
+relation quantifier onto the prefix as it meets it, expanding -> and
+<-> only around relation quantifiers.
 
 All formula values are immutable and safe to share.  Each node caches
 its hash on first use, the value the dataclass would compute from its
@@ -143,36 +142,6 @@ MAX_DEPTH = 100
 # Traversal
 # ---------------------------------------------------------------------------
 
-def children(f) -> tuple[Formula, ...]:
-    """The immediate subformulas of f, left to right."""
-    kind = type(f)
-    if kind is Not:
-        return (f.sub,)
-    if kind in _BINARY:
-        return (f.left, f.right)
-    if kind in _FO_QUANT or kind in _SO_QUANT:
-        return (f.body,)
-    return ()
-
-
-def rebuild(f, kids, node=None):
-    """f with its children replaced by kids, in the order of children(f).
-
-    node, when given, is the type to build instead of type(f); it must
-    take the same fields, as the dual connective or quantifier does.
-    Atoms and equalities have no children and come back unchanged.
-    """
-    kind = type(f)
-    if kind in _LEAVES:
-        return f
-    node = node or kind
-    if kind in _FO_QUANT:
-        return node(f.var, *kids)
-    if kind in _SO_QUANT:
-        return node(f.relvar, f.arity, *kids)
-    return node(*kids)
-
-
 def walk(f):
     """Every node of f in pre-order, left to right, without recursion.
 
@@ -187,7 +156,6 @@ def walk(f):
     while stack:
         item = pop()
         yield item
-        # Dispatch inline, leaves first, rather than through children().
         g, fo_bound, so_bound = item
         kind = type(g)
         if kind in _LEAVES:
@@ -731,104 +699,97 @@ class _Fresh:
                 return name
 
 
-def _eliminate_impl_iff(f):
-    kids = [_eliminate_impl_iff(g) for g in children(f)]
-    if isinstance(f, Implies):
-        return Or(Not(kids[0]), kids[1])
-    if isinstance(f, Iff):
-        left, right = kids
-        return And(Or(Not(left), right), Or(Not(right), left))
-    return rebuild(f, kids)
-
-
-def _standardize_apart(f, fresh):
-    """Rename every binder of f apart; fresh names are drawn in pre-order,
-    left to right."""
-    def rename(g, fo_map, so_map):
-        if isinstance(g, Atom):
-            return Atom(so_map.get(g.rel, g.rel), tuple(fo_map.get(a, a) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(fo_map.get(g.left, g.left), fo_map.get(g.right, g.right))
-        if isinstance(g, _FO_QUANT):
-            name = fresh.name("v")
-            return type(g)(name, rename(g.body, {**fo_map, g.var: name}, so_map))
-        if isinstance(g, _SO_QUANT):
-            name = fresh.name("V")
-            return type(g)(name, g.arity, rename(g.body, fo_map, {**so_map, g.relvar: name}))
-        return rebuild(g, [rename(h, fo_map, so_map) for h in children(g)])
-
-    return rename(f, {}, {})
-
-
-# The node each connective and quantifier becomes under a negation.
-_DUAL = {And: Or, Or: And, ExistsFO: ForallFO, ForallFO: ExistsFO,
-         ExistsSO: ForallSO, ForallSO: ExistsSO}
-
-
-def _nnf(f, neg=False):
-    if isinstance(f, (Atom, Eq)):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if type(f) not in _DUAL:
-        raise TypeError(f"not a formula node after elimination: {f!r}")
-    kids = [_nnf(g, neg) for g in children(f)]
-    return rebuild(f, kids, _DUAL[type(f)] if neg else None)
-
-
-def _prepend_arg(g, names, var):
-    if isinstance(g, Atom):
-        if g.rel in names:
-            return Atom(g.rel, (var, *g.args))
-        return g
-    return rebuild(g, [_prepend_arg(h, names, var) for h in children(g)])
-
-
-def _pull(g):
-    """Pull relation quantifiers to the front of an NNF formula.
-
-    Moving a relation quantifier past an individual quantifier of the
-    opposite polarity raises its arity by one, absorbing the individual
-    variable as a fresh first coordinate:
-    ALL x EX2 X:k b  ==  EX2 X:k+1 ALL x b[X(t...) -> X(x, t...)].
-    """
-    if isinstance(g, (Atom, Eq, Not)):
-        return [], g
-    if isinstance(g, (And, Or)):
-        pl, ml = _pull(g.left)
-        pr, mr = _pull(g.right)
-        return pl + pr, type(g)(ml, mr)
-    if isinstance(g, _FO_QUANT):
-        prefix, matrix = _pull(g.body)
-        exists_fo = isinstance(g, ExistsFO)
-        raised = {name for existential, name, _ in prefix if existential != exists_fo}
-        new_prefix = [(existential, name, arity + 1 if name in raised else arity)
-                      for existential, name, arity in prefix]
-        if raised:
-            matrix = _prepend_arg(matrix, raised, g.var)
-        return new_prefix, type(g)(g.var, matrix)
-    if isinstance(g, _SO_QUANT):
-        prefix, matrix = _pull(g.body)
-        return [(isinstance(g, ExistsSO), g.relvar, g.arity)] + prefix, matrix
-    raise TypeError(f"not a formula node: {g!r}")
+def _prefix_length(g):
+    """The number of relation quantifiers in the prefix prenex_so builds
+    from g: a <-> with one below is expanded, which doubles its sides."""
+    kind = type(g)
+    if kind in _LEAVES:
+        return 0
+    if kind is Not:
+        return _prefix_length(g.sub)
+    if kind in _FO_QUANT or kind in _SO_QUANT:
+        return (kind in _SO_QUANT) + _prefix_length(g.body)
+    count = _prefix_length(g.left) + _prefix_length(g.right)
+    return 2 * count if kind is Iff else count
 
 
 def prenex_so(f: Formula) -> Formula:
     """An equivalent formula with all relation quantifiers as a prefix.
 
     Free first-order variables are universally closed first; already
-    prenex closed formulas are returned unchanged.
+    prenex closed formulas are returned unchanged.  Otherwise one pass
+    renames every binder apart in pre-order (v0, v1, ... and V0, V1, ...,
+    skipping names in use), pushes negation through &, |, quantifiers
+    and the -> and <-> that have a relation quantifier below them, which
+    it expands as ~l | r and (~l | r) & (~r | l), and keeps every other
+    -> and <-> as written, negation outside.  Each relation quantifier
+    goes straight onto the prefix.  Moving it past an individual
+    quantifier of the opposite polarity raises its arity by one,
+    absorbing the individual variable as a leading argument:
+    ALL x EX2 X:k b  ==  EX2 X:k+1 ALL x b[X(t...) -> X(x, t...)].
+
+    Raises ValidationError when the prefix would hold more than
+    MAX_DEPTH relation quantifiers, counted before anything is built, or
+    when the result nests deeper than MAX_DEPTH, so that
+    parse(print_formula(g)) == g whenever it answers.
     """
     if not free_fo_variables(f) and classify(f) is not NONPRENEX:
         return f
     g = universal_closure(f)
-    g = _eliminate_impl_iff(g)
-    g = _standardize_apart(g, _Fresh(all_names(g)))
-    g = _nnf(g)
-    prefix, matrix = _pull(g)
-    out = matrix
+    count = _prefix_length(g)
+    if count > MAX_DEPTH:
+        raise ValidationError(
+            f"the prenex form would have {count} relation quantifiers,"
+            f" more than {MAX_DEPTH}")
+    fresh = _Fresh(all_names(g))
+    prefix = []
+
+    def rewrite(g, pos, fo, so, above):
+        # pos: no negation pending.  fo renames individual variables; so
+        # maps a relation variable to its new name and leading arguments;
+        # above holds (new name, existential) of the individual
+        # quantifiers around g, outermost first, as they come out.
+        kind = type(g)
+        if kind is Not:
+            return rewrite(g.sub, not pos, fo, so, above)
+        if kind in _FO_QUANT:
+            var = fresh.name("v")
+            existential = (kind is ExistsFO) == pos
+            body = rewrite(g.body, pos, {**fo, g.var: var}, so, above + ((var, existential),))
+            return (ExistsFO if existential else ForallFO)(var, body)
+        if kind in _SO_QUANT:
+            name = fresh.name("V")
+            existential = (kind is ExistsSO) == pos
+            lead = tuple(var for var, e in above if e != existential)
+            prefix.append((existential, name, g.arity + len(lead)))
+            return rewrite(g.body, pos, fo, {**so, g.relvar: (name, lead)}, above)
+        if kind is And or kind is Or:
+            node = kind if pos else (Or if kind is And else And)
+            return node(rewrite(g.left, pos, fo, so, above),
+                        rewrite(g.right, pos, fo, so, above))
+        if kind is Atom:
+            name, lead = so.get(g.rel, (g.rel, ()))
+            g = Atom(name, lead + tuple(fo.get(a, a) for a in g.args))
+        elif kind is Eq:
+            g = Eq(fo.get(g.left, g.left), fo.get(g.right, g.right))
+        elif not contains_so(g):
+            g = kind(rewrite(g.left, True, fo, so, above), rewrite(g.right, True, fo, so, above))
+        else:
+            # ~l | r, and (~l | r) & (~r | l), with the negation pushed in.
+            inner, outer = (Or, And) if pos else (And, Or)
+            first = inner(rewrite(g.left, not pos, fo, so, above),
+                          rewrite(g.right, pos, fo, so, above))
+            if kind is Implies:
+                return first
+            return outer(first, inner(rewrite(g.right, not pos, fo, so, above),
+                                      rewrite(g.left, pos, fo, so, above)))
+        return g if pos else Not(g)
+
+    out = rewrite(g, True, {}, {}, ())
     for existential, name, arity in reversed(prefix):
         out = (ExistsSO if existential else ForallSO)(name, arity, out)
+    if scope(out).height > MAX_DEPTH:
+        raise ValidationError(f"the prenex form would nest more than {MAX_DEPTH} levels deep")
     return out
 
 

@@ -20,8 +20,8 @@ clause-learning solver (first-UIP learning, non-chronological
 backjumping, two watched literals) branches over the tuple variables
 only, in a fixed order, and counts its work.
 
-The grounder trusts its symbols and arities, which structures.eval_so_full
-has checked; only the free individual variables are checked here, eagerly.
+The grounder trusts its symbols, their arities and the values of the
+free individual variables, which structures.eval_so_full has checked.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import formulas as fm
-from .errors import SoLabError, ValidationError
+from .errors import SoLabError
 
 
 def eval_homogeneous(A, prefix, matrix, fo_env, so_env) -> bool:
@@ -97,14 +97,11 @@ class _Grounder:
         self.nbase = base
         # Per-call inputs from slot 1 on, first occurrence first: the free
         # individual variables, then the relations of structure atoms.
-        # Slots of free variables that index tuple variables are
-        # range-checked.
         found = fm.scope(matrix)
         self.free = {name: slot for slot, name in enumerate(found.free_fo, 1)}
         rels = [name for name in found.symbols if name not in self.tvars]
         self.rels = {name: slot for slot, name in enumerate(rels, 1 + len(self.free))}
         self.nslots = 1 + len(self.free) + len(self.rels)
-        self.indexing = set()
         self._gate_ids = 0
         self.root = self._conj(self._nnf(matrix, negate, {}))
 
@@ -119,7 +116,6 @@ class _Grounder:
             if g.rel in self.tvars:
                 first = self.tvars[g.rel]
                 slots = tuple(self._var(a, scope) for a in g.args)
-                self.indexing.update(s for s in slots if s in self.free.values())
                 return _Node("tvar", (first, slots), not neg, frozenset(slots), True)
             slots = tuple(self._var(a, scope) for a in g.args)
             return _Node("rel", (self.rels[g.rel], slots), not neg, frozenset(slots), False)
@@ -319,14 +315,7 @@ class _Grounder:
         when the matrix folds to false."""
         frame = [None] * self.nslots
         for name, slot in self.free.items():
-            value = fo_env.get(name)
-            if value is None:
-                raise ValidationError(f"unassigned free variable {name!r}")
-            if slot in self.indexing and not (
-                    isinstance(value, int) and 0 <= value < self.n):
-                raise ValidationError(
-                    f"free variable {name!r} = {value!r} is outside the universe")
-            frame[slot] = value
+            frame[slot] = fo_env[name]
         for name, slot in self.rels.items():
             frame[slot] = so_env[name] if name in so_env else A.rels[name]
         run = _Run(self.nbase)

@@ -239,7 +239,8 @@ def check_symbols(symbols, A, so):
 
 def check_assignment(names, A, fo):
     """Raise ValidationError unless fo values each individual variable
-    of names with an element of A, as the SAT grounder requires too."""
+    of names with an element of A.  The SAT path runs it before
+    grounding, since the grounder trusts these values."""
     size = A.size
     for name in names:
         value = fo.get(name)
@@ -602,7 +603,9 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
             raise BudgetExceededError(
                 f"grounding the prefix needs {variables} tuple variables,"
                 f" exceeding the budget of {budget}", required=variables, budget=budget)
-        check_symbols(fm.scope(f).symbols, A, so)
+        found = fm.scope(f)
+        check_symbols(found.symbols, A, so)
+        check_assignment(found.free_fo, A, fo)
         return sat.eval_homogeneous(A, *homogeneous, fo, so)
     return evaluate(A, fo, so, so_domain)
 
@@ -645,22 +648,17 @@ def find_isomorphism(A: FiniteStructure, B: FiniteStructure, *,
     n = A.size
     image = [-1] * n
     used = [False] * n
+    # Each tuple of A filed under its largest element, so it is checked
+    # once, when the last of its elements is mapped.  Equal profiles give
+    # |R^A| = |R^B|, so a bijection mapping A's tuples into B's is onto.
+    last = [[] for _ in range(n)]
+    for name in A.sig.names:
+        rb = B.rels[name]
+        for t in A.rels[name]:
+            last[max(t)].append((t, rb))
 
     def consistent(v):
-        # Check all tuples lying inside the assigned prefix {0..v}.
-        w = image[v]
-        for name in A.sig.names:
-            ra, rb = A.rels[name], B.rels[name]
-            for t in ra:
-                if v in t and all(x <= v for x in t):
-                    if tuple(image[x] for x in t) not in rb:
-                        return False
-            for t in rb:
-                if w in t and all(used[x] for x in t):
-                    back = tuple(image.index(x) for x in t)
-                    if back not in ra:
-                        return False
-        return True
+        return all(tuple(image[x] for x in t) in rb for t, rb in last[v])
 
     def search(v):
         if v == n:
@@ -673,7 +671,6 @@ def find_isomorphism(A: FiniteStructure, B: FiniteStructure, *,
             if consistent(v) and search(v + 1):
                 return True
             used[w] = False
-            image[v] = -1
         return False
 
     return tuple(image) if search(0) else None

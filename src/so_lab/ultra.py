@@ -323,8 +323,7 @@ def _box_masks(result: UltraproductResult, k: int, large):
 
 
 def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
-                 budget: int = DEFAULT_RELATION_BUDGET,
-                 product_budget: int = DEFAULT_PRODUCT_BUDGET) -> DecomposableHenkinModel:
+                 budget: int = DEFAULT_RELATION_BUDGET) -> DecomposableHenkinModel:
     """Materialise the decomposable relations of the ultraproduct for
     every arity up to arity_bound.
 
@@ -354,7 +353,7 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
                 f"the {k}-ary relations on the quotient, 2^({n}^{k}) sets of up to"
                 f" {n}^{k} tuples, exceed the budget of {budget}",
                 required=None if relations is None else relations * tuples, budget=budget)
-    result = ultraproduct(family, U, product_budget=product_budget)
+    result = ultraproduct(family, U)
     upsilon = {}
     large = None
     for k in range(1, arity_bound + 1):
@@ -423,15 +422,14 @@ class LosReport:
 
 
 def check_los(family, U: Ultrafilter, f, *,
-              budget: int = DEFAULT_RELATION_BUDGET,
-              product_budget: int = DEFAULT_PRODUCT_BUDGET) -> LosReport:
+              budget: int = DEFAULT_RELATION_BUDGET) -> LosReport:
     """Compare truth of the closed sentence f in the Henkin model of the
     ultraproduct against largeness of its truth set across the factors,
     both evaluations under budget.  Disagreement is a defect, never a
     valid outcome."""
     family = _check_family(family, U)
     bound = max(fm.so_quantifier_arities(f), default=1)
-    M = henkin_model(family, U, bound, budget=budget, product_budget=product_budget)
+    M = henkin_model(family, U, bound, budget=budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(
         i for i in range(U.size)
@@ -455,8 +453,7 @@ class FubiniReport:
         }
 
 
-def check_fubini(grid, F: Ultrafilter, G: Ultrafilter, *,
-                 product_budget: int = DEFAULT_PRODUCT_BUDGET) -> FubiniReport:
+def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:
     """Build the one-step product over the product ultrafilter and the
     iterated column-then-row construction, and exhibit an isomorphism
     between them (one must exist)."""
@@ -464,14 +461,11 @@ def check_fubini(grid, F: Ultrafilter, G: Ultrafilter, *,
     if len(grid) != F.size or any(len(row) != G.size for row in grid):
         raise ValidationError("grid shape must be |I| x |J|")
     flat = [grid[i][j] for i in range(F.size) for j in range(G.size)]
-    lhs = ultraproduct(flat, product_ultrafilter(F, G), product_budget=product_budget)
-    inner = [
-        ultraproduct([grid[i][j] for i in range(F.size)], F,
-                     product_budget=product_budget).quotient
-        for j in range(G.size)
-    ]
-    rhs = ultraproduct(inner, G, product_budget=product_budget)
-    witness = find_isomorphism(lhs.quotient, rhs.quotient, budget=product_budget)
+    lhs = ultraproduct(flat, product_ultrafilter(F, G))
+    inner = [ultraproduct([grid[i][j] for i in range(F.size)], F).quotient
+             for j in range(G.size)]
+    rhs = ultraproduct(inner, G)
+    witness = find_isomorphism(lhs.quotient, rhs.quotient)
     if witness is None:
         raise SoLabError("no isomorphism between the two constructions; this is a defect")
     return FubiniReport((F.size, G.size), witness, len(flat))
@@ -498,8 +492,7 @@ class Ultrachain:
         return out
 
 
-def build_ultrachain(A0: FiniteStructure, filters, *,
-                     product_budget: int = DEFAULT_PRODUCT_BUDGET) -> Ultrachain:
+def build_ultrachain(A0: FiniteStructure, filters) -> Ultrachain:
     """Iterated ultrapowers: stage k+1 is the ultrapower of stage k by
     filters[k]; each embedding sends an element to the class of its
     constant sequence."""
@@ -507,7 +500,7 @@ def build_ultrachain(A0: FiniteStructure, filters, *,
     embeddings = []
     current = A0
     for U in filters:
-        result = ultraproduct([current] * U.size, U, product_budget=product_budget)
+        result = ultraproduct([current] * U.size, U)
         emb = []
         for a in range(current.size):
             target = None

@@ -80,14 +80,15 @@ _HAMILTONIAN_TEXT = (
 )
 
 
-def _balanced_and(parts):
-    """The conjunction of parts, in order, as a tree of logarithmic
-    height: the n(n-1)/2 inequalities of at_least:n as one chain would
-    nest past the interpreter's recursion limit from n = 27 on."""
+def _balanced(node, parts):
+    """parts joined by node (fm.And or fm.Or), in order, as a tree of
+    logarithmic height: the n(n-1)/2 inequalities of at_least:n as one
+    chain would nest past the interpreter's recursion limit from n = 27
+    on."""
     if len(parts) == 1:
         return parts[0]
     mid = len(parts) // 2
-    return fm.And(_balanced_and(parts[:mid]), _balanced_and(parts[mid:]))
+    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
 
 
 def _at_least(n: int) -> fm.Formula:
@@ -103,7 +104,7 @@ def _at_least(n: int) -> fm.Formula:
     if n == 1:
         out = fm.Eq(names[0], names[0])
     else:
-        out = _balanced_and([
+        out = _balanced(fm.And, [
             fm.Not(fm.Eq(names[i], names[j]))
             for i in range(n) for j in range(i + 1, n)
         ])
@@ -115,11 +116,17 @@ def _at_least(n: int) -> fm.Formula:
 def _colorable(k: int) -> fm.Formula:
     if k < 1:
         raise ValidationError("colorable requires k >= 1")
+    # k relation quantifiers over a balanced & of k + 1 parts: first the
+    # cover, ALL x over a balanced | of k atoms, at depth
+    # floor(log2(k + 1)), then per colour ALL x ALL y (edge -> ~(C(x) &
+    # C(y))), six levels, at depth up to ceil(log2(k + 1)).  Refused past
+    # MAX_DEPTH, as at_least is.
+    cover = (k + 1).bit_length() - 1 + 2 + (k - 1).bit_length()
+    if k + max(cover, k.bit_length() + 6) > fm.MAX_DEPTH:
+        raise ValidationError(
+            f"colorable:{k} is nested more than {fm.MAX_DEPTH} levels deep")
     names = [f"C{i}" for i in range(k)]
-    cover = fm.Atom(names[0], ("x",))
-    for name in names[1:]:
-        cover = fm.Or(cover, fm.Atom(name, ("x",)))
-    parts = [fm.ForallFO("x", cover)]
+    parts = [fm.ForallFO("x", _balanced(fm.Or, [fm.Atom(name, ("x",)) for name in names]))]
     for name in names:
         clash = fm.And(fm.Atom(name, ("x",)), fm.Atom(name, ("y",)))
         parts.append(
@@ -127,10 +134,7 @@ def _colorable(k: int) -> fm.Formula:
                 "y", fm.Implies(fm.Atom("edge", ("x", "y")), fm.Not(clash))
             ))
         )
-    body = parts[0]
-    for p in parts[1:]:
-        body = fm.And(body, p)
-    out = body
+    out = _balanced(fm.And, parts)
     for name in reversed(names):
         out = fm.ExistsSO(name, 1, out)
     return out

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,30 @@ class TestBasicCommands:
         assert code == 0
         report = json.loads(out)
         assert report["label"] == "Sigma(1)"
+
+    @pytest.mark.parametrize("operand, levels, expected", [
+        ("X(x)", 90, 0),
+        ("(EX2 X:1 X(x))", 10, 2),
+    ])
+    def test_prenex_of_nested_iff(self, capsys, operand, levels, expected):
+        # Kept as written, 90 levels answer at once; expanded around
+        # relation quantifiers, 10 levels would need 3070 of them.
+        text = operand
+        for _ in range(levels):
+            text = f"{operand} <-> ({text})"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "prenex", "--formula", text)
+        assert code == expected, err
+        assert time.perf_counter() - start < 1
+        if expected == 2:
+            assert "3070 relation quantifiers" in err
+
+    def test_many_colours(self, capsys, c4_file):
+        # colorable:120 would nest deeper than parse accepts.
+        code, out, _ = run(capsys, "eval", "--structure", c4_file, "--builtin", "colorable:80")
+        assert code == 0 and out.strip() == "true"
+        code, _, err = run(capsys, "eval", "--structure", c4_file, "--builtin", "colorable:120")
+        assert code == 2 and "nested more than 100 levels" in err
 
     def test_syntax_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "parse", "--formula", "EX x R(x,x")

@@ -189,6 +189,10 @@ def test_free_variable_outside_the_universe():
     f = fm.parse("EX2 X:1 (X(x) & ~X(y))")
     with pytest.raises(ValidationError, match="outside the universe"):
         eval_so_full(STRUCTURES[2][5], f, Assignment({"x": 0, "y": 2}, {}))
+    # x indexes no tuple variable, and the matrix holds for every X.
+    f = fm.parse("EX2 X:1 ALL y (X(y) | x = x)")
+    with pytest.raises(ValidationError, match="'x' = 99 is outside the universe"):
+        eval_so_full(STRUCTURES[2][5], f, Assignment({"x": 99}, {}))
 
 
 # ---------------------------------------------------------------------------

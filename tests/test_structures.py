@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -164,6 +165,28 @@ class TestFindIsomorphism:
         A = edge_pair(2, [])
         mapping = find_isomorphism(A, A)
         assert mapping == (0, 1)
+        # Against the least of all permutations, on seeded pairs that are
+        # often isomorphic: B is a relabelling of A, sometimes with an
+        # edge added or removed.
+        rng = random.Random(21)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            A = gen.random_structure(rng, MIXED, n, density=rng.choice((0.3, 0.5)))
+            perm = rng.sample(range(n), n)
+            rels = {name: {tuple(perm[x] for x in t) for t in A.rels[name]}
+                    for name in A.sig.names}
+            roll = rng.random()
+            if roll < 0.15:
+                rels["edge"].add((rng.randrange(n), rng.randrange(n)))
+            elif roll < 0.3 and rels["edge"]:
+                rels["edge"].remove(min(rels["edge"]))
+            B = FiniteStructure(MIXED, n, rels)
+            least = next((image for image in itertools.permutations(range(n))
+                          if is_isomorphism(A, B, image)), None)
+            assert find_isomorphism(A, B) == least
+            found += least is not None
+        assert found > 200
 
     def test_c6_vs_two_triangles(self):
         assert find_isomorphism(cycle_graph(6), double_cycle(3)) is None

@@ -59,6 +59,11 @@ class TestBuiltins:
         with pytest.raises(ValidationError, match="nested more than"):
             builtin("at_least:87")
 
+    def test_colorable_nests_no_deeper_than_parse_accepts(self):
+        assert fm.scope(builtin("colorable:85").formula).height == fm.MAX_DEPTH
+        with pytest.raises(ValidationError, match="nested more than"):
+            builtin("colorable:86")
+
     def test_hamiltonian_examples(self):
         ham = builtin("hamiltonian").formula
         assert str(fm.classify(ham)) == "Sigma(1)"
