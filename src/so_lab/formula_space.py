@@ -120,20 +120,6 @@ def _literal(formula, bit):
     return formula if bit else fm.Not(formula)
 
 
-def _conjunction(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = fm.And(out, p)
-    return out
-
-
-def _disjunction(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = fm.Or(out, p)
-    return out
-
-
 def find_separating_formula(K, L, fragment: Fragment, *,
                             budget: int = DEFAULT_RELATION_BUDGET):
     """A Boolean combination of fragment members true on every member of
@@ -141,7 +127,8 @@ def find_separating_formula(K, L, fragment: Fragment, *,
     meet (in which case no such combination exists).
 
     The formula is the disjunction over K's vectors of the conjunction
-    of matching literals; it is not minimised."""
+    of matching literals, each a balanced tree (formulas.balanced); it
+    is not minimised."""
     return separating_combination(vector_set(K, fragment, budget=budget),
                                   vector_set(L, fragment, budget=budget), fragment)
 
@@ -154,8 +141,8 @@ def separating_combination(kv: VectorSet, lv: VectorSet, fragment: Fragment):
     disjuncts = []
     for v in sorted(kv.vectors, key=lambda v: v.bits):
         parts = [_literal(f, bit) for f, bit in zip(fragment.formulas, v.bits)]
-        disjuncts.append(_conjunction(parts))
-    return _disjunction(disjuncts)
+        disjuncts.append(fm.balanced(fm.And, parts))
+    return fm.balanced(fm.Or, disjuncts)
 
 
 def boolean_closure(fragment: Fragment, depth: int, *,

@@ -132,9 +132,10 @@ _QUANTIFIERS = {"ALL": ForallFO, "EX": ExistsFO, "ALL2": ForallSO, "EX2": Exists
 _KEYWORD_OF = {node: keyword for keyword, node in _QUANTIFIERS.items()}
 KEYWORDS = frozenset(_QUANTIFIERS)
 
-# The deepest syntax tree parse accepts.  The rewriting passes and the
-# evaluators recurse once or twice per level, so deeper input would end
-# in a RecursionError rather than an answer.
+# The deepest syntax tree parse accepts, and check_height accepts of a
+# tree built by hand.  The rewriting passes and the evaluators recurse
+# once or twice per level, so deeper input would end in a RecursionError
+# rather than an answer.
 MAX_DEPTH = 100
 
 
@@ -492,6 +493,25 @@ def _print(f, min_level):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
+def check_height(f):
+    """Raise ValidationError, in parse's wording, when f nests deeper
+    than MAX_DEPTH.  A tree built through the library rather than parse
+    meets the same bound: the evaluators and prenex_so call this before
+    they hash f or recurse over it."""
+    if scope(f).height > MAX_DEPTH:
+        raise ValidationError(f"formula is nested more than {MAX_DEPTH} levels deep")
+
+
+def balanced(node, parts):
+    """parts joined by node (And or Or), in order, as a tree of
+    logarithmic height, so that a long conjunction or disjunction stays
+    within MAX_DEPTH."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return node(balanced(node, parts[:mid]), balanced(node, parts[mid:]))
+
+
 def contains_so(f) -> bool:
     return bool(scope(f).so_arities)
 
@@ -728,11 +748,13 @@ def prenex_so(f: Formula) -> Formula:
     absorbing the individual variable as a leading argument:
     ALL x EX2 X:k b  ==  EX2 X:k+1 ALL x b[X(t...) -> X(x, t...)].
 
-    Raises ValidationError when the prefix would hold more than
-    MAX_DEPTH relation quantifiers, counted before anything is built, or
-    when the result nests deeper than MAX_DEPTH, so that
+    Raises ValidationError when f nests deeper than MAX_DEPTH, when the
+    prefix would hold more than MAX_DEPTH relation quantifiers, counted
+    before anything is built, or when the result nests deeper than
+    MAX_DEPTH, so that
     parse(print_formula(g)) == g whenever it answers.
     """
+    check_height(f)
     if not free_fo_variables(f) and classify(f) is not NONPRENEX:
         return f
     g = universal_closure(f)

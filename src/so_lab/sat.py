@@ -7,18 +7,17 @@ satisfiable.  Universal prefixes are decided through the dual: ALL2
 X1 .. ALL2 Xm M holds iff the grounding of ~M is unsatisfiable.
 
 The grounder is compiled once per (matrix, prefix, universe size,
-polarity) into closures, as structures.compile_evaluator compiles each
-formula once, and kept in a bounded cache.  Each call folds structure
-atoms and equalities to constants and emits CNF directly from the
-negation normal form of the matrix: every top-level conjunct, ALL
-expansions included, becomes its own clause, and a disjunction nested
-inside a conjunction is inlined as a clause.  Only a conjunction nested
-inside a disjunction gets an auxiliary variable g, defined in one
-direction only (g -> conjunct, after Plaisted and Greenbaum) and shared
-per (subformula, values of its free variables).  A conflict-driven
-clause-learning solver (first-UIP learning, non-chronological
-backjumping, two watched literals) branches over the tuple variables
-only, in a fixed order, and counts its work.
+polarity) into closures, in one pass over the matrix that pushes
+negation inward as it goes, and kept in a bounded cache.  Each call
+folds structure atoms and equalities to constants and emits CNF: every
+top-level conjunct, ALL expansions included, becomes its own clause,
+and a disjunction inside a conjunction is inlined as a clause.  Only a
+conjunction inside a disjunction gets an auxiliary variable g, defined
+in one direction only (g -> conjunct, after Plaisted and Greenbaum) and
+shared per (subformula, values of its free variables).  A
+conflict-driven clause-learning solver (first-UIP learning,
+non-chronological backjumping, two watched literals) branches over the
+tuple variables only, in a fixed order, and counts its work.
 
 The grounder trusts its symbols, their arities and the values of the
 free individual variables, which structures.eval_so_full has checked.
@@ -50,25 +49,6 @@ def _grounder(matrix, prefix, n, negate):
 # Compiling the matrix to a grounder
 # ---------------------------------------------------------------------------
 
-class _Node:
-    """A negation-normal-form node.  kind is "and", "or" (args: the
-    children, nested nodes of the same kind merged in), "all", "ex"
-    (args: the variable's slot and the body), "tvar" (args: the first
-    tuple variable of the relation variable and the argument slots),
-    "rel" (args: the relation's slot and the argument slots) or "eq"
-    (args: the two slots).  free holds the slots of the free variables;
-    symbolic is true when a tuple variable occurs below."""
-
-    __slots__ = ("kind", "args", "positive", "free", "symbolic")
-
-    def __init__(self, kind, args, positive, free, symbolic):
-        self.kind = kind
-        self.args = args
-        self.positive = positive
-        self.free = free
-        self.symbolic = symbolic
-
-
 class _Run:
     """Per-call state of a grounding: the clause sink, the number of
     variables so far and the auxiliary variables already defined."""
@@ -83,9 +63,11 @@ class _Run:
 
 class _Grounder:
     """The grounding of one matrix under one prefix, universe size and
-    polarity, as closures over a per-call frame.  Slot 0 of the frame
-    holds the _Run; the other slots hold the values of the individual
-    variables and the relations that structure atoms refer to."""
+    polarity, as closures over a per-call frame: slot 0 holds the _Run,
+    the others the values of the individual variables and the relations
+    of structure atoms.  Each compile step takes a subformula and neg
+    (a negation is pending over it) and returns a part (closure, free
+    slots, symbolic: whether a tuple variable occurs below)."""
 
     def __init__(self, matrix, prefix, n, negate):
         self.n = n
@@ -103,93 +85,70 @@ class _Grounder:
         self.rels = {name: slot for slot, name in enumerate(rels, 1 + len(self.free))}
         self.nslots = 1 + len(self.free) + len(self.rels)
         self._gate_ids = 0
-        self.root = self._conj(self._nnf(matrix, negate, {}))
-
-    # -- negation normal form ------------------------------------------
-
-    def _var(self, name, scope):
-        slot = scope.get(name)
-        return self.free[name] if slot is None else slot
-
-    def _nnf(self, g, neg, scope):
-        if isinstance(g, fm.Atom):
-            if g.rel in self.tvars:
-                first = self.tvars[g.rel]
-                slots = tuple(self._var(a, scope) for a in g.args)
-                return _Node("tvar", (first, slots), not neg, frozenset(slots), True)
-            slots = tuple(self._var(a, scope) for a in g.args)
-            return _Node("rel", (self.rels[g.rel], slots), not neg, frozenset(slots), False)
-        if isinstance(g, fm.Eq):
-            slots = (self._var(g.left, scope), self._var(g.right, scope))
-            return _Node("eq", slots, not neg, frozenset(slots), False)
-        if isinstance(g, fm.Not):
-            return self._nnf(g.sub, not neg, scope)
-        if isinstance(g, (fm.And, fm.Or)):
-            conjunctive = isinstance(g, fm.And) != neg
-            return self._join(conjunctive, [self._nnf(g.left, neg, scope),
-                                            self._nnf(g.right, neg, scope)])
-        if isinstance(g, fm.Implies):
-            return self._join(neg, [self._nnf(g.left, not neg, scope),
-                                    self._nnf(g.right, neg, scope)])
-        if isinstance(g, fm.Iff):
-            # (l <-> r) is (~l | r) & (l | ~r); its negation is
-            # (l | r) & (~l | ~r).  Both are conjunctions of clauses.
-            lp = self._nnf(g.left, False, scope)
-            ln = self._nnf(g.left, True, scope)
-            rp = self._nnf(g.right, False, scope)
-            rn = self._nnf(g.right, True, scope)
-            if neg:
-                pairs = ((lp, rp), (ln, rn))
-            else:
-                pairs = ((ln, rp), (lp, rn))
-            return self._join(True, [self._join(False, list(p)) for p in pairs])
-        if isinstance(g, (fm.ExistsFO, fm.ForallFO)):
-            slot = self.nslots
-            self.nslots += 1
-            body = self._nnf(g.body, neg, {**scope, g.var: slot})
-            kind = "ex" if isinstance(g, fm.ExistsFO) != neg else "all"
-            return _Node(kind, (slot, body), True, body.free - {slot}, body.symbolic)
-        raise SoLabError(f"matrix is not first-order: {g!r}")
+        self.root = self._compile(matrix, negate, True, {})[0]
 
     @staticmethod
-    def _join(conjunctive, children):
-        kind = "and" if conjunctive else "or"
-        flat = []
-        for c in children:
-            flat.extend(c.args if c.kind == kind else (c,))
-        # Constant children first, so a folded conjunct or disjunct cuts
-        # the expansion short before any literal is built.
-        flat.sort(key=lambda c: c.symbolic)
-        return _Node(kind, tuple(flat), True,
-                     frozenset().union(*(c.free for c in flat)),
-                     any(c.symbolic for c in flat))
+    def _spine(g, neg, conjunctive):
+        """(subformula, neg) parts, left to right, whose & (conjunctive)
+        or | is g under neg, through ~ and ->.  A <-> in a & spine adds
+        (~l | r) and (l | ~r), or (l | r) and (~l | ~r) when negated."""
+        parts = []
+        stack = [(g, neg)]
+        while stack:
+            g, neg = stack.pop()
+            kind = type(g)
+            if kind is fm.Not:
+                stack.append((g.sub, not neg))
+            elif kind is fm.Iff and conjunctive:
+                left = g.left if neg else fm.Not(g.left)
+                parts.append((fm.Or(left, g.right), False))
+                parts.append((fm.Or(fm.Not(left), fm.Not(g.right)), False))
+            elif (kind is fm.And or kind is fm.Or) and ((kind is fm.And) != neg) == conjunctive:
+                stack += ((g.right, neg), (g.left, neg))
+            elif kind is fm.Implies and neg == conjunctive:
+                stack += ((g.right, neg), (g.left, not neg))
+            else:
+                parts.append((g, neg))
+        return parts
 
-    # -- closures --------------------------------------------------------
+    @staticmethod
+    def _sequence(parts, conjunctive):
+        # Constant parts first, so a folded conjunct or disjunct cuts the
+        # expansion short before any literal is built.
+        parts.sort(key=lambda part: part[2])
+        fns, frees, symbolic = zip(*parts)
+        if conjunctive:
 
-    def _conj(self, node):
-        """fn(frame, clauses) -> False when node folds to false, else
-        True after appending the clauses node is the conjunction of."""
-        kind = node.kind
-        if kind == "and":
-            parts = [self._conj(c) for c in node.args]
-
-            def conj(frame, out):
-                for part in parts:
+            def fn(frame, out):
+                for part in fns:
                     if not part(frame, out):
                         return False
                 return True
-        elif kind == "all":
-            slot, body = node.args[0], self._conj(node.args[1])
-            universe = range(self.n)
-
-            def conj(frame, out):
-                for e in universe:
-                    frame[slot] = e
-                    if not body(frame, out):
-                        return False
-                return True
         else:
-            disj = self._disj(node)
+
+            def fn(frame, lits):
+                for part in fns:
+                    if part(frame, lits):
+                        return True
+                return False
+        return fn, frozenset().union(*frees), any(symbolic)
+
+    def _compile(self, g, neg, conjunctive, scope):
+        """The part for g under neg.  Conjunctive: fn(frame, clauses) ->
+        False when g folds to false, else True after appending the clauses
+        g is the conjunction of.  Else fn(frame, lits) -> True when g folds
+        to true, else False after appending the literals of g's clause."""
+        parts = self._spine(g, neg, conjunctive)
+        if len(parts) > 1:
+            return self._sequence([self._compile(*part, conjunctive, scope) for part in parts],
+                                  conjunctive)
+        g, neg = parts[0]
+        kind = type(g)
+        quantifier = kind is fm.ExistsFO or kind is fm.ForallFO
+        if quantifier and ((kind is fm.ForallFO) != neg) == conjunctive:
+            return self._loop(g, neg, conjunctive, scope)
+        if conjunctive:
+            disj, free, symbolic = self._compile(g, neg, False, scope)
 
             def conj(frame, out):
                 lits = []
@@ -199,47 +158,52 @@ class _Grounder:
                     return False
                 out.append(lits)
                 return True
-        return conj
+            return conj, free, symbolic
+        if kind is fm.Atom or kind is fm.Eq:
+            args = g.args if kind is fm.Atom else (g.left, g.right)
+            slots = tuple(scope[a] if a in scope else self.free[a] for a in args)
+            positive = not neg
+            symbolic = kind is fm.Atom and g.rel in self.tvars
+            if kind is fm.Eq:
+                a, b = slots
 
-    def _disj(self, node):
-        """fn(frame, lits) -> True when node folds to true, else False
-        after appending the literals node is the disjunction of."""
-        kind = node.kind
-        if kind == "or":
-            parts = [self._disj(c) for c in node.args]
+                def disj(frame, lits):
+                    return (frame[a] == frame[b]) == positive
+            elif symbolic:
+                disj = self._tvar(self.tvars[g.rel], slots, positive)
+            else:
+                disj = self._rel(self.rels[g.rel], slots, positive)
+            return disj, frozenset(slots), symbolic
+        if not quantifier and kind not in (fm.And, fm.Or, fm.Implies, fm.Iff):
+            raise SoLabError(f"matrix is not first-order: {g!r}")
+        return self._gate(g, neg, scope)
 
-            def disj(frame, lits):
-                for part in parts:
-                    if part(frame, lits):
-                        return True
-                return False
-        elif kind == "ex":
-            slot, body = node.args[0], self._disj(node.args[1])
-            universe = range(self.n)
+    def _loop(self, g, neg, conjunctive, scope):
+        """ALL (conjunctive) or EX x over the universe, x in a new slot."""
+        slot = self.nslots
+        self.nslots += 1
+        body, free, symbolic = self._compile(g.body, neg, conjunctive, {**scope, g.var: slot})
+        universe = range(self.n)
+        if conjunctive:
 
-            def disj(frame, lits):
+            def fn(frame, out):
+                for e in universe:
+                    frame[slot] = e
+                    if not body(frame, out):
+                        return False
+                return True
+        else:
+
+            def fn(frame, lits):
                 for e in universe:
                     frame[slot] = e
                     if body(frame, lits):
                         return True
                 return False
-        elif kind == "tvar":
-            disj = self._tvar(node)
-        elif kind == "rel":
-            disj = self._rel(node)
-        elif kind == "eq":
-            a, b = node.args
-            positive = node.positive
+        return fn, free - {slot}, symbolic
 
-            def disj(frame, lits):
-                return (frame[a] == frame[b]) == positive
-        else:
-            disj = self._gate(node)
-        return disj
-
-    def _tvar(self, node):
-        first, slots = node.args
-        sign = 1 if node.positive else -1
+    def _tvar(self, first, slots, positive):
+        sign = 1 if positive else -1
         n = self.n
         if len(slots) == 2:
             a, b = slots
@@ -258,9 +222,7 @@ class _Grounder:
         return disj
 
     @staticmethod
-    def _rel(node):
-        r, slots = node.args
-        positive = node.positive
+    def _rel(r, slots, positive):
         if len(slots) == 2:
             a, b = slots
 
@@ -272,14 +234,14 @@ class _Grounder:
                 return (tuple(frame[s] for s in slots) in frame[r]) == positive
         return disj
 
-    def _gate(self, node):
+    def _gate(self, g, neg, scope):
         """A conjunction inside a disjunction: its literals are those of
         its only clause, or one auxiliary variable g with the clauses
         (~g | c) for each of its clauses c."""
-        conj = self._conj(node)
+        conj, free, symbolic = self._compile(g, neg, True, scope)
         self._gate_ids += 1
         gid = self._gate_ids
-        key_slots = tuple(sorted(node.free))
+        key_slots = tuple(sorted(free))
 
         def disj(frame, lits):
             run = frame[0]
@@ -306,9 +268,7 @@ class _Grounder:
             if got is not False:
                 lits.extend(got)
             return False
-        return disj
-
-    # -- grounding and solving -------------------------------------------
+        return disj, free, symbolic
 
     def ground(self, A, fo_env, so_env):
         """The _Run holding the clauses of the grounding on A, or None

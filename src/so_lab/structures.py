@@ -574,6 +574,7 @@ def relation_domain(n, budget, depth, candidates=None, outer=()):
 
 def eval_fo(A: FiniteStructure, f, asg: Assignment | None = None) -> bool:
     """Tarski satisfaction for formulas without relation quantifiers."""
+    fm.check_height(f)
     evaluate, has_so, _, _ = compile_evaluator(f)
     if has_so:
         raise ValidationError("eval_fo requires a formula without relation quantifiers")
@@ -593,6 +594,7 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     the structure's atoms to constants and emits a small CNF over one
     variable per candidate tuple, which a clause-learning solver decides.
     """
+    fm.check_height(f)
     evaluate, _, homogeneous, depth = compile_evaluator(f)
     so_domain = relation_domain(A.size, budget, depth)
     fo = asg.fo if asg else {}

@@ -383,6 +383,7 @@ def henkin_eval(M: DecomposableHenkinModel, f, *,
     universe, until one makes it false.  The budget is charged as
     structures.relation_domain states, with these as its outer variables.
     """
+    fm.check_height(f)
     evaluate, _, _, depth = compile_evaluator(f)
     found = fm.scope(f)
     free = {name: k for name, k in found.symbols.items() if M.base.sig.arity(name) is None}

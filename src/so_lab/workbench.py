@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .formula_space import (
     Fragment,
     boolean_closure,
-    find_separating_formula,
+    separating_combination,
     set_distance,
     vector_set,
 )
@@ -80,53 +80,41 @@ _HAMILTONIAN_TEXT = (
 )
 
 
-def _balanced(node, parts):
-    """parts joined by node (fm.And or fm.Or), in order, as a tree of
-    logarithmic height: the n(n-1)/2 inequalities of at_least:n as one
-    chain would nest past the interpreter's recursion limit from n = 27
-    on."""
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
+def _too_deep(label):
+    # Refused as parse refuses text, since the evaluators recurse once or
+    # more per level.
+    return ValidationError(f"{label} is nested more than {fm.MAX_DEPTH} levels deep")
 
 
 def _at_least(n: int) -> fm.Formula:
     if n < 1:
         raise ValidationError("at_least requires n >= 1")
-    # n quantifier levels, ceil(log2(n(n-1)/2)) of & and two of ~(x = y):
-    # refused past MAX_DEPTH, as parse refuses text, since the evaluators
-    # recurse once or more per level.
-    if n + (n * (n - 1) // 2 - 1).bit_length() + 2 > fm.MAX_DEPTH:
-        raise ValidationError(
-            f"at_least:{n} is nested more than {fm.MAX_DEPTH} levels deep")
+    if n > fm.MAX_DEPTH:
+        raise _too_deep(f"at_least:{n}")
     names = [f"x{i}" for i in range(n)]
     if n == 1:
         out = fm.Eq(names[0], names[0])
     else:
-        out = _balanced(fm.And, [
+        # The n(n-1)/2 inequalities as one chain would nest past the
+        # interpreter's recursion limit from n = 27 on.
+        out = fm.balanced(fm.And, [
             fm.Not(fm.Eq(names[i], names[j]))
             for i in range(n) for j in range(i + 1, n)
         ])
     for name in reversed(names):
         out = fm.ExistsFO(name, out)
+    if fm.scope(out).height > fm.MAX_DEPTH:
+        raise _too_deep(f"at_least:{n}")
     return out
 
 
 def _colorable(k: int) -> fm.Formula:
     if k < 1:
         raise ValidationError("colorable requires k >= 1")
-    # k relation quantifiers over a balanced & of k + 1 parts: first the
-    # cover, ALL x over a balanced | of k atoms, at depth
-    # floor(log2(k + 1)), then per colour ALL x ALL y (edge -> ~(C(x) &
-    # C(y))), six levels, at depth up to ceil(log2(k + 1)).  Refused past
-    # MAX_DEPTH, as at_least is.
-    cover = (k + 1).bit_length() - 1 + 2 + (k - 1).bit_length()
-    if k + max(cover, k.bit_length() + 6) > fm.MAX_DEPTH:
-        raise ValidationError(
-            f"colorable:{k} is nested more than {fm.MAX_DEPTH} levels deep")
+    if k > fm.MAX_DEPTH:
+        raise _too_deep(f"colorable:{k}")
     names = [f"C{i}" for i in range(k)]
-    parts = [fm.ForallFO("x", _balanced(fm.Or, [fm.Atom(name, ("x",)) for name in names]))]
+    parts = [fm.ForallFO("x", fm.balanced(fm.Or, [fm.Atom(name, ("x",)) for name in names]))]
     for name in names:
         clash = fm.And(fm.Atom(name, ("x",)), fm.Atom(name, ("y",)))
         parts.append(
@@ -134,9 +122,11 @@ def _colorable(k: int) -> fm.Formula:
                 "y", fm.Implies(fm.Atom("edge", ("x", "y")), fm.Not(clash))
             ))
         )
-    out = _balanced(fm.And, parts)
+    out = fm.balanced(fm.And, parts)
     for name in reversed(names):
         out = fm.ExistsSO(name, 1, out)
+    if fm.scope(out).height > fm.MAX_DEPTH:
+        raise _too_deep(f"colorable:{k}")
     return out
 
 
@@ -407,7 +397,7 @@ def metric_suite(pairs: int = 100, seed: int = 44, *, max_size: int = 3) -> dict
         lv = vector_set(L, fragment)
         disjoint = not (kv.vectors & lv.vectors)
         distance = set_distance(kv, lv)
-        separator = find_separating_formula(K, L, fragment)
+        separator = separating_combination(kv, lv, fragment)
         ok = (separator is not None) == disjoint == (distance > 0)
         if separator is not None:
             ok = ok and all(eval_so_full(A, separator) for A in K)
@@ -568,9 +558,9 @@ def _demo_separation(params):
     fragment = Fragment(GRAPH_SIGNATURE, (ham.formula,))
     K = [cycle_graph(4), cycle_graph(6), cycle_graph(8)]
     L = [double_cycle(3), double_cycle(4)]
-    separator = find_separating_formula(K, L, fragment)
     kv = vector_set(K, fragment)
     lv = vector_set(L, fragment)
+    separator = separating_combination(kv, lv, fragment)
     checks = [
         _check("separator found", True, separator is not None),
         _check("separator is the defining sentence", fm.print_formula(ham.formula),

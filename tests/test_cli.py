@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 import so_lab
-from so_lab import cli, formula_space
+from so_lab import cli, formula_space, formulas as fm
 from so_lab.workbench import cycle_graph, double_cycle
 
 
@@ -321,11 +321,12 @@ class TestSpaceCommands:
         assert code == 0 and len(calls) == len(set(calls)) == 5 * 3
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
+        # Each conjunction of literals is a balanced tree: a & (b & c).
         separator = (
-            "~(ALL x EX y edge(x, y)) & (EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
-            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x))"
-            " | (ALL x EX y edge(x, y)) & (EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
-            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x))")
+            "~(ALL x EX y edge(x, y)) & ((EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
+            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x)))"
+            " | (ALL x EX y edge(x, y)) & ((EX2 R:1 ALL x ALL y edge(x, y) -> (R(x) <-> ~R(y)))"
+            " & ~(EX x EX y EX z edge(x, y) & edge(y, z) & edge(z, x)))")
         assert text == (
             "K vectors: 010 (point.json), 110 (c4.json)\n"
             "L vectors: 100 (c5.json), 101 (c3.json)\n"
@@ -340,6 +341,25 @@ class TestSpaceCommands:
             "distance": "1/2",
             "separator": separator,
         }, indent=2) + "\n"
+
+    def test_separator_of_a_long_fragment_parses_back(self, capsys, tmp_path):
+        # Joined as one chain, the 1,200 literals nest too deep to print.
+        for family, text in (("k", '{"universe": 1, "signature": {"p": 1},'
+                                    ' "relations": {"p": [[0]]}}'),
+                             ("l", '{"universe": 2, "signature": {"p": 1}}')):
+            (tmp_path / family).mkdir()
+            (tmp_path / family / "a.json").write_text(text)
+        frag = tmp_path / "frag.json"
+        frag.write_text(json.dumps([f"EX x{i} p(x{i})" for i in range(1200)]))
+        code, out, err = run(capsys, "separate", "--k", str(tmp_path / "k"),
+                             "--l", str(tmp_path / "l"), "--fragment", str(frag),
+                             "--format", "json")
+        assert code == 0, err
+        separator = json.loads(out)["separator"]
+        f = fm.parse(separator)
+        assert fm.print_formula(f) == separator
+        code, out, err = run(capsys, "parse", "--formula", separator)
+        assert code == 0, err
 
     def test_types(self, capsys, c4_file, tmp_path):
         ctx = tmp_path / "ctx.json"

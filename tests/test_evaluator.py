@@ -129,6 +129,37 @@ class TestIllTypedAtoms:
         assert eval_fo(UNARY_P, f) is True and eval_so_full(UNARY_P, f) is True
 
 
+def _negations(count):
+    """ALL x ~...~p(x) with count negations: count + 2 levels deep."""
+    f = fm.Atom("p", ("x",))
+    for _ in range(count):
+        f = fm.Not(f)
+    return fm.ForallFO("x", f)
+
+
+class TestDepthLimit:
+    """A tree built through the library rather than parse meets parse's
+    depth limit on every entry point, before it is hashed or recursed
+    over."""
+
+    ENTRY_POINTS = {
+        "eval_fo": lambda f: eval_fo(UNARY_P, f),
+        "eval_so_full": lambda f: eval_so_full(UNARY_P, f),
+        "henkin_eval": lambda f: henkin_eval(full_henkin_model(UNARY_P, 1), f),
+        "prenex_so": fm.prenex_so,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_deeper_than_parse_accepts(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        at_limit = _negations(fm.MAX_DEPTH - 2)
+        assert fm.scope(at_limit).height == fm.MAX_DEPTH
+        call(at_limit)
+        with pytest.raises(ValidationError,
+                           match=f"formula is nested more than {fm.MAX_DEPTH} levels deep"):
+            call(_negations(3000))
+
+
 class _ReentrantModel:
     """A Henkin model that evaluates the same sentence on another model
     each time a relation quantifier asks for its relation universe."""

@@ -7,6 +7,7 @@ the relation variables with all_relations and evaluates the matrix with
 eval_fo.  The solver alone is checked against truth tables on random
 CNFs, and its counters bound its work on `infinite`.
 """
+import hashlib
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from so_lab.structures import (
     eval_so_full,
     iter_structures,
 )
-from so_lab.workbench import builtin
+from so_lab.workbench import builtin, cycle_graph, double_cycle
 
 SIG = Signature.of({"p": 1, "edge": 2})
 STRUCTURES = {n: list(iter_structures(SIG, n)) for n in (1, 2, 3)}
@@ -256,6 +257,37 @@ def _infinite_clauses(n):
     grounder = sat._grounder(matrix, prefix, n, False)
     run = grounder.ground(FiniteStructure(EMPTY_SIGNATURE, n, {}), {}, {})
     return run.clauses, run.nvars, grounder.nbase
+
+
+# (clauses, variables, SHA-256 of repr(clauses)) of four groundings,
+# plain and negated.  Clause order steers the solver's search, so a
+# change to the grounder keeps these, or re-records them in the open.
+PINNED_GROUNDINGS = {
+    ("hamiltonian", "C5"): (
+        (795, 100, "3a65a0beffcdd6d26875eb1299b925d93c1bcf8920a5e82b049f685a4abd24dc"),
+        (1166, 550, "cc52aa16180df7bc7efc37a43acbd7ba2c8d1b35a936c5036a7bd2c7f8aa615c")),
+    ("hamiltonian", "D3"): (
+        (1362, 144, "daed17187134cbd39af3596173cd9acc3a435cf2c2478dd41962896faf660a0c"),
+        (2005, 936, "ac39b14aa853045fbb7bb4e503e6539eaa73a55edd94572b38ef8e2190fee1ee")),
+    ("colorable:3", "C5"): (
+        (35, 15, "ebf797c3a76f369cd4f9e17a14a88dd3c3fa3f3bb59e27ef68f0df8d93c58456"),
+        (76, 50, "63b557ad65139d1fe9d3adee108139404039c6ff2c18f65f40887b631b92ee2a")),
+    ("infinite", "7 elements"): (
+        (399, 49, "9968675fc10dee392334e6d2018cda102e43f656fcd53491d4ae1b26266d9e48"),
+        (1163, 441, "35bd5553f46f18ad1b8ec33a874d6742bc8e37fcea541fab46bc53179a0eb7a5")),
+}
+PIN_STRUCTURES = {"C5": cycle_graph(5), "D3": double_cycle(3),
+                  "7 elements": FiniteStructure(EMPTY_SIGNATURE, 7, {})}
+
+
+@pytest.mark.parametrize("key, structure", sorted(PINNED_GROUNDINGS))
+@pytest.mark.parametrize("negate", [False, True])
+def test_grounding_is_pinned(key, structure, negate):
+    prefix, matrix = fm.so_prefix(builtin(key).formula)
+    A = PIN_STRUCTURES[structure]
+    run = sat._grounder(matrix, prefix, A.size, negate).ground(A, {}, {})
+    digest = hashlib.sha256(repr(run.clauses).encode()).hexdigest()
+    assert (len(run.clauses), run.nvars, digest) == PINNED_GROUNDINGS[key, structure][negate]
 
 
 def _tautology(clause):

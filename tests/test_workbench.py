@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from so_lab import formula_space, gen
 from so_lab import formulas as fm
-from so_lab import gen
 from so_lab.errors import ValidationError
 from so_lab.structures import (
     EMPTY_SIGNATURE,
@@ -182,6 +182,24 @@ class TestSuites:
     def test_omission_suite_small(self):
         report = omission_suite(3, 20, max_size=2)
         assert report["pass"]
+
+    @pytest.mark.parametrize("run, pairs", [
+        (metric_suite, 4872),
+        (lambda: demo("separation"), 5),
+    ], ids=["metric_suite", "demo_separation"])
+    def test_separation_evaluates_each_pair_once(self, monkeypatch, run, pairs):
+        # Each (structure, fragment formula) pair of K and L is evaluated
+        # once, for its vector set, and not again to find the separator.
+        calls = []
+        counted = formula_space.eval_so_full
+
+        def eval_so_full(*args, **kwargs):
+            calls.append(args[:2])
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(formula_space, "eval_so_full", eval_so_full)
+        assert run()["pass"]
+        assert len(calls) == pairs
 
     def test_suites_are_deterministic(self):
         assert los_suite(25, 5) == los_suite(25, 5)
