@@ -26,6 +26,7 @@ class Fragment:
     def __post_init__(self):
         seen = set()
         for f in self.formulas:
+            fm.check_height(f)
             if f in seen:
                 raise ValidationError(f"duplicate fragment formula: {f}")
             seen.add(f)

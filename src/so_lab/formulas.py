@@ -463,6 +463,7 @@ def _level(f):
 
 def print_formula(f: Formula) -> str:
     """Concrete syntax for f; parse(print_formula(f)) == f."""
+    check_height(f)
     return _print(f, _LEVEL_QUANT)
 
 
@@ -496,8 +497,9 @@ def _print(f, min_level):
 def check_height(f):
     """Raise ValidationError, in parse's wording, when f nests deeper
     than MAX_DEPTH.  A tree built through the library rather than parse
-    meets the same bound: the evaluators and prenex_so call this before
-    they hash f or recurse over it."""
+    meets the same bound: the evaluators, prenex_so, print_formula,
+    Fragment and TypeContext call this before they hash f or recurse
+    over it."""
     if scope(f).height > MAX_DEPTH:
         raise ValidationError(f"formula is nested more than {MAX_DEPTH} levels deep")
 

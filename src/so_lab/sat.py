@@ -14,8 +14,37 @@ top-level conjunct, ALL expansions included, becomes its own clause,
 and a disjunction inside a conjunction is inlined as a clause.  Only a
 conjunction inside a disjunction gets an auxiliary variable g, defined
 in one direction only (g -> conjunct, after Plaisted and Greenbaum) and
-shared per (subformula, values of its free variables).  A
-conflict-driven clause-learning solver (first-UIP learning,
+shared per (subformula, values of its free variables).
+
+Symmetry breaking then adds lex-leader constraints (Crawford, Ginsberg,
+Luks and Roy, KR 1996) for transpositions of interchangeable elements.
+The reduct is A cut down to the matrix's structure symbols and its
+assigned free relation variables, and every value of a free individual
+variable stays fixed.  Element e's key is the set of (symbol, t with e
+replaced by a marker) over the reduct's tuples t that hold e; two
+elements have equal keys exactly when swapping them is an automorphism
+of the reduct and no tuple holds both.  So elements in no tuple share
+the empty key, and a matrix that names no structure symbol gets the
+full symmetric group.  The generators are the adjacent transpositions
+of each class, in element order.  For each generator sigma the
+constraint x <=lex sigma(x), false < true, runs over the tuple
+variables that occur in the CNF, in index order, and compares only the
+pairs (v, w = sigma(v)) with v < w, since a mirrored pair repeats its
+comparison.  It is encoded in linear size with chain variables (after
+Aloul, Markov and Sakallah): the first pair gives (~x_v | x_w), the
+k-th gives (~e_k-1 | ~x_v | x_w), and e_k is defined in one direction
+only, by (~e_k-1 | ~x_v | ~x_w | e_k) and (~e_k-1 | x_v | x_w | e_k),
+so that the equality of pairs 1..k implies it.  Chain variables are
+numbered after the gates.  A generator that does not map the occurring
+variables onto themselves is skipped; since the grounding is
+equivariant, none is.  The work is linear: the key pass reads each
+tuple of the reduct once, the occurring variables are bucketed by the
+elements their tuples hold, and since an element lies in at most two
+generators, at most k * |O| pairs come out over all generators (k the
+largest arity, O the occurring variables), each adding at most three
+clauses.  The tuple space itself is never walked.
+
+A conflict-driven clause-learning solver (first-UIP learning,
 non-chronological backjumping, two watched literals) branches over the
 tuple variables only, in a fixed order, and counts its work.
 
@@ -72,11 +101,15 @@ class _Grounder:
     def __init__(self, matrix, prefix, n, negate):
         self.n = n
         self.tvars = {}
+        blocks = []
         base = 0
         for _, name, arity in prefix:
             self.tvars[name] = base + 1
+            blocks.append((base + 1, arity))
             base += n ** arity
         self.nbase = base
+        # (first variable, arity) per relation variable, last first.
+        self.blocks = blocks[::-1]
         # Per-call inputs from slot 1 on, first occurrence first: the free
         # individual variables, then the relations of structure atoms.
         found = fm.scope(matrix)
@@ -282,9 +315,101 @@ class _Grounder:
         frame[0] = run
         return run if self.root(frame, run.clauses) else None
 
-    def satisfiable(self, A, fo_env, so_env) -> bool:
+    def break_symmetry(self, run, A, fo_env, so_env):
+        """Append to run the lex-leader constraint x <=lex sigma(x) for
+        each adjacent transposition sigma of a class of interchangeable
+        elements, and return how many constraints were appended."""
+        n = self.n
+        if n == 1:
+            return 0
+        # Element e's key: (symbol, tuple with e replaced by -1) for each
+        # tuple of the reduct that holds e.
+        keys = [[] for _ in range(n)]
+        for name in self.rels:
+            for t in so_env[name] if name in so_env else A.rels[name]:
+                for e in set(t):
+                    masked = list(t)
+                    for i, x in enumerate(t):
+                        if x == e:
+                            masked[i] = -1
+                    keys[e].append((name, *masked))
+        fixed = {fo_env[name] for name in self.free}
+        classes = {}
+        for e in range(n):
+            if e not in fixed:
+                classes.setdefault(frozenset(keys[e]), []).append(e)
+        generators = [(c[i - 1], c[i]) for c in classes.values() for i in range(1, len(c))]
+        if not generators:
+            return 0
+        # The occurring tuple variables, decoded, and bucketed by the
+        # moved elements their tuples hold.
+        nbase = self.nbase
+        present = {v if v > 0 else -v for v in set(chain.from_iterable(run.clauses))}
+        moved = {e for pair in generators for e in pair}
+        buckets = {e: [] for e in moved}
+        tuples = {}
+        for v in sorted(present):
+            if v > nbase:
+                break
+            for first, arity in self.blocks:
+                if v >= first:
+                    break
+            index = v - first
+            t = [0] * arity
+            for i in range(arity - 1, -1, -1):
+                index, t[i] = divmod(index, n)
+            tuples[v] = first, t
+            for e in moved.intersection(t):
+                buckets[e].append(v)
+        clauses = run.clauses
+        emitted = 0
+        for a, b in generators:
+            # The pairs (v, sigma(v)) with v < sigma(v), in index order;
+            # the mirrored pairs repeat their comparison.
+            pairs = []
+            for v in sorted(set(buckets[a]).union(buckets[b])):
+                first, t = tuples[v]
+                index = 0
+                for x in t:
+                    index = index * n + (b if x == a else a if x == b else x)
+                w = first + index
+                if w not in present:
+                    # sigma does not map the occurring variables onto
+                    # themselves, so its constraint could cut off a
+                    # model: skip it.
+                    break
+                if v < w:
+                    pairs.append((v, w))
+            else:
+                emitted += 1
+                # guard is empty for the first pair, then ~e for the
+                # chain variable e implied by the equality of every
+                # earlier pair.
+                guard = []
+                for k, (v, w) in enumerate(pairs, 1):
+                    clauses.append([*guard, -v, w])
+                    if k < len(pairs):
+                        run.nvars += 1
+                        eq = run.nvars
+                        clauses.append([*guard, -v, -w, eq])
+                        clauses.append([*guard, v, w, eq])
+                        guard = [-eq]
+        return emitted
+
+    def solver(self, A, fo_env, so_env):
+        """The _Solver of the grounding on A with its lex-leader
+        constraints, or None when the matrix folds to false."""
         run = self.ground(A, fo_env, so_env)
-        return run is not None and _Solver(run.clauses, run.nvars, self.nbase).solve()
+        if run is None:
+            return None
+        generators = self.break_symmetry(run, A, fo_env, so_env)
+        solver = _Solver(run.clauses, run.nvars, self.nbase)
+        solver.counters.generators = generators
+        return solver
+
+    def satisfiable(self, A, fo_env, so_env) -> bool:
+        solver = self.solver(A, fo_env, so_env)
+        return solver is not None and solver.solve()
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +417,15 @@ class _Grounder:
 # ---------------------------------------------------------------------------
 
 class Counters:
-    """The work of one solver: decisions, assignments made by
-    propagation, conflicts, learnt clauses and input clauses dropped as
-    tautologies.  The counts depend only on the clauses and their order,
-    so tests can bound them."""
+    """The work of one solver: lex-leader generators emitted, decisions,
+    assignments made by propagation, conflicts, learnt clauses and input
+    clauses dropped as tautologies.  The counts depend only on the
+    clauses and their order, so tests can bound them."""
 
-    __slots__ = ("decisions", "propagations", "conflicts", "learnt", "dropped")
+    __slots__ = ("generators", "decisions", "propagations", "conflicts", "learnt", "dropped")
 
     def __init__(self):
-        self.decisions = self.propagations = self.conflicts = 0
+        self.generators = self.decisions = self.propagations = self.conflicts = 0
         self.learnt = self.dropped = 0
 
 
@@ -335,9 +460,23 @@ class _Solver:
     of every clause.  Once every tuple variable is fixed, each
     subformula is true or false; a false conjunction has a clause c
     whose literals are all false, by induction on depth, so propagation
-    forces its g false.  If no conflict remains, setting every undecided
-    g to the truth of its conjunction satisfies every input clause, so
-    the answer is "satisfiable".
+    forces its g false.  A chain variable e_k of a lex-leader constraint
+    occurs positively only in its own two defining clauses, as a gate
+    does, and with every tuple variable fixed propagation forces e_k
+    true wherever pairs 1..k are equal.  If no conflict remains, setting
+    every undecided g to the truth of its conjunction and every
+    undecided e_k to false satisfies every input clause, so the answer
+    is "satisfiable".
+
+    The lex-leader constraints keep the answer.  A transposition sigma
+    of interchangeable elements that maps the set O of occurring tuple
+    variables onto itself maps the models of the grounding, restricted
+    to O, onto themselves, because the matrix's truth on A does not
+    depend on the variables outside O and sigma fixes the reduct and the
+    free variables' values.  So the lex-least model of each orbit,
+    restricted to O, satisfies x <=lex sigma(x) for every generator,
+    and setting each e_k to the equality of pairs 1..k extends it to a
+    model of every constraint.
 
     solve() adds the learnt clauses to the loaded lists and sets the
     counters, so each _Solver is solved once."""

@@ -56,6 +56,8 @@ class TypeContext:
         if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
                    for k in self.arities):
             raise ValidationError("relation-variable arities must be integers of at least 1")
+        for f in self.fragment:
+            fm.check_height(f)
         if len(set(self.fragment)) != len(self.fragment):
             raise ValidationError("duplicate formula in type fragment")
 

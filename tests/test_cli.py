@@ -426,6 +426,16 @@ class TestDeepSearch:
                            "--formula", "EX2 X:1 ALL x (X(x) -> X(x))")
         assert code == 0 and out.strip() == "true"
 
+    def test_infinite_on_fifteen_elements(self, tmp_path):
+        # Without lex-leader constraints the search relabels the universe
+        # and grows about 2.3 times per element: it ran for minutes here.
+        (tmp_path / "fifteen.json").write_text(json.dumps({"universe": 15, "signature": {}}))
+        started = time.perf_counter()
+        done = run_capped(tmp_path, "eval", "--builtin", "infinite",
+                          "--structure", "fifteen.json")
+        assert done.returncode == 0 and done.stdout.strip() == "false"
+        assert time.perf_counter() - started < 10
+
 
 _JSON = hyp.recursive(
     hyp.none() | hyp.booleans() | hyp.integers() | hyp.floats() | hyp.text(),

@@ -51,6 +51,14 @@ class TestFragment:
         again = Fragment.from_strings(frag.to_strings(), EMPTY_SIGNATURE)
         assert again == frag
 
+    def test_hand_built_tree_too_deep(self):
+        # Refused before the duplicate check hashes it.
+        f = fm.ExistsFO("x", fm.Atom("p", ("x",)))
+        for _ in range(3000):
+            f = fm.Not(f)
+        with pytest.raises(ValidationError, match="nested more than 100 levels deep"):
+            Fragment(Signature.of({"p": 1}), (f,))
+
 
 class TestTheoryVector:
     def test_cardinality_fragment(self):

@@ -97,6 +97,15 @@ class TestParse:
         f = fm.parse("~" * (fm.MAX_DEPTH - 1) + "p(x)")
         assert fm.parse(fm.print_formula(f)) == f
 
+    def test_hand_built_tree_too_deep_to_print(self):
+        # print_formula recurses once per level; a tree built through the
+        # library is refused as parse refuses text.
+        f = fm.ExistsFO("x", fm.Atom("p", ("x",)))
+        for _ in range(3000):
+            f = fm.Not(f)
+        with pytest.raises(ValidationError, match="nested more than 100 levels deep"):
+            fm.print_formula(f)
+
 
 class TestPrintParseRoundTrip:
     def test_seeded_corpus(self):

@@ -324,3 +324,88 @@ def test_infinite_is_false_on_every_finite_universe(n):
     assert 0 < counts.conflicts <= 1.5 * INFINITE_CONFLICTS[n]
     # Every conflict but the last, at level 0, teaches one clause.
     assert counts.learnt == counts.conflicts - 1
+
+
+# ---------------------------------------------------------------------------
+# Lex-leader constraints over interchangeable elements
+# ---------------------------------------------------------------------------
+
+# Conflicts and generators of `infinite` on n empty elements with its
+# lex-leader constraints, as counted when they were written; the bounds
+# below allow 1.5 times these conflicts.
+INFINITE_CONFLICTS_LEX_LEADER = {
+    1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 9, 7: 13, 8: 18, 9: 24, 10: 31, 11: 39, 12: 48,
+    13: 58, 14: 69, 15: 81, 16: 94, 17: 108, 18: 123, 19: 139, 20: 156}
+
+
+@pytest.mark.parametrize("n", sorted(INFINITE_CONFLICTS_LEX_LEADER))
+def test_infinite_with_symmetry_breaking(n):
+    prefix, matrix = fm.so_prefix(builtin("infinite").formula)
+    A = FiniteStructure(EMPTY_SIGNATURE, n, {})
+    solver = sat._grounder(matrix, prefix, n, False).solver(A, {}, {})
+    assert solver.solve() is False
+    counts = solver.counters
+    # The matrix names no structure symbol: every element is
+    # interchangeable with every other.
+    assert counts.generators == n - 1
+    assert 0 < counts.conflicts <= 1.5 * INFINITE_CONFLICTS_LEX_LEADER[n]
+
+
+def test_symmetry_breaking_is_linear_in_the_occurring_variables():
+    # 10^6 tuple variables, of which the 1,000 on the diagonal occur;
+    # each of the 999 transpositions moves one pair of them.
+    n = 1000
+    prefix, matrix = fm.so_prefix(fm.parse("EX2 X:2 ALL x X(x, x)"))
+    grounder = sat._grounder(matrix, prefix, n, False)
+    A = FiniteStructure(EMPTY_SIGNATURE, n, {})
+    run = grounder.ground(A, {}, {})
+    assert len(run.clauses) == n
+    assert grounder.break_symmetry(run, A, {}, {}) == n - 1
+    assert n < len(run.clauses) <= n + 3 * (n - 1)
+
+
+@pytest.mark.parametrize("text, A, asg", [
+    # Elements named by a free individual variable stay fixed.
+    *[("EX2 X:1 ALL y (X(y) <-> y = x)", FiniteStructure(EMPTY_SIGNATURE, 3, {}),
+       Assignment({"x": x}, {})) for x in range(3)],
+    # So do the relations of free relation variables ...
+    ("EX2 X:1 ALL y (X(y) <-> P(y))", FiniteStructure(EMPTY_SIGNATURE, 3, {}),
+     Assignment({}, {"P": frozenset({(0,)})})),
+    # ... and of structure symbols.
+    ("EX2 X:1 ALL y (X(y) <-> p(y))", FiniteStructure(Signature.of({"p": 1}), 3, {"p": [(0,)]}),
+     None),
+])
+def test_symmetry_breaking_keeps_the_reduct_fixed(text, A, asg):
+    # Each has exactly one witness X, which no transposition of the
+    # universe may exclude.
+    assert eval_so_full(A, fm.parse(text), asg) is True
+
+
+def test_interchangeable_elements_exclude_shared_tuples():
+    prefix, matrix = fm.so_prefix(builtin("colorable:3").formula)
+    # On C4, swapping opposite vertices is an automorphism and no edge
+    # holds both, so {0, 2} and {1, 3} are the classes.
+    A = cycle_graph(4)
+    grounder = sat._grounder(matrix, prefix, A.size, False)
+    run = grounder.ground(A, {}, {})
+    assert grounder.break_symmetry(run, A, {}, {}) == 2
+    # Swapping the ends of an edge is an automorphism too, but the edge
+    # holds both, so they stay apart.
+    B = FiniteStructure(Signature.of({"edge": 2}), 2, {"edge": [(0, 1), (1, 0)]})
+    grounder = sat._grounder(matrix, prefix, B.size, False)
+    run = grounder.ground(B, {}, {})
+    assert grounder.break_symmetry(run, B, {}, {}) == 0
+
+
+def test_differential_cases_meet_symmetry_breaking():
+    """The differential tests above reach the lex-leader constraints on
+    many satisfiable groundings, where a constraint that cut off a whole
+    orbit would turn the answer."""
+    satisfiable = 0
+    for prefix, matrix in UNARY:
+        for A in UP_TO_3:
+            grounder = sat._grounder(matrix, prefix, A.size, not prefix[0][0])
+            solver = grounder.solver(A, {}, {})
+            if solver is not None and solver.counters.generators:
+                satisfiable += solver.solve()
+    assert satisfiable > 1000

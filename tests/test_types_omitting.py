@@ -81,6 +81,14 @@ class TestTypeContext:
         with pytest.raises(ValidationError, match="'X0' is also a symbol"):
             realized_types(A, ctx)
 
+    def test_hand_built_tree_too_deep(self):
+        # Refused before the duplicate check hashes it.
+        f = fm.ExistsFO("x", fm.Atom("X0", ("x",)))
+        for _ in range(3000):
+            f = fm.Not(f)
+        with pytest.raises(ValidationError, match="nested more than 100 levels deep"):
+            TypeContext((1,), (f,))
+
 
 class TestRealizedTypes:
     def test_singleton_universe_two_types(self):
