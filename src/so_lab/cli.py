@@ -141,7 +141,7 @@ def _cmd_separate(args):
         witnesses = {}
         for name, A in named:
             witnesses.setdefault(fs.theory_vector(A, fragment, budget=args.budget), name)
-        return fs.VectorSet(witnesses, witnesses)
+        return fs.VectorSet(witnesses)
 
     def entries(vs):
         return sorted(({"bits": v.as_string(), "witness": name}
@@ -209,7 +209,7 @@ _CHECKS = {
 
 def _cmd_check(args):
     # Without --trials the suite's own default trial count applies.
-    trials = () if args.trials is None else (args.trials,)
+    trials = () if args.trials is None else (workbench.parse_int("--trials", args.trials, 1),)
     report = _CHECKS[args.what](*trials, seed=args.seed)
     ok = report["pass"]
     lines = [f"{report['check']}: {'pass' if ok else 'FAIL'}"

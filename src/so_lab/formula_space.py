@@ -60,12 +60,12 @@ class TheoryVector:
 
 
 class VectorSet:
-    """A set of theory vectors over one fragment, remembering one witness
-    per vector."""
+    """A set of theory vectors over one fragment, given as a mapping from
+    each vector to one witness."""
 
-    def __init__(self, vectors, witnesses=None):
-        self.vectors = frozenset(vectors)
-        self.witnesses = dict(witnesses or {})
+    def __init__(self, witnesses):
+        self.witnesses = dict(witnesses)
+        self.vectors = frozenset(self.witnesses)
 
     def __len__(self):
         return len(self.vectors)
@@ -93,7 +93,7 @@ def vector_set(objects, fragment: Fragment, *,
     for obj in objects:
         v = theory_vector(obj, fragment, budget=budget)
         witnesses.setdefault(v, obj)
-    return VectorSet(witnesses.keys(), witnesses)
+    return VectorSet(witnesses)
 
 
 def ultrametric(x: TheoryVector, y: TheoryVector) -> Fraction:

@@ -639,8 +639,8 @@ def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationRep
     )
 
 
-def validate_closed(f, sig, allow_free_relvars=False):
-    report = validate(f, sig, allow_free_relvars=allow_free_relvars).raise_on_error()
+def validate_closed(f, sig):
+    report = validate(f, sig).raise_on_error()
     if report.free_variables:
         raise ValidationError(
             f"formula has free first-order variables: {', '.join(report.free_variables)}"

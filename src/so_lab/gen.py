@@ -21,11 +21,12 @@ def random_structure(rng: random.Random, sig: Signature, size: int,
     return FiniteStructure(sig, size, rels)
 
 
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> FiniteStructure:
+def random_graph(rng: random.Random, n: int) -> FiniteStructure:
+    """A graph on n vertices with each edge drawn with probability 1/2."""
     edges = set()
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
+            if rng.random() < 0.5:
                 edges.add((u, v))
                 edges.add((v, u))
     return FiniteStructure(Signature.of({"edge": 2}), n, {"edge": edges})

@@ -3,16 +3,21 @@
 Structures live on universes {0..n-1} with relations stored as tuple
 sets.  compile_evaluator turns a formula, once and for any structure,
 into miniscoped Tarski-style closures that eval_fo, eval_so_full,
-henkin_eval and realized_types share.  What it knows of the formula's
-scope it reads from formulas.scope, which also finds arity faults;
-check_symbols, run before every evaluation (the SAT path's too),
-rejects a symbol the structure does not interpret or interprets at
-another arity.  Under full semantics relation quantifiers range over
-all relations of their arity: by lexicographic enumeration within a
-budget on nested candidates or, for a homogeneous prefix over a
-first-order matrix, by satisfiability (see sat): a grounder compiled
-once per matrix, prefix and universe size emits CNF with one Boolean
-per candidate tuple, and a clause-learning (CDCL) solver decides it.
+henkin_eval and realized_types share.  Like the SAT grounder's, they
+run on a per-call frame: compiling resolves every variable and
+relation name to a slot of it, the universe and the relation domain
+first, then the free names, then one slot per binder.  Since a binder
+owns its slot, its loop restores nothing, and calls share no state.
+What it knows of the formula's scope it reads from formulas.scope,
+which also finds arity faults; check_symbols, run before every
+evaluation (the SAT path's too), rejects a symbol the structure does
+not interpret or interprets at another arity.  Under full semantics
+relation quantifiers range over all relations of their arity: by
+lexicographic enumeration within a budget on nested candidates or, for
+a homogeneous prefix over a first-order matrix, by satisfiability (see
+sat): a grounder compiled once per matrix, prefix and universe size
+emits CNF with one Boolean per candidate tuple, and a clause-learning
+(CDCL) solver decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -220,9 +225,6 @@ def iter_relations(n: int, k: int):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
 def check_symbols(symbols, A, so):
     """Raise ValidationError unless so or A interprets each relation
     symbol of symbols, a mapping to the arity of its use, and A at that
@@ -237,6 +239,28 @@ def check_symbols(symbols, A, so):
                                   f" applied to {k} arguments")
 
 
+def check_relation_variables(symbols, A, so):
+    """Raise ValidationError unless so values each relation symbol of
+    symbols it assigns with a set of tuples of the arity of its use over
+    A's universe.  eval_fo and eval_so_full run it on entry; the compiled
+    evaluate trusts so, which henkin_eval and realized_types build."""
+    size = A.size
+    for name, rel in so.items():
+        k = symbols.get(name)
+        if k is None:
+            continue
+        if not isinstance(rel, (set, frozenset)):
+            raise ValidationError(f"relation variable {name!r} must be a set of tuples,"
+                                  f" not {type(rel).__name__}")
+        for t in rel:
+            if not (isinstance(t, tuple) and len(t) == k):
+                raise ValidationError(f"relation variable {name!r} holds {t!r},"
+                                      f" not a tuple of its arity {k}")
+            if not all(isinstance(x, int) and 0 <= x < size for x in t):
+                raise ValidationError(f"relation variable {name!r} holds {t!r},"
+                                      f" outside the universe")
+
+
 def check_assignment(names, A, fo):
     """Raise ValidationError unless fo values each individual variable
     of names with an element of A.  The SAT path runs it before
@@ -248,6 +272,22 @@ def check_assignment(names, A, fo):
             raise ValidationError(f"unassigned free variable {name!r}")
         if not (isinstance(value, int) and 0 <= value < size):
             raise ValidationError(f"free variable {name!r} = {value!r} is outside the universe")
+
+
+class _Unassigned:
+    """The frame value of a free variable fo leaves unassigned: reading
+    it raises KeyError, whether an atom hashes it or = compares it."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        raise KeyError("unassigned free variable")
+
+    def __eq__(self, other):
+        raise KeyError("unassigned free variable")
+
+
+_UNASSIGNED = _Unassigned()
 
 
 @lru_cache(maxsize=32)
@@ -272,14 +312,17 @@ def compile_evaluator(f):
     conditions as in f as written, and the budget is charged from
     scope(f) of f as written, so every budget stop is unchanged.
 
-    One environment holds A's relations, then so, then binders, each
-    shadowing the one before.  check_symbols runs before evaluation.
+    Each call runs the closures on a frame of its own, a list whose
+    slots _closures fixed while compiling: 0 holds range(A.size), 1
+    so_domain, then come the free individual variables in scope(f)
+    order, the free relation symbols in scope(f) order (each from so,
+    else from A), and last one slot per binder.  A binder owns its
+    slot, so a loop writes it and restores nothing, and evaluation is
+    reentrant and thread-safe.  check_symbols runs before evaluation.
     check_assignment runs when evaluation answers or meets an unassigned
     variable, so a free individual variable without a value in A's
     universe raises ValidationError however far evaluation got, and a
-    budget stop met first still stops it.  Each call takes its own
-    closures from a free list, so evaluation is reentrant and
-    thread-safe, and clears their environments afterwards.
+    budget stop met first still stops it.
     """
     found = fm.scope(f)
     if found.fault:
@@ -289,29 +332,20 @@ def compile_evaluator(f):
     one_block = len(kinds) == 1 and len(found.so_arities) == len(prefix)
     homogeneous = (prefix, matrix) if one_block else None
     symbols, free_fo = found.symbols, found.free_fo
-    idle = []
+    root, binders = _closures(f)
+    blank = (None,) * binders
 
     def evaluate(A, fo, so, so_domain):
         check_symbols(symbols, A, so)
+        rels = A.rels
+        frame = [range(A.size), so_domain, *[fo.get(name, _UNASSIGNED) for name in free_fo],
+                 *[so[name] if name in so else rels[name] for name in symbols], *blank]
         try:
-            closures = idle.pop()
-        except IndexError:
-            closures = _closures(f)
-        root, fo_env, so_env, ctx = closures
-        fo_env.update(fo)
-        so_env.update(A.rels)
-        so_env.update(so)
-        ctx[:] = range(A.size), so_domain
-        try:
-            answer = root()
+            answer = root(frame)
         except KeyError:
-            # Only an unassigned free variable is missing from fo_env.
+            # Only an unassigned free variable raises KeyError when read.
             check_assignment(free_fo, A, fo)
             raise
-        finally:
-            for env in closures[1:]:
-                env.clear()
-            idle.append(closures)
         if free_fo:
             check_assignment(free_fo, A, fo)
         return answer
@@ -319,26 +353,21 @@ def compile_evaluator(f):
     return evaluate, bool(found.so_arities), homogeneous, found.depth
 
 
-class _Bits(dict):
-    """A bit of its own for each name asked for, assigned on first use."""
-
-    def __missing__(self, name):
-        bit = self[name] = 1 << len(self)
-        return bit
-
-
 def _closures(f):
-    """Closures for f over environments of their own and ctx = [universe,
-    so_domain], miniscoped as compile_evaluator states.  Connectives keep
-    their left-to-right short-circuit order otherwise.
+    """(root, binders) for f: root(frame) is its truth on a frame laid
+    out as compile_evaluator states, and binders the number of binder
+    slots after the free names.  Miniscoped as compile_evaluator states,
+    connectives keep their left-to-right short-circuit order otherwise.
 
-    The build returns a part (closure, free, so) for each subformula:
-    free is a mask of its free individual variables, one bit per name,
-    and so tells whether it has a relation quantifier."""
-    fo_env = {}
-    so_env = {}
-    ctx = []
-    bits = _Bits()
+    Every name resolves to its slot here, through fo (individual
+    variables) and so (relation symbols), the maps of the binders in
+    scope over those of the free names.  The build returns a part
+    (closure, free, has_so) for each subformula: free is a mask of the
+    slots of its free individual variables, one bit per slot, and has_so
+    tells whether it has a relation quantifier."""
+    found = fm.scope(f)
+    first = 2 + len(found.free_fo) + len(found.symbols)
+    slots = itertools.count(first)
 
     def join(parts, conjunction):
         """One part for the & (or |) of parts, in their order."""
@@ -346,28 +375,28 @@ def _closures(f):
             return parts[0]
         fns = []
         free = 0
-        so = False
+        has_so = False
         for fn, part_free, part_so in parts:
             fns.append(fn)
             free |= part_free
-            so = so or part_so
+            has_so = has_so or part_so
         if conjunction:
 
-            def ev():
+            def ev(frame):
                 for p in fns:
-                    if not p():
+                    if not p(frame):
                         return False
                 return True
         else:
 
-            def ev():
+            def ev(frame):
                 for p in fns:
-                    if p():
+                    if p(frame):
                         return True
                 return False
-        return ev, free, so
+        return ev, free, has_so
 
-    def spine(g, conjunction, outer):
+    def spine(g, conjunction, fo, so, outer):
         """Parts whose & (conjunction) or | is g: its connective spine
         flattened into one list, left to right, with each matching
         quantifier split."""
@@ -381,17 +410,17 @@ def _closures(f):
                 stack.append(p.right)
                 stack.append(p.left)
             elif kind is quantifier:
-                parts += miniscoped(p, conjunction, outer)
+                parts += miniscoped(p, conjunction, fo, so, outer)
             else:
-                parts.append(build(p, outer))
+                parts.append(build(p, fo, so, outer))
         return parts
 
-    def miniscoped(g, conjunction, outer):
+    def miniscoped(g, conjunction, fo, so, outer):
         """Parts whose & (EX) or | (ALL) is the quantifier g: those of its
         body that may go in front of the loop, then the loop."""
-        var = g.var
-        bit = bits[var]
-        parts = spine(g.body, conjunction, outer)
+        slot = next(slots)
+        bit = 1 << slot
+        parts = spine(g.body, conjunction, {**fo, g.var: slot}, so, outer)
         pulled, rest = [], []
         for i, part in enumerate(parts):
             if part[2]:
@@ -401,112 +430,87 @@ def _closures(f):
             (rest if part[1] & bit else pulled).append(part)
         if not rest:
             return pulled
-        body, free, so = join(rest, conjunction)
+        body, free, has_so = join(rest, conjunction)
         if conjunction:
 
-            def ev():
-                old = fo_env.get(var, _MISSING)
-                result = False
-                for e in ctx[0]:
-                    fo_env[var] = e
-                    if body():
-                        result = True
-                        break
-                if old is _MISSING:
-                    del fo_env[var]
-                else:
-                    fo_env[var] = old
-                return result
+            def ev(frame):
+                for e in frame[0]:
+                    frame[slot] = e
+                    if body(frame):
+                        return True
+                return False
         else:
 
-            def ev():
-                old = fo_env.get(var, _MISSING)
-                result = True
-                for e in ctx[0]:
-                    fo_env[var] = e
-                    if not body():
-                        result = False
-                        break
-                if old is _MISSING:
-                    del fo_env[var]
-                else:
-                    fo_env[var] = old
-                return result
-        pulled.append((ev, free & ~bit, so))
+            def ev(frame):
+                for e in frame[0]:
+                    frame[slot] = e
+                    if not body(frame):
+                        return False
+                return True
+        pulled.append((ev, free & ~bit, has_so))
         return pulled
 
-    def build(g, outer):
+    def build(g, fo, so, outer):
         kind = type(g)
         if kind is fm.Atom:
-            rel_name, args = g.rel, g.args
-            if len(args) == 1:
-                a0 = args[0]
-                return lambda: (fo_env[a0],) in so_env[rel_name], bits[a0], False
-            if len(args) == 2:
-                a0, a1 = args
-                return (lambda: (fo_env[a0], fo_env[a1]) in so_env[rel_name],
-                        bits[a0] | bits[a1], False)
+            r = so[g.rel]
+            args = [fo[a] for a in g.args]
             free = 0
             for a in args:
-                free |= bits[a]
-            return lambda: tuple(fo_env[a] for a in args) in so_env[rel_name], free, False
+                free |= 1 << a
+            if len(args) == 1:
+                a0, = args
+                return lambda frame: (frame[a0],) in frame[r], free, False
+            if len(args) == 2:
+                a0, a1 = args
+                return lambda frame: (frame[a0], frame[a1]) in frame[r], free, False
+            return lambda frame: tuple([frame[a] for a in args]) in frame[r], free, False
         if kind is fm.Eq:
-            left, right = g.left, g.right
-            return lambda: fo_env[left] == fo_env[right], bits[left] | bits[right], False
+            left, right = fo[g.left], fo[g.right]
+            return lambda frame: frame[left] == frame[right], 1 << left | 1 << right, False
         if kind is fm.Not:
-            sub, free, so = build(g.sub, outer)
-            return lambda: not sub(), free, so
+            sub, free, has_so = build(g.sub, fo, so, outer)
+            return lambda frame: not sub(frame), free, has_so
         if kind is fm.And or kind is fm.Or:
             conjunction = kind is fm.And
-            return join(spine(g, conjunction, outer), conjunction)
+            return join(spine(g, conjunction, fo, so, outer), conjunction)
         if kind is fm.ExistsFO or kind is fm.ForallFO:
             conjunction = kind is fm.ExistsFO
-            return join(miniscoped(g, conjunction, outer), conjunction)
+            return join(miniscoped(g, conjunction, fo, so, outer), conjunction)
         if kind is fm.Implies or kind is fm.Iff:
-            left, left_free, left_so = build(g.left, outer)
-            right, right_free, right_so = build(g.right, outer)
+            left, left_free, left_so = build(g.left, fo, so, outer)
+            right, right_free, right_so = build(g.right, fo, so, outer)
             if kind is fm.Implies:
-                fn = lambda: (not left()) or right()
+                fn = lambda frame: (not left(frame)) or right(frame)
             else:
-                fn = lambda: left() == right()
+                fn = lambda frame: left(frame) == right(frame)
             return fn, left_free | right_free, left_so or right_so
         if kind is fm.ExistsSO or kind is fm.ForallSO:
-            name, arities = g.relvar, outer + (g.arity,)
-            body, free, _ = build(g.body, arities)
+            name, arities, slot = g.relvar, outer + (g.arity,), next(slots)
+            body, free, _ = build(g.body, fo, {**so, name: slot}, arities)
             if kind is fm.ExistsSO:
 
-                def ev():
-                    old = so_env.get(name, _MISSING)
-                    result = False
-                    for rel in ctx[1](name, arities):
-                        so_env[name] = rel
-                        if body():
-                            result = True
-                            break
-                    if old is _MISSING:
-                        so_env.pop(name, None)
-                    else:
-                        so_env[name] = old
-                    return result
+                def ev(frame):
+                    for rel in frame[1](name, arities):
+                        frame[slot] = rel
+                        if body(frame):
+                            return True
+                    return False
             else:
 
-                def ev():
-                    old = so_env.get(name, _MISSING)
-                    result = True
-                    for rel in ctx[1](name, arities):
-                        so_env[name] = rel
-                        if not body():
-                            result = False
-                            break
-                    if old is _MISSING:
-                        so_env.pop(name, None)
-                    else:
-                        so_env[name] = old
-                    return result
+                def ev(frame):
+                    for rel in frame[1](name, arities):
+                        frame[slot] = rel
+                        if not body(frame):
+                            return False
+                    return True
             return ev, free, True
         raise TypeError(f"not a formula node: {g!r}")
 
-    return build(f, ())[0], fo_env, so_env, ctx
+    fo = {name: slot for slot, name in enumerate(found.free_fo, 2)}
+    so = {name: slot for slot, name in enumerate(found.symbols, 2 + len(fo))}
+    root = build(f, fo, so, ())[0]
+    return root, next(slots) - first
 
 
 # A budget error states the number of relation choices only while it
@@ -578,7 +582,9 @@ def eval_fo(A: FiniteStructure, f, asg: Assignment | None = None) -> bool:
     evaluate, has_so, _, _ = compile_evaluator(f)
     if has_so:
         raise ValidationError("eval_fo requires a formula without relation quantifiers")
-    return evaluate(A, asg.fo if asg else {}, asg.so if asg else {}, None)
+    so = asg.so if asg else {}
+    check_relation_variables(fm.scope(f).symbols, A, so)
+    return evaluate(A, asg.fo if asg else {}, so, None)
 
 
 def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
@@ -596,16 +602,17 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     """
     fm.check_height(f)
     evaluate, _, homogeneous, depth = compile_evaluator(f)
-    so_domain = relation_domain(A.size, budget, depth)
+    found = fm.scope(f)
     fo = asg.fo if asg else {}
     so = asg.so if asg else {}
+    check_relation_variables(found.symbols, A, so)
+    so_domain = relation_domain(A.size, budget, depth)
     if homogeneous is not None:
         variables = sum(A.size ** k for _, _, k in homogeneous[0])
         if variables > budget:
             raise BudgetExceededError(
                 f"grounding the prefix needs {variables} tuple variables,"
                 f" exceeding the budget of {budget}", required=variables, budget=budget)
-        found = fm.scope(f)
         check_symbols(found.symbols, A, so)
         check_assignment(found.free_fo, A, fo)
         return sat.eval_homogeneous(A, *homogeneous, fo, so)

@@ -502,8 +502,21 @@ def _check(name, expected, actual):
             "pass": expected == actual}
 
 
+def parse_int(name, value, least=None):
+    """value, an int or its decimal text, as an int; ValidationError when
+    it is neither or is below least.  The demos and the check command
+    read every count (least 1) and seed through this."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+    if least is not None and number < least:
+        raise ValidationError(f"{name} must be at least {least}, not {number}")
+    return number
+
+
 def _demo_np_example(params):
-    nmax = int(params.get("n", 4))
+    nmax = params["n"]
     ham = builtin("hamiltonian").formula
     checks = []
     cycles = {}
@@ -529,9 +542,8 @@ def _demo_np_example(params):
 
 
 def _demo_infinity(params):
-    nmax = int(params.get("nmax", 6))
-    seed = int(params.get("seed", 42))
-    rng = random.Random(seed)
+    nmax = params["nmax"]
+    rng = random.Random(params["seed"])
     psi = builtin("infinite").formula
     corpus = []
     for n in range(1, nmax + 1):
@@ -574,27 +586,47 @@ def _demo_separation(params):
     return checks
 
 
+def _demo_los_suite(params):
+    suite = los_suite(params["trials"], params["seed"])
+    return [_check("all transfer checks agree", True, suite["pass"]),
+            _check("agreed", suite["trials"], suite["agreed"])]
+
+
+def _demo_fubini_suite(params):
+    suite = fubini_suite(params["trials"], params["seed"])
+    return [_check("all grids witnessed", True, suite["pass"]),
+            _check("witnessed", suite["trials"], suite["witnessed"])]
+
+
+# Each demo with the defaults of the integer parameters it reads; all
+# but seed are counts.  Every demo accepts seed, which the command line
+# always passes.
+_DEMOS = {
+    "np_example": (_demo_np_example, {"n": 4}),
+    "infinity": (_demo_infinity, {"nmax": 6, "seed": 42}),
+    "separation": (_demo_separation, {}),
+    "los_suite": (_demo_los_suite, {"trials": 1000, "seed": 42}),
+    "fubini_suite": (_demo_fubini_suite, {"trials": 50, "seed": 43}),
+}
+
+
 def demo(name: str, params: dict | None = None) -> dict:
     """Run an end-to-end scenario; the report carries one entry per
-    check plus the wall-clock runtime."""
-    params = dict(params or {})
-    start = time.monotonic()
-    if name == "np_example":
-        checks = _demo_np_example(params)
-    elif name == "infinity":
-        checks = _demo_infinity(params)
-    elif name == "separation":
-        checks = _demo_separation(params)
-    elif name == "los_suite":
-        suite = los_suite(int(params.get("trials", 1000)), int(params.get("seed", 42)))
-        checks = [_check("all transfer checks agree", True, suite["pass"]),
-                  _check("agreed", suite["trials"], suite["agreed"])]
-    elif name == "fubini_suite":
-        suite = fubini_suite(int(params.get("trials", 50)), int(params.get("seed", 43)))
-        checks = [_check("all grids witnessed", True, suite["pass"]),
-                  _check("witnessed", suite["trials"], suite["witnessed"])]
-    else:
+    check plus the wall-clock runtime.  params maps parameters the demo
+    reads to ints or their decimal text, and the report echoes it as
+    given; any other key, a non-integer or a count below 1 raises
+    ValidationError."""
+    if name not in _DEMOS:
         raise ValidationError(f"unknown demo {name!r}")
+    run, defaults = _DEMOS[name]
+    params = dict(params or {})
+    values = dict(defaults)
+    for key, value in params.items():
+        if key != "seed" and key not in defaults:
+            raise ValidationError(f"demo {name!r} reads no parameter {key!r}")
+        values[key] = parse_int(key, value, None if key == "seed" else 1)
+    start = time.monotonic()
+    checks = run(values)
     runtime_ms = int((time.monotonic() - start) * 1000)
     return {
         "demo": name,

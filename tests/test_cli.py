@@ -379,6 +379,32 @@ class TestSpaceCommands:
         code, out, _ = run(capsys, "demo", "np_example", "--param", "n=3")
         assert code == 0 and "demo np_example: pass" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["demo", "np_example", "--param", "n=abc"], "n must be an integer, not 'abc'"),
+        (["demo", "infinity", "--param", "seed=x"], "seed must be an integer, not 'x'"),
+    ])
+    def test_demo_parameter_not_an_integer(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["demo", "infinity", "--param", "nmax=0"], "nmax must be at least 1, not 0"),
+        (["check", "los", "--trials", "-5"], "--trials must be at least 1, not -5"),
+        (["check", "metric", "--trials", "0"], "--trials must be at least 1, not 0"),
+        (["demo", "los_suite", "--trials", "0"], "trials must be at least 1, not 0"),
+    ])
+    def test_count_below_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "np_example", "--param", "nmax=3"],
+        ["demo", "separation", "--trials", "3"],
+    ])
+    def test_demo_parameter_it_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "reads no parameter" in err
+
 
 class TestDeterminism:
     def test_check_reports_are_byte_identical(self, capsys):

@@ -397,6 +397,48 @@ class TestFreeVariables:
         with pytest.raises(ValidationError, match="unassigned free variable 'q0'"):
             evaluate(C4, f)
 
+    @pytest.mark.parametrize("evaluate", [eval_fo, eval_so_full])
+    def test_unassigned_variable_read_only_through_equality(self, evaluate):
+        with pytest.raises(ValidationError, match="unassigned free variable 'x'"):
+            evaluate(C4, fm.parse("EX y y = x"))
+
+    @pytest.mark.parametrize("evaluate", [eval_fo, eval_so_full])
+    def test_free_variable_and_binder_named_alike(self, evaluate):
+        # The free x and the bound x hold separate values.
+        A = FiniteStructure(Signature.of({"p": 1}), 2, {"p": [(0,)]})
+        f = fm.parse("p(x) & (EX x ~p(x))")
+        assert evaluate(A, f, Assignment({"x": 0}, {})) is True
+        assert evaluate(A, f, Assignment({"x": 1}, {})) is False
+
+
+class TestAssignedRelations:
+    """A relation assigned to a symbol the formula uses must be a set of
+    tuples of the arity of that use over the universe, on every path."""
+
+    def test_tuple_of_another_arity(self):
+        asg = Assignment({}, {"X": frozenset({(0,)})})
+        with pytest.raises(ValidationError, match="not a tuple of its arity 2"):
+            eval_so_full(C4, fm.parse("EX x EX y X(x, y)"), asg)
+
+    def test_tuple_outside_the_universe(self):
+        asg = Assignment({}, {"X": frozenset({(7, 9)})})
+        with pytest.raises(ValidationError, match="outside the universe"):
+            eval_so_full(C4, fm.parse("EX x EX y X(x, y)"), asg)
+
+    def test_sat_path(self):
+        f = fm.parse("EX2 Y:1 ALL x (Y(x) <-> X(x, x))")
+        assert structures.compile_evaluator(f)[2] is not None
+        with pytest.raises(ValidationError, match="not a tuple of its arity 2"):
+            eval_so_full(C4, f, Assignment({}, {"X": frozenset({(0,)})}))
+
+    def test_not_a_set(self):
+        with pytest.raises(ValidationError, match="must be a set of tuples, not int"):
+            eval_fo(C4, fm.parse("EX x X(x)"), Assignment({}, {"X": 5}))
+
+    def test_unused_assignments_are_not_checked(self):
+        asg = Assignment({}, {"X": frozenset({(1,)}), "Y": 5})
+        assert eval_fo(C4, fm.parse("EX x X(x)"), asg) is True
+
 
 # ---------------------------------------------------------------------------
 # Miniscoping: a differential test against a reference evaluator

@@ -32,6 +32,15 @@ class TestParse:
             fm.parse("EX x R(x,x")
         assert err.value.line == 1 and err.value.col is not None
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("EX x\n  (p(x) &)", 2, 10),
+        ("EX x\n\n   p(x) @", 3, 9),
+    ])
+    def test_position_after_a_newline(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            fm.parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_inconsistent_arity_same_scope(self):
         with pytest.raises(ParseError, match="applied with both"):
             fm.parse("p(x) & p(x,y)")
