@@ -695,22 +695,28 @@ def is_isomorphism(A, B, image) -> bool:
     return True
 
 
-def canonical_key(A: FiniteStructure):
-    """Permutation-minimal encoding: equal keys iff isomorphic."""
+def _relabellings(A, budget):
+    """A's masks, in iter_structures' order, under every permutation of
+    its universe, the identity first.  The n! permutations are charged
+    against budget first, and 2·3·…·n stops once past it."""
     n = A.size
-    best = None
+    count = 1
+    for m in range(2, n + 1):
+        count *= m
+        if count > budget:
+            raise BudgetExceededError(f"relabelling {n} elements needs {n}! permutations,"
+                                      f" exceeding the budget of {budget}", budget=budget)
+    rels = [(tuple_index(n, arity), A.rels[name]) for name, arity in A.sig.relations]
     for perm in itertools.permutations(range(n)):
-        key = []
-        for name, arity in A.sig.relations:
-            index = tuple_index(n, arity)
-            mask = 0
-            for t in A.rels[name]:
-                mask |= 1 << index[tuple(perm[x] for x in t)]
-            key.append(mask)
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return (n, best)
+        yield tuple(sum([1 << index[tuple([perm[x] for x in t])] for t in rel])
+                    for index, rel in rels)
+
+
+def canonical_key(A: FiniteStructure):
+    """(size, least masks of A's relabellings), equal iff isomorphic:
+    the masks of the member of A's class that models_up_to keeps, the
+    first met in mask order.  Charges n! to DEFAULT_RELATION_BUDGET."""
+    return (A.size, min(_relabellings(A, DEFAULT_RELATION_BUDGET)))
 
 
 # ---------------------------------------------------------------------------
@@ -732,17 +738,17 @@ def iter_structures(sig: Signature, n: int, *, budget: int = DEFAULT_RELATION_BU
 
 def models_up_to(f, sig: Signature, nmax: int, *,
                  budget: int = DEFAULT_RELATION_BUDGET) -> list[FiniteStructure]:
-    """All models of the closed formula f with universe size <= nmax, one
-    representative per isomorphism class, in deterministic order."""
+    """All models of the closed formula f with universe size <= nmax, by
+    size, then in mask order.  Each isomorphism class gives its least
+    labelling, the member iter_structures meets first: a structure is kept
+    when no relabelling makes its masks smaller (Read's orderly test), and
+    its n! relabellings are charged against budget."""
     fm.validate_closed(f, sig)
     out = []
     for n in range(1, nmax + 1):
-        seen = set()
         for A in iter_structures(sig, n, budget=budget):
-            key = canonical_key(A)
-            if key in seen:
-                continue
-            seen.add(key)
-            if eval_so_full(A, f, budget=budget):
+            relabellings = _relabellings(A, budget)
+            masks = next(relabellings)
+            if all(masks <= other for other in relabellings) and eval_so_full(A, f, budget=budget):
                 out.append(A)
     return out

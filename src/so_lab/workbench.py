@@ -613,18 +613,19 @@ _DEMOS = {
 def demo(name: str, params: dict | None = None) -> dict:
     """Run an end-to-end scenario; the report carries one entry per
     check plus the wall-clock runtime.  params maps parameters the demo
-    reads to ints or their decimal text, and the report echoes it as
-    given; any other key, a non-integer or a count below 1 raises
-    ValidationError."""
+    reads to ints or their decimal text, and the report echoes each
+    given key with its parsed int, keys sorted; any other key, a
+    non-integer or a count below 1 raises ValidationError."""
     if name not in _DEMOS:
         raise ValidationError(f"unknown demo {name!r}")
     run, defaults = _DEMOS[name]
-    params = dict(params or {})
-    values = dict(defaults)
-    for key, value in params.items():
+    given = {}
+    for key, value in (params or {}).items():
         if key != "seed" and key not in defaults:
             raise ValidationError(f"demo {name!r} reads no parameter {key!r}")
-        values[key] = parse_int(key, value, None if key == "seed" else 1)
+        given[key] = parse_int(key, value, None if key == "seed" else 1)
+    params = dict(sorted(given.items()))
+    values = {**defaults, **params}
     start = time.monotonic()
     checks = run(values)
     runtime_ms = int((time.monotonic() - start) * 1000)

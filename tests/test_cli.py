@@ -379,6 +379,17 @@ class TestSpaceCommands:
         code, out, _ = run(capsys, "demo", "np_example", "--param", "n=3")
         assert code == 0 and "demo np_example: pass" in out
 
+    def test_demo_echoes_parsed_parameters(self, capsys):
+        reports = []
+        for argv in (["--trials", "3"], ["--param", "trials=3"]):
+            code, out, _ = run(capsys, "demo", "los_suite", *argv, "--format", "json")
+            assert code == 0
+            report = json.loads(out)
+            del report["runtime_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["params"] == {"seed": 42, "trials": 3}
+
     @pytest.mark.parametrize("argv, message", [
         (["demo", "np_example", "--param", "n=abc"], "n must be an integer, not 'abc'"),
         (["demo", "infinity", "--param", "seed=x"], "seed must be an integer, not 'x'"),

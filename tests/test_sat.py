@@ -397,6 +397,19 @@ def test_interchangeable_elements_exclude_shared_tuples():
     assert grounder.break_symmetry(run, B, {}, {}) == 0
 
 
+def test_lex_leader_clauses_of_a_two_block_prefix_are_pinned():
+    # X's tuple variables are 1..3 and Y's 4..12, so the chains compare
+    # both blocks; 13 and 14 are the chains' equality variables.
+    prefix, matrix = fm.so_prefix(fm.parse("EX2 X:1 EX2 Y:2 ALL x (X(x) | Y(x, x))"))
+    A = FiniteStructure(EMPTY_SIGNATURE, 3, {})
+    grounder = sat._grounder(matrix, prefix, A.size, False)
+    run = grounder.ground(A, {}, {})
+    assert run.clauses == [[1, 4], [2, 8], [3, 12]]
+    assert grounder.break_symmetry(run, A, {}, {}) == 2
+    assert run.clauses[3:] == [[-1, 2], [-1, -2, 13], [1, 2, 13], [-13, -4, 8],
+                               [-2, 3], [-2, -3, 14], [2, 3, 14], [-14, -8, 12]]
+
+
 def test_differential_cases_meet_symmetry_breaking():
     """The differential tests above reach the lex-leader constraints on
     many satisfiable groundings, where a constraint that cut off a whole

@@ -282,3 +282,56 @@ class TestModelsUpTo:
                               text=True, timeout=20, preexec_fn=cap_memory)
         assert time.perf_counter() - start < 5
         assert "BudgetExceededError" in done.stderr and "2^(100000^2)" in done.stderr
+
+    def test_relabellings_are_charged_against_the_budget(self):
+        # 11! relabellings exceed the budget of 2^24 and 10! do not; the
+        # product stops once past the budget, so a huge universe is
+        # refused as fast as a small one.
+        for n in (12, 10 ** 6):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError, match=f"{n}! permutations"):
+                canonical_key(FiniteStructure(EMPTY_SIGNATURE, n))
+            assert time.perf_counter() - start < 1
+        assert canonical_key(FiniteStructure(EMPTY_SIGNATURE, 10)) == (10, ())
+        f = fm.parse("ALL x x = x")
+        assert len(models_up_to(f, EMPTY_SIGNATURE, 3, budget=10)) == 3
+        with pytest.raises(BudgetExceededError, match="4! permutations"):
+            models_up_to(f, EMPTY_SIGNATURE, 4, budget=10)
+
+
+def _models_by_seen_set(f, sig, nmax):
+    """models_up_to as a seen set of canonical keys: the first structure
+    of each class in iter_structures' order that is a model."""
+    out = []
+    for n in range(1, nmax + 1):
+        seen = set()
+        for A in iter_structures(sig, n):
+            key = canonical_key(A)
+            if key in seen:
+                continue
+            seen.add(key)
+            if eval_so_full(A, f):
+                out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("text, sig, nmax", [
+    ("ALL x x = x", GRAPH_SIGNATURE, 3),
+    ("ALL x x = x", MIXED, 3),
+    ("ALL x x = x", EMPTY_SIGNATURE, 6),
+    ("ALL x ~edge(x,x)", GRAPH_SIGNATURE, 3),
+])
+def test_models_up_to_matches_the_seen_set(text, sig, nmax):
+    f = fm.parse(text)
+    assert models_up_to(f, sig, nmax) == _models_by_seen_set(f, sig, nmax)
+
+
+@pytest.mark.parametrize("text, nmax, counts", [
+    # OEIS A000595: binary relations (digraphs with loops) on n nodes.
+    ("ALL x x = x", 3, [2, 10, 104]),
+    # OEIS A000273: digraphs without loops on n nodes.
+    ("ALL x ~edge(x,x)", 4, [1, 3, 16, 218]),
+])
+def test_models_up_to_counts_the_published_classes(text, nmax, counts):
+    sizes = [A.size for A in models_up_to(fm.parse(text), GRAPH_SIGNATURE, nmax)]
+    assert [sizes.count(n) for n in range(1, nmax + 1)] == counts
