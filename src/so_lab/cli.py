@@ -93,7 +93,7 @@ def _cmd_eval(args):
     A = _load_structure(args.structure)
     f = _formula_from_args(args)
     if args.semantics == "fo":
-        value = st.eval_fo(A, f)
+        value = st.eval_fo(A, f, budget=args.budget)
     else:
         value = st.eval_so_full(A, f, budget=args.budget)
     report = {"command": "eval", "structure": args.structure,
@@ -122,6 +122,7 @@ def _cmd_henkin_eval(args):
     family = [A for _, A in _load_family(args.family)]
     U = ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
     f = _formula_from_args(args)
+    ultra.check_henkin_formula(f, family[0], args.arity_bound)
     M = ultra.henkin_model(family, U, args.arity_bound, budget=args.budget)
     value = ultra.henkin_eval(M, f, budget=args.budget)
     report = {"command": "henkin-eval", "ultrafilter": U.literal(),
@@ -238,6 +239,13 @@ def _cmd_demo(args):
     return 0 if report["pass"] else 1
 
 
+def positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="so-lab",
@@ -251,7 +259,7 @@ def build_parser():
             sub.add_argument("--seed", type=int, default=42)
         if budget:
             sub.add_argument(
-                "--budget", type=int, default=st.DEFAULT_RELATION_BUDGET,
+                "--budget", type=positive_int, default=st.DEFAULT_RELATION_BUDGET,
                 help="cap on each of: the n^d assignments of d nested individual"
                      " quantifiers; the choices of the free relation variables;"
                      " each relation quantifier's candidates times those of the"

@@ -9,15 +9,16 @@ relation name to a slot of it, the universe and the relation domain
 first, then the free names, then one slot per binder.  Since a binder
 owns its slot, its loop restores nothing, and calls share no state.
 What it knows of the formula's scope it reads from formulas.scope,
-which also finds arity faults; check_symbols, run before every
-evaluation (the SAT path's too), rejects a symbol the structure does
-not interpret or interprets at another arity.  Under full semantics
-relation quantifiers range over all relations of their arity: by
-lexicographic enumeration within a budget on nested candidates or, for
-a homogeneous prefix over a first-order matrix, by satisfiability (see
-sat): a grounder compiled once per matrix, prefix and universe size
-emits CNF with one Boolean per candidate tuple, and a clause-learning
-(CDCL) solver decides it.
+which also finds arity faults.  The closures trust their frame, as the
+grounder does: eval_so_full, which eval_fo calls, checks its inputs
+(check_relation_variables, check_symbols, check_assignment) on either
+route before it charges the budget, as henkin_eval and realized_types
+check theirs.  Under full semantics relation quantifiers range over
+all relations of their arity: by lexicographic enumeration within a
+budget on nested candidates or, for a homogeneous prefix over a
+first-order matrix, by satisfiability (see sat): a grounder compiled
+once per matrix, prefix and universe size emits CNF with one Boolean
+per candidate tuple, and a clause-learning (CDCL) solver decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -228,8 +229,8 @@ def iter_relations(n: int, k: int):
 def check_symbols(symbols, A, so):
     """Raise ValidationError unless so or A interprets each relation
     symbol of symbols, a mapping to the arity of its use, and A at that
-    arity; so shadows A.  Every evaluation calls this before it starts,
-    so an ill-typed atom fails also in a branch never reached."""
+    arity; so shadows A.  Run before any budget charge, so an ill-typed
+    atom fails also in a branch never reached."""
     arities = A.sig._arity
     for name, k in symbols.items():
         if name not in so and arities.get(name) != k:
@@ -242,8 +243,7 @@ def check_symbols(symbols, A, so):
 def check_relation_variables(symbols, A, so):
     """Raise ValidationError unless so values each relation symbol of
     symbols it assigns with a set of tuples of the arity of its use over
-    A's universe.  eval_fo and eval_so_full run it on entry; the compiled
-    evaluate trusts so, which henkin_eval and realized_types build."""
+    A's universe.  eval_so_full runs it on entry."""
     size = A.size
     for name, rel in so.items():
         k = symbols.get(name)
@@ -263,8 +263,7 @@ def check_relation_variables(symbols, A, so):
 
 def check_assignment(names, A, fo):
     """Raise ValidationError unless fo values each individual variable
-    of names with an element of A.  The SAT path runs it before
-    grounding, since the grounder trusts these values."""
+    of names with an element of A.  eval_so_full runs it on entry."""
     size = A.size
     for name in names:
         value = fo.get(name)
@@ -272,22 +271,6 @@ def check_assignment(names, A, fo):
             raise ValidationError(f"unassigned free variable {name!r}")
         if not (isinstance(value, int) and 0 <= value < size):
             raise ValidationError(f"free variable {name!r} = {value!r} is outside the universe")
-
-
-class _Unassigned:
-    """The frame value of a free variable fo leaves unassigned: reading
-    it raises KeyError, whether an atom hashes it or = compares it."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        raise KeyError("unassigned free variable")
-
-    def __eq__(self, other):
-        raise KeyError("unassigned free variable")
-
-
-_UNASSIGNED = _Unassigned()
 
 
 @lru_cache(maxsize=32)
@@ -318,11 +301,10 @@ def compile_evaluator(f):
     order, the free relation symbols in scope(f) order (each from so,
     else from A), and last one slot per binder.  A binder owns its
     slot, so a loop writes it and restores nothing, and evaluation is
-    reentrant and thread-safe.  check_symbols runs before evaluation.
-    check_assignment runs when evaluation answers or meets an unassigned
-    variable, so a free individual variable without a value in A's
-    universe raises ValidationError however far evaluation got, and a
-    budget stop met first still stops it.
+    reentrant and thread-safe.  evaluate trusts its arguments, as the
+    SAT grounder does: fo values every free individual variable and A or
+    so interprets every free relation symbol at its arity, which the
+    public entries check first.
     """
     found = fm.scope(f)
     if found.fault:
@@ -336,19 +318,9 @@ def compile_evaluator(f):
     blank = (None,) * binders
 
     def evaluate(A, fo, so, so_domain):
-        check_symbols(symbols, A, so)
         rels = A.rels
-        frame = [range(A.size), so_domain, *[fo.get(name, _UNASSIGNED) for name in free_fo],
-                 *[so[name] if name in so else rels[name] for name in symbols], *blank]
-        try:
-            answer = root(frame)
-        except KeyError:
-            # Only an unassigned free variable raises KeyError when read.
-            check_assignment(free_fo, A, fo)
-            raise
-        if free_fo:
-            check_assignment(free_fo, A, fo)
-        return answer
+        return root([range(A.size), so_domain, *[fo[name] for name in free_fo],
+                     *[so[name] if name in so else rels[name] for name in symbols], *blank])
 
     return evaluate, bool(found.so_arities), homogeneous, found.depth
 
@@ -576,15 +548,14 @@ def relation_domain(n, budget, depth, candidates=None, outer=()):
     return so_domain
 
 
-def eval_fo(A: FiniteStructure, f, asg: Assignment | None = None) -> bool:
-    """Tarski satisfaction for formulas without relation quantifiers."""
+def eval_fo(A: FiniteStructure, f, asg: Assignment | None = None, *,
+            budget: int = DEFAULT_RELATION_BUDGET) -> bool:
+    """Tarski satisfaction: eval_so_full of a formula without relation
+    quantifiers."""
     fm.check_height(f)
-    evaluate, has_so, _, _ = compile_evaluator(f)
-    if has_so:
+    if fm.scope(f).so_arities:
         raise ValidationError("eval_fo requires a formula without relation quantifiers")
-    so = asg.so if asg else {}
-    check_relation_variables(fm.scope(f).symbols, A, so)
-    return evaluate(A, asg.fo if asg else {}, so, None)
+    return eval_so_full(A, f, asg, budget=budget)
 
 
 def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
@@ -592,13 +563,15 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     """Truth under full semantics: relation quantifiers range over all
     relations of their arity on the universe.
 
-    The budget is charged as relation_domain states; enumeration is
-    lexicographic in the relation mask and short-circuits.  SAT decides
-    a formula whose relation quantifiers form one homogeneous prefix
-    over a first-order matrix instead, charged the n^k1 + n^k2 + ...
-    tuple variables of the prefix: the compiled grounder of sat folds
-    the structure's atoms to constants and emits a small CNF over one
-    variable per candidate tuple, which a clause-learning solver decides.
+    The inputs are checked first, on either route, so a faulty one is a
+    ValidationError whatever the budget.  The budget is then charged as
+    relation_domain states; enumeration is lexicographic in the relation
+    mask and short-circuits.  SAT decides a formula whose relation
+    quantifiers form one homogeneous prefix over a first-order matrix
+    instead, charged the n^k1 + n^k2 + ... tuple variables of the
+    prefix: the compiled grounder of sat folds the structure's atoms to
+    constants and emits a small CNF over one variable per candidate
+    tuple, which a clause-learning solver decides.
     """
     fm.check_height(f)
     evaluate, _, homogeneous, depth = compile_evaluator(f)
@@ -606,6 +579,8 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     fo = asg.fo if asg else {}
     so = asg.so if asg else {}
     check_relation_variables(found.symbols, A, so)
+    check_symbols(found.symbols, A, so)
+    check_assignment(found.free_fo, A, fo)
     so_domain = relation_domain(A.size, budget, depth)
     if homogeneous is not None:
         variables = sum(A.size ** k for _, _, k in homogeneous[0])
@@ -613,8 +588,6 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
             raise BudgetExceededError(
                 f"grounding the prefix needs {variables} tuple variables,"
                 f" exceeding the budget of {budget}", required=variables, budget=budget)
-        check_symbols(found.symbols, A, so)
-        check_assignment(found.free_fo, A, fo)
         return sat.eval_homogeneous(A, *homogeneous, fo, so)
     return evaluate(A, fo, so, so_domain)
 

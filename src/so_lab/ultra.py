@@ -21,6 +21,7 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     all_relations,
+    check_symbols,
     compile_evaluator,
     eval_so_full,
     excess_relation_choices,
@@ -374,29 +375,41 @@ def full_henkin_model(A: FiniteStructure, arity_bound: int = 2) -> DecomposableH
     return henkin_model([A], Ultrafilter(1, 0), arity_bound)
 
 
+def check_henkin_formula(f, A: FiniteStructure, arity_bound: int) -> dict:
+    """The free relation variables of f (the symbols A's signature
+    lacks) and their arities, after checking f for a Henkin model over
+    A's signature: its depth and arity faults, the arity bound (else
+    ArityBoundError), no free individual variable, and each signature
+    symbol at its arity."""
+    fm.check_height(f)
+    found = fm.scope(f)
+    if found.fault:
+        raise ValidationError(found.fault)
+    free = {name: k for name, k in found.symbols.items() if A.sig.arity(name) is None}
+    for arity in tuple(free.values()) + found.so_arities:
+        if arity > arity_bound:
+            raise ArityBoundError(
+                f"quantifier arity {arity} exceeds the model bound {arity_bound}")
+    if found.free_fo:
+        raise ValidationError(
+            f"formula has free first-order variables: {', '.join(found.free_fo)}")
+    check_symbols(found.symbols, A, free)
+    return free
+
+
 def henkin_eval(M: DecomposableHenkinModel, f, *,
                 budget: int = DEFAULT_RELATION_BUDGET) -> bool:
     """Truth in a Henkin model: the first-order part is Tarski on the
     base and relation quantifiers range over the materialised relation
     universe only.  Free relation variables are closed universally: f
     is evaluated for each choice of their values from the relation
-    universe, until one makes it false.  The budget is charged as
-    structures.relation_domain states, with these as its outer variables.
+    universe, until one makes it false.  After check_henkin_formula the
+    budget is charged as structures.relation_domain states, with these
+    as its outer variables.
     """
-    fm.check_height(f)
+    free = check_henkin_formula(f, M.base, M.arity_bound)
     evaluate, _, _, depth = compile_evaluator(f)
-    found = fm.scope(f)
-    free = {name: k for name, k in found.symbols.items() if M.base.sig.arity(name) is None}
     outer = tuple(free.values())
-    for arity in outer + found.so_arities:
-        if arity > M.arity_bound:
-            raise ArityBoundError(
-                f"quantifier arity {arity} exceeds the model bound {M.arity_bound}"
-            )
-    if found.free_fo:
-        raise ValidationError(
-            f"formula has free first-order variables: {', '.join(found.free_fo)}"
-        )
     so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
     return all(evaluate(M.base, {}, dict(zip(free, values)), so_domain)
                for values in itertools.product(*map(M.relations_of_arity, outer)))
@@ -427,9 +440,12 @@ def check_los(family, U: Ultrafilter, f, *,
     """Compare truth of the closed sentence f in the Henkin model of the
     ultraproduct against largeness of its truth set across the factors,
     both evaluations under budget.  Disagreement is a defect, never a
-    valid outcome."""
+    valid outcome.  f is checked, as a sentence, before the model is built."""
     family = _check_family(family, U)
     bound = max(fm.so_quantifier_arities(f), default=1)
+    free = check_henkin_formula(f, family[0], bound)
+    if free:
+        raise ValidationError(f"unknown symbol {next(iter(free))!r}")
     M = henkin_model(family, U, bound, budget=budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(

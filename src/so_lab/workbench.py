@@ -136,9 +136,9 @@ def builtin(key: str, **params) -> NamedFormula:
     name, _, embedded = key.partition(":")
     if embedded:
         if name == "at_least":
-            params.setdefault("n", int(embedded))
+            params.setdefault("n", parse_int(f"the count of {key!r}", embedded))
         elif name == "colorable":
-            params.setdefault("k", int(embedded))
+            params.setdefault("k", parse_int(f"the count of {key!r}", embedded))
         else:
             raise ValidationError(f"unknown builtin key {key!r}")
     if name == "infinite":

@@ -177,7 +177,7 @@ class TestMalformedInput:
         assert code == 3 and "individual quantifiers" in err
 
     @pytest.mark.parametrize("command, extra", [
-        ("eval", ["--formula", "(EX2 X:2 X(a, b)) | (EX2 Y:1 Y(a))"]),
+        ("eval", ["--formula", "(EX2 X:2 EX a X(a, a)) | (EX2 Y:1 EX a Y(a))"]),
         ("types", ["--context", "ctx.json"]),
     ])
     def test_relation_quantifier_on_a_huge_universe(self, tmp_path, command, extra):
@@ -188,6 +188,52 @@ class TestMalformedInput:
             {"arities": [2], "fragment": ["EX x X0(x, x)"]}))
         done = run_capped(tmp_path, command, "--structure", "huge.json", *extra)
         assert done.returncode == 3 and "2^(1000000^2)" in done.stderr
+
+    def test_first_order_semantics_on_a_huge_universe(self, tmp_path):
+        # 10^12 assignments of two nested quantifiers: --semantics fo is
+        # charged like full semantics and stops at once.
+        (tmp_path / "huge.json").write_text(json.dumps({"universe": 10 ** 6, "signature": {}}))
+        started = time.perf_counter()
+        done = run_capped(tmp_path, "eval", "--semantics", "fo", "--structure", "huge.json",
+                          "--formula", "ALL x ALL y (x = y | ~(x = y))")
+        assert done.returncode == 3 and "1000000^2 assignments" in done.stderr
+        assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("universe, formula, message", [
+        # Each pair: the fault beside a relation quantifier (enumeration)
+        # and inside a homogeneous prefix (SAT), both over the budget.
+        (4, "(EX2 Y:3 ALL x ALL y ALL z ~Y(x,y,z)) & q = r", "unassigned free variable 'q'"),
+        (4, "EX2 Y:3 ALL x ALL y ALL z (~Y(x,y,z) | q = r)", "unassigned free variable 'q'"),
+        (5000, "EX2 X:2 ALL x (X(x, x) | foo(x))", "unknown symbol 'foo'"),
+        (5000, "(EX2 X:2 ALL x X(x, x)) | (ALL x foo(x))", "unknown symbol 'foo'"),
+        # The command cannot value a and b.
+        (10 ** 6, "(EX2 X:2 X(a, b)) | (EX2 Y:1 Y(a))", "unassigned free variable 'a'"),
+    ])
+    def test_input_fault_before_the_budget_on_either_route(self, tmp_path, universe,
+                                                           formula, message):
+        (tmp_path / "a.json").write_text(json.dumps({"universe": universe, "signature": {}}))
+        done = run_capped(tmp_path, "eval", "--structure", "a.json", "--formula", formula)
+        assert done.returncode == 2 and message in done.stderr
+
+    @pytest.mark.parametrize("formula, message", [
+        ("p(x, y)", "free first-order variables: x, y"),
+        ("foo(x)", "free first-order variables: x"),
+        ("EX x EX y p(x, y)", "arity mismatch: 'p' has arity 1, applied to 2 arguments"),
+    ])
+    def test_henkin_formula_checked_before_the_model(self, capsys, tmp_path, formula, message):
+        # The 2-ary relations on 5 elements are over the budget, so
+        # building the model first would exit 3.
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps([{"universe": 5, "signature": {"p": 1},
+                                     "relations": {"p": [[0]]}}]))
+        code, out, err = run(capsys, "henkin-eval", "--family", str(path),
+                             "--ultrafilter", "principal:0", "--formula", formula)
+        assert code == 2 and not out and message in err
+
+    @pytest.mark.parametrize("key", ["colorable:x", "at_least:abc", "colorable:3:4"])
+    def test_builtin_count_not_an_integer(self, capsys, c4_file, key):
+        code, out, err = run(capsys, "eval", "--structure", c4_file, "--builtin", key)
+        assert code == 2 and not out and "must be an integer" in err
 
     def test_sat_prefix_on_a_huge_universe(self, tmp_path):
         # 3,000,000 assignments of one individual quantifier are within
@@ -403,6 +449,15 @@ class TestSpaceCommands:
         (["check", "los", "--trials", "-5"], "--trials must be at least 1, not -5"),
         (["check", "metric", "--trials", "0"], "--trials must be at least 1, not 0"),
         (["demo", "los_suite", "--trials", "0"], "trials must be at least 1, not 0"),
+        # argparse reads --budget before any file is opened.
+        (["eval", "--structure", "a.json", "--formula", "x = x", "--budget", "0"],
+         "--budget: must be at least 1, not 0"),
+        (["henkin-eval", "--family", "f", "--ultrafilter", "principal:0", "--formula", "x = x",
+          "--budget", "-1"], "--budget: must be at least 1, not -1"),
+        (["separate", "--k", "k", "--l", "l", "--fragment", "f.json", "--budget", "0"],
+         "--budget: must be at least 1, not 0"),
+        (["types", "--structure", "a.json", "--context", "c.json", "--budget", "-1"],
+         "--budget: must be at least 1, not -1"),
     ])
     def test_count_below_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -22,7 +22,8 @@ from so_lab.structures import (
     eval_fo,
     eval_so_full,
 )
-from so_lab.ultra import full_henkin_model, henkin_eval
+from so_lab import ultra
+from so_lab.ultra import Ultrafilter, check_los, full_henkin_model, henkin_eval
 from so_lab.workbench import builtin, cycle_graph, double_cycle
 
 C4 = cycle_graph(4)
@@ -438,6 +439,62 @@ class TestAssignedRelations:
     def test_unused_assignments_are_not_checked(self):
         asg = Assignment({}, {"X": frozenset({(1,)}), "Y": 5})
         assert eval_fo(C4, fm.parse("EX x X(x)"), asg) is True
+
+
+class TestInputsBeforeBudget:
+    """Every entry checks its inputs before its first budget charge or
+    model build: under budget=1, which any charge on C4 exceeds, a
+    faulty input is still a ValidationError, on every route."""
+
+    FAULTS = [
+        ("foo(x)", {}, {}, "unknown symbol 'foo'"),
+        ("edge(x)", {}, {}, "arity mismatch: 'edge' has arity 2, applied to 1 arguments"),
+        ("edge(x, q)", {}, {}, "unassigned free variable 'q'"),
+        ("edge(x, q)", {"q": 9}, {}, "'q' = 9 is outside the universe"),
+        ("X(x, x)", {}, {"X": frozenset({(0,)})}, "not a tuple of its arity 2"),
+    ]
+    # Each shape's text around the faulty atom, its entry and whether
+    # SAT decides it.
+    SHAPES = {
+        "eval_fo": ("EX x {}", eval_fo, False),
+        "sat": ("EX2 Z:1 ALL x (Z(x) | {})", eval_so_full, True),
+        "enumeration": ("(EX2 Z:1 ALL x Z(x)) | (EX x {})", eval_so_full, False),
+    }
+    HENKIN_FAULTS = [
+        ("edge(x)", "arity mismatch: 'edge' has arity 2, applied to 1 arguments"),
+        ("edge(x, q)", "free first-order variables: q"),
+    ]
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_shape_is_charged(self, shape):
+        text, evaluate, sat_route = self.SHAPES[shape]
+        f = fm.parse(text.format("x = x"))
+        assert (structures.compile_evaluator(f)[2] is not None) is sat_route
+        with pytest.raises(BudgetExceededError):
+            evaluate(C4, f, budget=1)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("atom, fo, so, message", FAULTS)
+    def test_evaluation(self, shape, atom, fo, so, message):
+        text, evaluate, sat_route = self.SHAPES[shape]
+        f = fm.parse(text.format(atom))
+        assert (structures.compile_evaluator(f)[2] is not None) is sat_route
+        with pytest.raises(ValidationError, match=message):
+            evaluate(C4, f, Assignment(fo, so), budget=1)
+
+    @pytest.mark.parametrize("atom, message", HENKIN_FAULTS)
+    def test_henkin_eval(self, atom, message):
+        M = full_henkin_model(C4, 1)
+        with pytest.raises(ValidationError, match=message):
+            henkin_eval(M, fm.parse(f"EX2 Z:1 ALL x (Z(x) | {atom})"), budget=1)
+
+    @pytest.mark.parametrize("atom, message",
+                             HENKIN_FAULTS + [("foo(x)", "unknown symbol 'foo'")])
+    def test_check_los(self, monkeypatch, atom, message):
+        monkeypatch.setattr(ultra, "henkin_model", lambda *args, **kwargs: pytest.fail("built"))
+        f = fm.parse(f"EX2 Z:1 ALL x (Z(x) | {atom})")
+        with pytest.raises(ValidationError, match=message):
+            check_los([C4], Ultrafilter(1, 0), f, budget=1)
 
 
 # ---------------------------------------------------------------------------
