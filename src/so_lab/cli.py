@@ -20,8 +20,17 @@ from . import ultra, workbench
 from .errors import BudgetExceededError, SoLabError
 
 
+def _read_json(path):
+    """The JSON document in the file at path.  A file that is not UTF-8,
+    not JSON, or nested too deep to decode is a SoLabError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise SoLabError(f"{path} does not decode as JSON: {exc}") from None
+
+
 def _load_structure(path):
-    return st.FiniteStructure.from_json(Path(path).read_text())
+    return st.FiniteStructure.from_json_dict(_read_json(path))
 
 
 def _load_family(path):
@@ -31,8 +40,8 @@ def _load_family(path):
         files = sorted(p.glob("*.json"))
         if not files:
             raise SoLabError(f"no *.json structure files in {path}")
-        return [(f.name, st.FiniteStructure.from_json(f.read_text())) for f in files]
-    data = json.loads(p.read_text())
+        return [(f.name, st.FiniteStructure.from_json_dict(_read_json(f))) for f in files]
+    data = _read_json(p)
     if not isinstance(data, list) or not data:
         raise SoLabError(f"{path} is neither a directory nor a nonempty JSON array")
     return [(f"{path}[{i}]", st.FiniteStructure.from_json_dict(d))
@@ -135,7 +144,7 @@ def _cmd_separate(args):
     named_k = _load_family(args.k)
     named_l = _load_family(args.l)
     sig = named_k[0][1].sig
-    fragment = fs.Fragment.from_strings(json.loads(Path(args.fragment).read_text()), sig)
+    fragment = fs.Fragment.from_strings(_read_json(args.fragment), sig)
 
     def vectors_named_by_witness(named):
         # Each (structure, formula) pair is evaluated once, here.
@@ -170,7 +179,7 @@ def _cmd_separate(args):
 
 def _cmd_types(args):
     A = _load_structure(args.structure)
-    ctx = to.TypeContext.from_json(Path(args.context).read_text())
+    ctx = to.TypeContext.from_json_dict(_read_json(args.context))
     table = to.realized_types(A, ctx, budget=args.budget)
     entries = sorted(
         ({"type": p.as_string(),
@@ -239,11 +248,15 @@ def _cmd_demo(args):
     return 0 if report["pass"] else 1
 
 
-def positive_int(text):
-    """An argparse type: an integer of at least 1."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def at_least(low):
+    """An argparse type: an integer of at least low."""
+
+    def integer(text):
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    return integer
 
 
 def build_parser():
@@ -259,7 +272,7 @@ def build_parser():
             sub.add_argument("--seed", type=int, default=42)
         if budget:
             sub.add_argument(
-                "--budget", type=positive_int, default=st.DEFAULT_RELATION_BUDGET,
+                "--budget", type=at_least(1), default=st.DEFAULT_RELATION_BUDGET,
                 help="cap on each of: the n^d assignments of d nested individual"
                      " quantifiers; the choices of the free relation variables;"
                      " each relation quantifier's candidates times those of the"
@@ -315,7 +328,7 @@ def build_parser():
                    help="column count when the family is a flattened grid")
     p.add_argument("--formula")
     p.add_argument("--builtin")
-    p.add_argument("--arity-bound", type=int, default=2)
+    p.add_argument("--arity-bound", type=at_least(0), default=2)
     p.set_defaults(func=_cmd_henkin_eval)
 
     p = common(subs.add_parser(
@@ -372,7 +385,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (SoLabError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SoLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,13 @@ from fractions import Fraction
 
 from . import formulas as fm
 from .errors import BudgetExceededError, ValidationError
-from .structures import DEFAULT_RELATION_BUDGET, FiniteStructure, Signature, eval_so_full
+from .structures import (
+    DEFAULT_RELATION_BUDGET,
+    FiniteStructure,
+    Signature,
+    check_formula,
+    eval_so_full,
+)
 from .ultra import DecomposableHenkinModel, henkin_eval
 
 
@@ -30,7 +36,7 @@ class Fragment:
             if f in seen:
                 raise ValidationError(f"duplicate fragment formula: {f}")
             seen.add(f)
-            fm.validate_closed(f, self.sig)
+            check_formula(f, self.sig._arity)
 
     def __len__(self):
         return len(self.formulas)

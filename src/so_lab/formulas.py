@@ -8,13 +8,15 @@ alternation hierarchy (Delta0 / Sigma(n) / Pi(n)).
 One pass, scope(f), finds what parsing and evaluation need to know of
 a formula: free individual variables, the relation symbols no binder
 covers with their arities, relation-quantifier arities, nesting depth
-and tree height, and the first arity fault.  parse and every evaluator
-read it instead of walking the formula.  walk(f) visits every node in
-pre-order without recursion, together with the variables bound above
-it, for validate and all_names.  prenex_so is one recursive rewrite:
-it renames binders apart, pushes negation inward and moves each
-relation quantifier onto the prefix as it meets it, expanding -> and
-<-> only around relation quantifiers.
+and tree height, and the first fault (of arity, or a node that is not
+a formula).  parse and every evaluator read it instead of walking the
+formula, the evaluators through structures.check_formula.  walk(f)
+visits every node in pre-order without recursion, together with the
+variables bound above it, for all_names and validate, the public report
+of every faulty atom, which no entry calls.  prenex_so is one recursive
+rewrite: it renames binders apart, pushes negation inward and moves
+each relation quantifier onto the prefix as it meets it, expanding ->
+and <-> only around relation quantifiers.
 
 All formula values are immutable and safe to share.  Each node caches
 its hash on first use, the value the dataclass would compute from its
@@ -180,9 +182,10 @@ class Scope(NamedTuple):
     clashes: (name, first, k) for each use of such a symbol at an arity
     k other than its first.  so_arities: the arity of each relation
     quantifier.  depth: the deepest nesting of individual quantifiers.
-    height: the levels of the syntax tree.  fault: the first arity fault
-    as a message, or None: a clash, an atom whose binder declares
-    another arity, or a binder arity below 1.
+    height: the levels of the syntax tree.  fault: the first fault as a
+    message, or None: an arity fault (a clash, an atom whose binder
+    declares another arity, a binder arity below 1) or a node that is
+    not a formula.
     """
     free_fo: tuple[str, ...]
     symbols: dict
@@ -243,6 +246,8 @@ def _scope_pass(f):
             if g.arity < 1:
                 fault = fault or f"binder {g.relvar!r} declares arity {g.arity} < 1"
             stack.append((g.body, fo_bound, {**so_bound, g.relvar: g.arity}, d, level))
+        elif kind is not Eq:
+            fault = fault or f"not a formula node: {g!r}"
     return Scope(tuple(free_fo), symbols, tuple(clashes), tuple(so_arities), depth, height,
                  fault)
 
@@ -581,11 +586,6 @@ class ValidationReport:
     free_relation_variables: tuple[tuple[str, int], ...]
     shadowed: tuple[str, ...]
 
-    def raise_on_error(self):
-        if not self.ok:
-            raise ValidationError("; ".join(self.errors))
-        return self
-
 
 def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationReport:
     """Resolve every atom against binders (which shadow the signature) and
@@ -637,15 +637,6 @@ def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationRep
         free_relation_variables=tuple(free_rel.items()),
         shadowed=tuple(shadowed),
     )
-
-
-def validate_closed(f, sig):
-    report = validate(f, sig).raise_on_error()
-    if report.free_variables:
-        raise ValidationError(
-            f"formula has free first-order variables: {', '.join(report.free_variables)}"
-        )
-    return report
 
 
 def parse_list(strings, what) -> tuple[Formula, ...]:

@@ -8,12 +8,12 @@ run on a per-call frame: compiling resolves every variable and
 relation name to a slot of it, the universe and the relation domain
 first, then the free names, then one slot per binder.  Since a binder
 owns its slot, its loop restores nothing, and calls share no state.
-What it knows of the formula's scope it reads from formulas.scope,
-which also finds arity faults.  The closures trust their frame, as the
-grounder does: eval_so_full, which eval_fo calls, checks its inputs
-(check_relation_variables, check_symbols, check_assignment) on either
-route before it charges the budget, as henkin_eval and realized_types
-check theirs.  Under full semantics relation quantifiers range over
+What it knows of the formula's scope it reads from formulas.scope.  The
+closures trust their frame, as the grounder does: every entry first runs
+check_formula, the one check of a formula (height, arity fault,
+closedness, check_symbols), and eval_so_full beside it
+check_relation_variables and check_assignment, before compiling or
+charging a budget.  Under full semantics relation quantifiers range over
 all relations of their arity: by lexicographic enumeration within a
 budget on nested candidates or, for a homogeneous prefix over a
 first-order matrix, by satisfiability (see sat): a grounder compiled
@@ -226,18 +226,33 @@ def iter_relations(n: int, k: int):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def check_symbols(symbols, A, so):
-    """Raise ValidationError unless so or A interprets each relation
-    symbol of symbols, a mapping to the arity of its use, and A at that
-    arity; so shadows A.  Run before any budget charge, so an ill-typed
-    atom fails also in a branch never reached."""
-    arities = A.sig._arity
+def check_symbols(symbols, arities, so):
+    """Raise ValidationError unless so or arities, a mapping of each
+    symbol to its arity, covers each relation symbol of symbols, a
+    mapping to the arity of its use, and arities at that arity; so
+    shadows arities.  Run before any budget charge, so an ill-typed atom
+    fails also in a branch never reached."""
     for name, k in symbols.items():
         if name not in so and arities.get(name) != k:
             if name not in arities:
                 raise ValidationError(f"unknown symbol {name!r}")
             raise ValidationError(f"arity mismatch: {name!r} has arity {arities[name]},"
                                   f" applied to {k} arguments")
+
+
+def check_formula(f, arities, so=(), *, closed=True):
+    """fm.scope(f), after the one check of a formula every entry runs:
+    fm.check_height, the arity fault, no free individual variable unless
+    not closed, then check_symbols(symbols, arities, so)."""
+    fm.check_height(f)
+    found = fm.scope(f)
+    if found.fault:
+        raise ValidationError(found.fault)
+    if closed and found.free_fo:
+        raise ValidationError(
+            f"formula has free first-order variables: {', '.join(found.free_fo)}")
+    check_symbols(found.symbols, arities, so)
+    return found
 
 
 def check_relation_variables(symbols, A, so):
@@ -283,8 +298,8 @@ def compile_evaluator(f):
     tells whether f has a relation quantifier; homogeneous is (prefix,
     matrix) when they form one homogeneous prefix over a first-order
     matrix, else None; depth is the deepest nesting of individual
-    quantifiers.  The facts come from formulas.scope(f), and its arity
-    fault, if any, raises ValidationError here.
+    quantifiers.  The facts come from formulas.scope(f); every entry
+    runs check_formula on f before it compiles, so f has no arity fault.
 
     The closures are miniscoped: under EX x, each conjunct of the
     body's & spine that does not mention x, has no relation quantifier
@@ -307,8 +322,6 @@ def compile_evaluator(f):
     public entries check first.
     """
     found = fm.scope(f)
-    if found.fault:
-        raise ValidationError(found.fault)
     prefix, matrix = fm.so_prefix(f)
     kinds = {existential for existential, _, _ in prefix}
     one_block = len(kinds) == 1 and len(found.so_arities) == len(prefix)
@@ -573,14 +586,12 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     constants and emits a small CNF over one variable per candidate
     tuple, which a clause-learning solver decides.
     """
-    fm.check_height(f)
-    evaluate, _, homogeneous, depth = compile_evaluator(f)
-    found = fm.scope(f)
     fo = asg.fo if asg else {}
     so = asg.so if asg else {}
+    found = check_formula(f, A.sig._arity, so, closed=False)
     check_relation_variables(found.symbols, A, so)
-    check_symbols(found.symbols, A, so)
     check_assignment(found.free_fo, A, fo)
+    evaluate, _, homogeneous, depth = compile_evaluator(f)
     so_domain = relation_domain(A.size, budget, depth)
     if homogeneous is not None:
         variables = sum(A.size ** k for _, _, k in homogeneous[0])
@@ -716,7 +727,7 @@ def models_up_to(f, sig: Signature, nmax: int, *,
     labelling, the member iter_structures meets first: a structure is kept
     when no relabelling makes its masks smaller (Read's orderly test), and
     its n! relabellings are charged against budget."""
-    fm.validate_closed(f, sig)
+    check_formula(f, sig._arity)
     out = []
     for n in range(1, nmax + 1):
         for A in iter_structures(sig, n, budget=budget):

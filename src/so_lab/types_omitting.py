@@ -21,7 +21,6 @@ hold.  realized_types itself caches nothing.
 from __future__ import annotations
 
 import itertools
-import json
 import weakref
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .structures import (
     FiniteStructure,
     Signature,
     all_relations,
+    check_formula,
     compile_evaluator,
     relation_domain,
 )
@@ -81,34 +81,17 @@ class TypeContext:
     def check_against(self, sig: Signature):
         """No designated name may be a symbol of sig, since evaluation
         would let it shadow the structure's relation.  Each fragment
-        formula must be closed, free of arity faults, and apply each free
-        symbol, of sig or else declared, at its arity."""
+        formula then passes structures.check_formula over sig's arities
+        and the declared ones."""
         declared = dict(zip(self.relvar_names, self.arities))
         for name in declared:
             if sig.arity(name) is not None:
                 raise ValidationError(
                     f"designated relation variable {name!r} is also a symbol of the signature"
                 )
+        arities = {**sig._arity, **declared}
         for f in self.fragment:
-            found = fm.scope(f)
-            if found.fault:
-                raise ValidationError(found.fault)
-            if found.free_fo:
-                raise ValidationError(
-                    f"type fragment formula {f} has free first-order variables"
-                )
-            for name, k in found.symbols.items():
-                arity = sig.arity(name)
-                if arity is None:
-                    if name not in declared:
-                        raise ValidationError(
-                            f"formula {f} uses undeclared relation variable {name!r}"
-                        )
-                    arity = declared[name]
-                if arity != k:
-                    raise ValidationError(
-                        f"arity mismatch: {name!r} has arity {arity}, applied to {k} arguments"
-                    )
+            check_formula(f, arities)
 
     @staticmethod
     def from_json_dict(data) -> "TypeContext":
@@ -118,10 +101,6 @@ class TypeContext:
             raise ValidationError("a type context must be a JSON object with an 'arities' array")
         return TypeContext(tuple(data["arities"]),
                            fm.parse_list(data.get("fragment"), "'fragment'"))
-
-    @staticmethod
-    def from_json(text) -> "TypeContext":
-        return TypeContext.from_json_dict(json.loads(text))
 
     def to_json_dict(self):
         return {

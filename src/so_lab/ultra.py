@@ -21,7 +21,7 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     all_relations,
-    check_symbols,
+    check_formula,
     compile_evaluator,
     eval_so_full,
     excess_relation_choices,
@@ -340,7 +340,10 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     for any notion of largeness.  The distinct masks, in mask order, are
     the universe.  Otherwise the principal shortcut applies (every
     relation is decomposable, so the set is the full powerset).  Both
-    routes agree and the tests compare them."""
+    routes agree and the tests compare them.  A negative arity_bound is
+    a ValidationError."""
+    if arity_bound < 0:
+        raise ValidationError(f"the arity bound must be at least 0, not {arity_bound}")
     family = _check_family(family, U)
     n = family[U.principal].size  # the size of the quotient
     for k in range(1, arity_bound + 1):
@@ -378,22 +381,17 @@ def full_henkin_model(A: FiniteStructure, arity_bound: int = 2) -> DecomposableH
 def check_henkin_formula(f, A: FiniteStructure, arity_bound: int) -> dict:
     """The free relation variables of f (the symbols A's signature
     lacks) and their arities, after checking f for a Henkin model over
-    A's signature: its depth and arity faults, the arity bound (else
-    ArityBoundError), no free individual variable, and each signature
-    symbol at its arity."""
-    fm.check_height(f)
+    A's signature: the arity bound, on them and on f's relation
+    quantifiers (else ArityBoundError), then structures.check_formula
+    with them as so."""
     found = fm.scope(f)
-    if found.fault:
-        raise ValidationError(found.fault)
-    free = {name: k for name, k in found.symbols.items() if A.sig.arity(name) is None}
-    for arity in tuple(free.values()) + found.so_arities:
+    arities = A.sig._arity
+    free = {name: k for name, k in found.symbols.items() if name not in arities}
+    for arity in (*free.values(), *found.so_arities):
         if arity > arity_bound:
             raise ArityBoundError(
                 f"quantifier arity {arity} exceeds the model bound {arity_bound}")
-    if found.free_fo:
-        raise ValidationError(
-            f"formula has free first-order variables: {', '.join(found.free_fo)}")
-    check_symbols(found.symbols, A, free)
+    check_formula(f, arities, free)
     return free
 
 
@@ -442,10 +440,8 @@ def check_los(family, U: Ultrafilter, f, *,
     both evaluations under budget.  Disagreement is a defect, never a
     valid outcome.  f is checked, as a sentence, before the model is built."""
     family = _check_family(family, U)
+    check_formula(f, family[0].sig._arity)
     bound = max(fm.so_quantifier_arities(f), default=1)
-    free = check_henkin_formula(f, family[0], bound)
-    if free:
-        raise ValidationError(f"unknown symbol {next(iter(free))!r}")
     M = henkin_model(family, U, bound, budget=budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(

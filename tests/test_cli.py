@@ -300,6 +300,86 @@ class TestMalformedInput:
         assert code == 2 and "nested" in err
 
 
+P_STRUCTURE = {"universe": 2, "signature": {"p": 1}, "relations": {"p": [[0]]}}
+
+
+@pytest.fixture
+def p_inputs(tmp_path):
+    """A {p:1} structure file and a family file holding it, and a writer
+    of the fragment file and type-context file of one formula."""
+    (tmp_path / "p.json").write_text(json.dumps(P_STRUCTURE))
+    (tmp_path / "fam.json").write_text(json.dumps([P_STRUCTURE]))
+
+    def commands(formula):
+        (tmp_path / "frag.json").write_text(json.dumps([formula]))
+        (tmp_path / "ctx.json").write_text(json.dumps({"arities": [1], "fragment": [formula]}))
+        fam = str(tmp_path / "fam.json")
+        return {
+            "separate": ["separate", "--k", fam, "--l", fam,
+                         "--fragment", str(tmp_path / "frag.json")],
+            "types": ["types", "--structure", str(tmp_path / "p.json"),
+                      "--context", str(tmp_path / "ctx.json")],
+            "henkin-eval": ["henkin-eval", "--family", fam, "--ultrafilter", "principal:0",
+                            "--formula", formula],
+        }
+
+    return commands
+
+
+class TestInputFiles:
+    """Every JSON input goes through one reader: a file that does not
+    decode is a usage error naming the file."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b"{", "Expecting property name"),
+    ], ids=["not-utf8", "too-deep", "not-json"])
+    @pytest.mark.parametrize("reader", [
+        "structure", "family", "family-directory", "fragment", "context"])
+    def test_undecodable_file(self, capsys, tmp_path, p_inputs, reader, content, message):
+        (tmp_path / "dir").mkdir()
+        bad = tmp_path / "dir" / "bad.json"
+        bad.write_bytes(content)
+        commands = p_inputs("EX x p(x)")
+        argv = {
+            "structure": ["eval", "--structure", str(bad), "--formula", "EX x p(x)"],
+            "family": ["ultraproduct", "--family", str(bad), "--ultrafilter", "principal:0"],
+            "family-directory": ["ultraproduct", "--family", str(tmp_path / "dir"),
+                                 "--ultrafilter", "principal:0"],
+            "fragment": [*commands["separate"][:-1], str(bad)],
+            "context": [*commands["types"][:-1], str(bad)],
+        }[reader]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "bad.json does not decode as JSON: " in err and message in err
+
+    def test_negative_arity_bound(self, capsys, p_inputs):
+        argv = p_inputs("EX x p(x)")["henkin-eval"]
+        code, out, err = run(capsys, *argv, "--arity-bound", "-3")
+        assert code == 2 and not out and "--arity-bound: must be at least 0, not -3" in err
+        assert run(capsys, *argv, "--arity-bound", "0")[:2] == (0, "true\n")
+
+
+class TestOneFormulaCheck:
+    """A faulty formula gets the same message on every command."""
+
+    @pytest.mark.parametrize("formula, commands, message", [
+        ("p(x)", ("separate", "types", "henkin-eval"),
+         "formula has free first-order variables: x"),
+        ("EX x foo(x)", ("separate", "types"), "unknown symbol 'foo'"),
+    ])
+    def test_one_message(self, capsys, p_inputs, formula, commands, message):
+        argvs = p_inputs(formula)
+        for command in commands:
+            assert run(capsys, *argvs[command]) == (2, "", f"error: {message}\n")
+
+    def test_henkin_eval_reads_an_unknown_name_as_a_free_relation_variable(
+            self, capsys, p_inputs):
+        # EX x foo(x) fails for the empty foo.
+        assert run(capsys, *p_inputs("EX x foo(x)")["henkin-eval"]) == (0, "false\n", "")
+
+
 class TestUltraCommands:
     def test_ultraproduct(self, capsys, families):
         kdir, _ = families

@@ -13,6 +13,7 @@ import pytest
 from so_lab import formulas as fm
 from so_lab import gen, structures
 from so_lab.errors import BudgetExceededError, ValidationError
+from so_lab.formula_space import Fragment
 from so_lab.structures import (
     EMPTY_SIGNATURE,
     GRAPH_SIGNATURE,
@@ -21,7 +22,9 @@ from so_lab.structures import (
     Signature,
     eval_fo,
     eval_so_full,
+    models_up_to,
 )
+from so_lab.types_omitting import TypeContext, realized_types
 from so_lab import ultra
 from so_lab.ultra import Ultrafilter, check_los, full_henkin_model, henkin_eval
 from so_lab.workbench import builtin, cycle_graph, double_cycle
@@ -495,6 +498,53 @@ class TestInputsBeforeBudget:
         f = fm.parse(f"EX2 Z:1 ALL x (Z(x) | {atom})")
         with pytest.raises(ValidationError, match=message):
             check_los([C4], Ultrafilter(1, 0), f, budget=1)
+
+
+P_STRUCTURE = FiniteStructure(Signature.of({"p": 1}), 2, {"p": [(0,)]})
+# Each entry that takes a formula, run on it over P_STRUCTURE.
+FORMULA_ENTRIES = {
+    "Fragment": lambda f: Fragment(P_STRUCTURE.sig, (f,)),
+    "models_up_to": lambda f: models_up_to(f, P_STRUCTURE.sig, 1),
+    "check_against": lambda f: TypeContext((1,), (f,)).check_against(P_STRUCTURE.sig),
+    "realized_types": lambda f: realized_types(P_STRUCTURE, TypeContext((1,), (f,))),
+    "henkin_eval": lambda f: henkin_eval(full_henkin_model(P_STRUCTURE, 2), f),
+    "check_los": lambda f: check_los([P_STRUCTURE], Ultrafilter(1, 0), f),
+    "eval_so_full": lambda f: eval_so_full(P_STRUCTURE, f),
+}
+# fault: (formula, message, entries that raise it).  henkin_eval reads
+# a name outside the signature as a free relation variable, and
+# eval_so_full takes an assignment of the free individual variables.
+FORMULA_FAULTS = {
+    "unknown": (fm.parse("EX x foo(x)"), "unknown symbol 'foo'",
+                set(FORMULA_ENTRIES) - {"henkin_eval"}),
+    "arity": (fm.parse("EX x EX y p(x, y)"),
+              "arity mismatch: 'p' has arity 1, applied to 2 arguments", set(FORMULA_ENTRIES)),
+    "free": (fm.parse("p(x)"), "formula has free first-order variables: x",
+             set(FORMULA_ENTRIES) - {"eval_so_full"}),
+    # Built by hand: parse refuses it.
+    "binder": (fm.ExistsFO("x", fm.ExistsFO("y", fm.ExistsSO("X", 1, fm.Atom("X", ("x", "y"))))),
+               "relation variable 'X' declared with arity 1 but applied to 2 arguments",
+               set(FORMULA_ENTRIES)),
+    "node": (fm.ExistsFO("x", "p(x)"), "not a formula node: 'p(x)'", set(FORMULA_ENTRIES)),
+}
+
+
+class TestOneFormulaCheck:
+    """Every entry runs structures.check_formula, so one faulty formula
+    gets one message, word for word, from each."""
+
+    @pytest.mark.parametrize("fault, entry", [
+        (fault, entry) for fault, (_, _, entries) in FORMULA_FAULTS.items()
+        for entry in sorted(entries)])
+    def test_one_message(self, fault, entry):
+        f, message, _ = FORMULA_FAULTS[fault]
+        with pytest.raises(ValidationError) as raised:
+            FORMULA_ENTRIES[entry](f)
+        assert str(raised.value) == message
+
+    def test_henkin_eval_reads_an_unknown_name_as_a_free_relation_variable(self):
+        # EX x foo(x) fails for the empty foo.
+        assert FORMULA_ENTRIES["henkin_eval"](fm.parse("EX x foo(x)")) is False
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as hyp
 from so_lab import formulas as fm
 from so_lab import gen
 from so_lab.errors import ParseError, ValidationError
-from so_lab.structures import Signature, eval_so_full, iter_structures
+from so_lab.structures import Signature, check_formula, eval_so_full, iter_structures
 from so_lab.workbench import builtin
 
 GRAPH = Signature.of({"edge": 2})
@@ -327,7 +327,7 @@ class TestValidate:
 
     def test_validate_closed_rejects_free(self):
         with pytest.raises(ValidationError, match="free first-order"):
-            fm.validate_closed(fm.parse("edge(x,y)"), GRAPH)
+            check_formula(fm.parse("edge(x,y)"), dict(GRAPH.relations))
 
 
 class TestTraversal:

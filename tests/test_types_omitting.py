@@ -58,7 +58,7 @@ class TestTypeContext:
 
     def test_undeclared_relation_variable(self):
         ctx = unary_ctx("EX x X1(x)")
-        with pytest.raises(ValidationError, match="undeclared"):
+        with pytest.raises(ValidationError, match="unknown symbol 'X1'"):
             ctx.check_against(EMPTY_SIGNATURE)
 
     def test_arity_clash(self):

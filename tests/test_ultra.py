@@ -397,6 +397,15 @@ class TestHenkinEval:
         with pytest.raises(ArityBoundError):
             henkin_eval(M, fm.parse("EX2 R:2 EX x R(x,x)"))
 
+    def test_negative_arity_bound(self):
+        A = FiniteStructure(SIG, 2, {"p": [(0,)]})
+        for build in (lambda: henkin_model([A], Ultrafilter(1, 0), -1),
+                      lambda: full_henkin_model(A, -3)):
+            with pytest.raises(ValidationError, match="at least 0, not -"):
+                build()
+        # Bound 0 still answers first-order sentences.
+        assert henkin_eval(full_henkin_model(A, 0), fm.parse("EX x p(x)")) is True
+
     def test_work_budget(self):
         A = FiniteStructure(SIG, 3)
         M = full_henkin_model(A, 2)
