@@ -16,6 +16,21 @@ conjunction inside a disjunction gets an auxiliary variable g, defined
 in one direction only (g -> conjunct, after Plaisted and Greenbaum) and
 shared per (subformula, values of its free variables).
 
+A top-level conjunct of the matrix that reads no structure relation and
+no free individual variable grounds to the same clauses on every call,
+so it is grounded once, the first time a call reaches it, and later
+calls replay its clauses in the same place.  Only the root's conjuncts
+qualify: the root's sink is the run's own clause list, so a conjunct's
+clauses and the definitions of the gates nested under it land there
+together, in order, and what it added is one slice.  A conjunction
+compiled inside a gate sends its nested gate definitions to the run
+while its own clauses go to the gate, so no slice holds them all.  The
+gates of a replayed conjunct are read by no other part, since a gate's
+key starts with its own id; when an earlier conjunct made a different
+number of gates, the replayed auxiliary variables (those above the
+tuple variables) are renumbered by the difference.  So the CNF is the
+same, clause for clause, as a fresh grounding.
+
 Symmetry breaking then adds lex-leader constraints (Crawford, Ginsberg,
 Luks and Roy, KR 1996) for transpositions of interchangeable elements.
 The reduct is A cut down to the matrix's structure symbols and its
@@ -118,7 +133,47 @@ class _Grounder:
         self.rels = {name: slot for slot, name in enumerate(rels, 1 + len(self.free))}
         self.nslots = 1 + len(self.free) + len(self.rels)
         self._gate_ids = 0
-        self.root = self._compile(matrix, negate, True, {})[0]
+        parts = [self._top(*part) for part in self._spine(matrix, negate, True)]
+        self.root = (parts[0] if len(parts) == 1 else self._sequence(parts, True))[0]
+
+    def _top(self, g, neg):
+        """The part for a top-level conjunct of the matrix.  When it reads
+        no structure relation and no free individual variable, its first
+        call records whether it folded to false, run.nvars on entry, the
+        gates it added and its clauses, and later calls replay them."""
+        part = self._compile(g, neg, True, {})
+        found = fm.scope(g)
+        if found.free_fo or not found.symbols.keys() <= self.tvars.keys():
+            return part
+        conj, free, symbolic = part
+        nbase = self.nbase
+        stored = None
+
+        def replay(frame, out):
+            nonlocal stored
+            run = frame[0]
+            if stored is None:
+                start = len(out)
+                base = run.nvars
+                holds = conj(frame, out)
+                # Tuples over ints shared per conjunct keep the store small.
+                same = {}
+                clauses = tuple(tuple(same.setdefault(lit, lit) for lit in c)
+                                for c in out[start:]) if holds else ()
+                stored = holds, base, run.nvars - base, clauses
+                return holds
+            holds, base, added, clauses = stored
+            if not holds:
+                return False
+            shift = run.nvars - base
+            if shift:
+                out.extend([[lit + shift if lit > nbase else lit - shift if lit < -nbase else lit
+                             for lit in c] for c in clauses])
+            else:
+                out.extend(map(list, clauses))
+            run.nvars += added
+            return True
+        return replay, free, symbolic
 
     @staticmethod
     def _spine(g, neg, conjunctive):
@@ -478,8 +533,11 @@ class _Solver:
     and setting each e_k to the equality of pairs 1..k extends it to a
     model of every constraint.
 
-    solve() adds the learnt clauses to the loaded lists and sets the
-    counters, so each _Solver is solved once."""
+    The solver keeps the clause lists it is given and reorders their
+    literals as its watches move, which is why a replayed conjunct hands
+    out fresh copies of its clauses.  solve() adds the learnt clauses to
+    the loaded lists and sets the counters, so each _Solver is solved
+    once."""
 
     def __init__(self, clauses, nvars, nbase):
         self.nvars = nvars

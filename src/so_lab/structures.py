@@ -520,6 +520,15 @@ def excess_relation_choices(n, arities, budget):
     return required, f"{text} = {required}"
 
 
+def charge_assignments(n, budget, depth):
+    """The first charge of every evaluation on n elements: the n^depth
+    assignments of depth nested individual quantifiers."""
+    if n ** depth > budget:
+        raise BudgetExceededError(
+            f"{depth} nested individual quantifiers need {n}^{depth} assignments,"
+            f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
+
+
 def relation_domain(n, budget, depth, candidates=None, outer=()):
     """so_domain of an evaluation on n elements, under the one budget
     rule of every semantics.  It caps, each on its own, the n^depth
@@ -529,10 +538,7 @@ def relation_domain(n, budget, depth, candidates=None, outer=()):
     the outer variables and the relation quantifiers around it, checked
     once per nesting when a quantifier is first entered.  candidates
     defaults to every k-ary relation in mask order (full semantics)."""
-    if n ** depth > budget:
-        raise BudgetExceededError(
-            f"{depth} nested individual quantifiers need {n}^{depth} assignments,"
-            f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
+    charge_assignments(n, budget, depth)
     if candidates is None:
         candidates = partial(iter_relations, n)
         excess = partial(excess_relation_choices, n, budget=budget)
@@ -578,8 +584,10 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
 
     The inputs are checked first, on either route, so a faulty one is a
     ValidationError whatever the budget.  The budget is then charged as
-    relation_domain states; enumeration is lexicographic in the relation
-    mask and short-circuits.  SAT decides a formula whose relation
+    relation_domain states, whose first charge, the n^depth assignments
+    of charge_assignments, every route pays; only enumerating relation
+    quantifiers builds the so_domain.  Enumeration is lexicographic in
+    the relation mask and short-circuits.  SAT decides a formula whose relation
     quantifiers form one homogeneous prefix over a first-order matrix
     instead, charged the n^k1 + n^k2 + ... tuple variables of the
     prefix: the compiled grounder of sat folds the structure's atoms to
@@ -591,16 +599,19 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     found = check_formula(f, A.sig._arity, so, closed=False)
     check_relation_variables(found.symbols, A, so)
     check_assignment(found.free_fo, A, fo)
-    evaluate, _, homogeneous, depth = compile_evaluator(f)
-    so_domain = relation_domain(A.size, budget, depth)
-    if homogeneous is not None:
-        variables = sum(A.size ** k for _, _, k in homogeneous[0])
-        if variables > budget:
-            raise BudgetExceededError(
-                f"grounding the prefix needs {variables} tuple variables,"
-                f" exceeding the budget of {budget}", required=variables, budget=budget)
-        return sat.eval_homogeneous(A, *homogeneous, fo, so)
-    return evaluate(A, fo, so, so_domain)
+    evaluate, has_so, homogeneous, depth = compile_evaluator(f)
+    if has_so and homogeneous is None:
+        return evaluate(A, fo, so, relation_domain(A.size, budget, depth))
+    charge_assignments(A.size, budget, depth)
+    if homogeneous is None:
+        # A first-order formula never asks its so_domain.
+        return evaluate(A, fo, so, None)
+    variables = sum(A.size ** k for _, _, k in homogeneous[0])
+    if variables > budget:
+        raise BudgetExceededError(
+            f"grounding the prefix needs {variables} tuple variables,"
+            f" exceeding the budget of {budget}", required=variables, budget=budget)
+    return sat.eval_homogeneous(A, *homogeneous, fo, so)
 
 
 # ---------------------------------------------------------------------------

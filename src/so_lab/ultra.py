@@ -21,6 +21,7 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     all_relations,
+    charge_assignments,
     check_formula,
     compile_evaluator,
     eval_so_full,
@@ -406,9 +407,14 @@ def henkin_eval(M: DecomposableHenkinModel, f, *,
     as its outer variables.
     """
     free = check_henkin_formula(f, M.base, M.arity_bound)
-    evaluate, _, _, depth = compile_evaluator(f)
+    evaluate, has_so, _, depth = compile_evaluator(f)
     outer = tuple(free.values())
-    so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
+    if has_so or outer:
+        so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
+    else:
+        # A first-order sentence never asks its so_domain.
+        charge_assignments(M.base.size, budget, depth)
+        so_domain = None
     return all(evaluate(M.base, {}, dict(zip(free, values)), so_domain)
                for values in itertools.product(*map(M.relations_of_arity, outer)))
 

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from so_lab import formulas as fm
+from so_lab import gen
 from so_lab import sat
 from so_lab.errors import ValidationError
 from so_lab.structures import (
@@ -422,3 +423,92 @@ def test_differential_cases_meet_symmetry_breaking():
             if solver is not None and solver.counters.generators:
                 satisfiable += solver.solve()
     assert satisfiable > 1000
+
+
+# ---------------------------------------------------------------------------
+# Top-level conjuncts grounded once per grounder
+# ---------------------------------------------------------------------------
+
+def _ground(f, A, negate=False):
+    """(clauses, nvars) of f's matrix grounded on A by the cached
+    grounder, or None when it folds to false."""
+    prefix, matrix = fm.so_prefix(f)
+    run = sat._grounder(matrix, prefix, A.size, negate).ground(A, {}, {})
+    return None if run is None else (run.clauses, run.nvars)
+
+
+def _fresh(f, A, negate=False):
+    sat._grounder.cache_clear()
+    return _ground(f, A, negate)
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_replay_after_another_graph_of_the_same_size(negate):
+    # Every conjunct of hamiltonian but ALL y ALL z (S(y, z) -> edge(y, z))
+    # is replayed on the second graph.
+    f = builtin("hamiltonian").formula
+    _fresh(f, cycle_graph(8), negate)
+    assert _ground(f, double_cycle(4), negate) == _fresh(f, double_cycle(4), negate)
+
+
+def test_a_conjunction_under_a_gate_is_grounded_on_every_call():
+    # The root is one disjunction, so its & is compiled under a gate, and
+    # the gates nested in that & define themselves in the run, not in
+    # the & : replaying the & would drop their definitions.
+    f = fm.parse("EX2 X:1 EX2 Y:2 (((ALL x ALL y (X(x) | (Y(x,y) & ~X(y))))"
+                 " & (EX z ~X(z))) | (EX x p(x)))")
+    A = FiniteStructure(Signature.of({"p": 1}), 2, {"p": []})
+    first = _fresh(f, A)
+    assert len(first[0]) == 14
+    assert _ground(f, A) == first
+
+
+def test_replayed_gates_are_renumbered():
+    # The first conjunct reads p and makes one gate per element outside
+    # p; the second, replayed, makes its gates after them.
+    f = fm.parse("EX2 X:1 EX2 Y:2 ((ALL x (p(x) | (X(x) & Y(x,x))))"
+                 " & (ALL x ALL y (X(x) | (Y(x,y) & ~X(y)))))")
+    sig = Signature.of({"p": 1})
+    A = FiniteStructure(sig, 3, {"p": [(0,), (1,)]})
+    B = FiniteStructure(sig, 3, {"p": []})
+    assert _fresh(f, A)[1] == 22
+    replayed = _ground(f, B)
+    assert replayed[1] == 24
+    assert replayed == _fresh(f, B)
+
+
+def test_a_replayed_conjunct_that_folds_to_false():
+    # EX x p(x) comes first and folds to false on the empty p, so the
+    # constant conjunct is first reached on the second structure.
+    f = fm.parse("EX2 X:1 ((EX x p(x)) & (EX z ~(z = z)) & (ALL x (X(x) | p(x))))")
+    sig = Signature.of({"p": 1})
+    sat._grounder.cache_clear()
+    for p in ([], [(0,)], [(0,), (1,)], []):
+        A = FiniteStructure(sig, 2, {"p": p})
+        assert _ground(f, A) is None
+        assert eval_so_full(A, f) is False
+        assert eval_so_full(A, fm.Not(f)) is True
+
+
+def test_grounding_does_not_depend_on_earlier_calls():
+    """Grounding B after A on one grounder gives the CNF of grounding B
+    on a fresh one, over random matrices, both polarities and sizes 1-3.
+    It fails if replayed gates are not renumbered, or if a conjunction
+    under a gate is replayed too."""
+    rng = random.Random(19)
+    sig = Signature.of({"p": 1, "edge": 2, "X": 1, "Y": 2})
+    prefix = ((True, "X", 1), (True, "Y", 2))
+    replayed = 0
+    for _ in range(300):
+        # Two random conjuncts, so a replayed one often follows one whose
+        # gates depend on the structure.
+        matrix = fm.And(*(gen.random_formula(rng, sig, so_probability=0) for _ in range(2)))
+        f = sentence(prefix, matrix)
+        n = rng.randint(1, 3)
+        negate = rng.random() < 0.5
+        A, B = rng.choice(STRUCTURES[n]), rng.choice(STRUCTURES[n])
+        _fresh(f, A, negate)
+        assert _ground(f, B, negate) == _fresh(f, B, negate), fm.print_formula(f)
+        replayed += any(not fm.scope(g).free_fo and fm.scope(g).symbols.keys() <= {"X", "Y"}
+                        for g, _ in sat._Grounder._spine(matrix, negate, True))
+    assert replayed > 50
