@@ -690,60 +690,126 @@ def is_isomorphism(A, B, image) -> bool:
     return True
 
 
-def _relabellings(A, budget):
-    """A's masks, in iter_structures' order, under every permutation of
-    its universe, the identity first.  The n! permutations are charged
-    against budget first, and 2·3·…·n stops once past it."""
-    n = A.size
+def _charge_relabellings(n, budget):
+    """Charge the n! permutations of n elements against budget; the
+    product 2·3·…·n stops once past it, so a huge n is refused at once."""
     count = 1
     for m in range(2, n + 1):
         count *= m
         if count > budget:
             raise BudgetExceededError(f"relabelling {n} elements needs {n}! permutations,"
                                       f" exceeding the budget of {budget}", budget=budget)
-    rels = [(tuple_index(n, arity), A.rels[name]) for name, arity in A.sig.relations]
-    for perm in itertools.permutations(range(n)):
-        yield tuple(sum([1 << index[tuple([perm[x] for x in t])] for t in rel])
-                    for index, rel in rels)
+
+
+@lru_cache(maxsize=None)
+def _heap_steps(n):
+    """Heap's order of the n! permutations of n positions (Heap, Computer
+    J. 1963) as the n! - 1 swaps between consecutive ones, each written
+    as the index b(b-1)/2 + a of its pair a < b.  The swaps depend on
+    positions only: those for n are the ones for n - 1, then n - 1 times
+    a swap of position n - 1 with a (n even) or with 0 (n odd) followed
+    by the ones for n - 1 again."""
+    if n < 2:
+        return b""
+    inner = _heap_steps(n - 1)
+    last = (n - 1) * (n - 2) // 2
+    return inner + b"".join(bytes([last + (a if n % 2 == 0 else 0)]) + inner
+                            for a in range(n - 1))
+
+
+@lru_cache(maxsize=None)
+def _transposed_index(n, k):
+    """For each pair a < b, numbered as in _heap_steps, the tuple_index of
+    every k-tuple over n elements once the values a and b are exchanged."""
+    index = tuple_index(n, k)
+    tables = []
+    for b in range(1, n):
+        for a in range(b):
+            swap = {a: b, b: a}
+            tables.append([index[tuple([swap.get(x, x) for x in t])] for t in tuple_space(n, k)])
+    return tables
+
+
+def _relabellings(n, arities, masks):
+    """masks, the relation masks of a structure on n elements, under
+    every permutation of its universe, the identity first.  Heap's order
+    moves from one permutation p to the next by p∘(a b); their inverses,
+    which run through every permutation once as well, move by (a b)∘p^-1,
+    so each step exchanges the values a and b in the current relabelling
+    and maps each set tuple index through one _transposed_index table.  A
+    structure whose relations are each empty or full is fixed by every
+    permutation and yields masks alone.  The caller charges the n!
+    permutations first (_charge_relabellings)."""
+    yield masks
+    if all(mask == 0 or mask == (1 << n ** k) - 1 for k, mask in zip(arities, masks)):
+        return
+    rels = [[_transposed_index(n, k), [i for i in range(n ** k) if mask >> i & 1]]
+            for k, mask in zip(arities, masks)]
+    for step in _heap_steps(n):
+        relabelled = []
+        for rel in rels:
+            rel[1] = indices = list(map(rel[0][step].__getitem__, rel[1]))
+            relabelled.append(sum(map((1).__lshift__, indices)))
+        yield tuple(relabelled)
 
 
 def canonical_key(A: FiniteStructure):
     """(size, least masks of A's relabellings), equal iff isomorphic:
     the masks of the member of A's class that models_up_to keeps, the
     first met in mask order.  Charges n! to DEFAULT_RELATION_BUDGET."""
-    return (A.size, min(_relabellings(A, DEFAULT_RELATION_BUDGET)))
+    n = A.size
+    _charge_relabellings(n, DEFAULT_RELATION_BUDGET)
+    arities = [k for _, k in A.sig.relations]
+    masks = tuple(relation_mask(n, k, A.rels[name]) for name, k in A.sig.relations)
+    return (n, min(_relabellings(n, arities, masks)))
 
 
 # ---------------------------------------------------------------------------
 # Model enumeration
 # ---------------------------------------------------------------------------
 
-def iter_structures(sig: Signature, n: int, *, budget: int = DEFAULT_RELATION_BUDGET):
-    """All labeled structures of universe size n, lexicographic in the
-    per-relation masks."""
+def _mask_tuples(sig: Signature, n: int, budget: int):
+    """The per-relation masks of every labelled structure of universe
+    size n, lexicographic; the number of them is charged first."""
     excess = excess_relation_choices(n, [arity for _, arity in sig.relations], budget)
     if excess is not None:
         raise BudgetExceededError(
             f"enumerating size-{n} structures needs {excess[1]} candidates,"
             f" exceeding the budget of {budget}", required=excess[0], budget=budget)
-    for masks in itertools.product(*[range(relation_count(n, k)) for _, k in sig.relations]):
-        yield FiniteStructure(sig, n, {name: relation_from_mask(n, k, mask)
-                                       for (name, k), mask in zip(sig.relations, masks)})
+    return itertools.product(*[range(relation_count(n, k)) for _, k in sig.relations])
+
+
+def _from_masks(sig: Signature, n: int, masks) -> FiniteStructure:
+    return FiniteStructure(sig, n, {name: relation_from_mask(n, k, mask)
+                                    for (name, k), mask in zip(sig.relations, masks)})
+
+
+def iter_structures(sig: Signature, n: int, *, budget: int = DEFAULT_RELATION_BUDGET):
+    """All labeled structures of universe size n, lexicographic in the
+    per-relation masks."""
+    for masks in _mask_tuples(sig, n, budget):
+        yield _from_masks(sig, n, masks)
 
 
 def models_up_to(f, sig: Signature, nmax: int, *,
                  budget: int = DEFAULT_RELATION_BUDGET) -> list[FiniteStructure]:
     """All models of the closed formula f with universe size <= nmax, by
     size, then in mask order.  Each isomorphism class gives its least
-    labelling, the member iter_structures meets first: a structure is kept
-    when no relabelling makes its masks smaller (Read's orderly test), and
-    its n! relabellings are charged against budget."""
+    labelling, the member iter_structures meets first: a mask tuple is
+    kept when no relabelling makes it smaller (Read's orderly test), and
+    only a kept one becomes a structure.  The candidates, then the n!
+    relabellings, of each size are charged against budget."""
     check_formula(f, sig._arity)
+    arities = [k for _, k in sig.relations]
     out = []
     for n in range(1, nmax + 1):
-        for A in iter_structures(sig, n, budget=budget):
-            relabellings = _relabellings(A, budget)
-            masks = next(relabellings)
-            if all(masks <= other for other in relabellings) and eval_so_full(A, f, budget=budget):
-                out.append(A)
+        candidates = _mask_tuples(sig, n, budget)
+        _charge_relabellings(n, budget)
+        for masks in candidates:
+            relabellings = _relabellings(n, arities, masks)
+            next(relabellings)
+            if all(masks <= other for other in relabellings):
+                A = _from_masks(sig, n, masks)
+                if eval_so_full(A, f, budget=budget):
+                    out.append(A)
     return out

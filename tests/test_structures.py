@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -27,7 +28,10 @@ from so_lab.structures import (
     is_isomorphism,
     iter_structures,
     models_up_to,
+    relation_mask,
+    tuple_space,
 )
+from so_lab.structures import _heap_steps
 from so_lab.workbench import builtin, cycle_graph, double_cycle
 
 MIXED = Signature.of({"p": 1, "edge": 2})
@@ -292,21 +296,38 @@ class TestModelsUpTo:
             with pytest.raises(BudgetExceededError, match=f"{n}! permutations"):
                 canonical_key(FiniteStructure(EMPTY_SIGNATURE, n))
             assert time.perf_counter() - start < 1
+        # Every permutation fixes a structure whose relations are each
+        # empty or full, so its key is found without walking the 10!.
+        start = time.perf_counter()
         assert canonical_key(FiniteStructure(EMPTY_SIGNATURE, 10)) == (10, ())
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        full = FiniteStructure(GRAPH_SIGNATURE, 10, {"edge": tuple_space(10, 2)})
+        assert canonical_key(full) == (10, (2 ** 100 - 1,))
+        assert time.perf_counter() - start < 1
         f = fm.parse("ALL x x = x")
         assert len(models_up_to(f, EMPTY_SIGNATURE, 3, budget=10)) == 3
         with pytest.raises(BudgetExceededError, match="4! permutations"):
             models_up_to(f, EMPTY_SIGNATURE, 4, budget=10)
 
 
+def _least_relabelling(A):
+    """canonical_key by brute force: the least masks of A's relabellings
+    over itertools.permutations, apart from the walk the library uses."""
+    n = A.size
+    return (n, min(tuple(relation_mask(n, k, {tuple(perm[x] for x in t) for t in A.rels[name]})
+                         for name, k in A.sig.relations)
+                   for perm in itertools.permutations(range(n))))
+
+
 def _models_by_seen_set(f, sig, nmax):
-    """models_up_to as a seen set of canonical keys: the first structure
-    of each class in iter_structures' order that is a model."""
+    """models_up_to as a seen set of brute-force keys: the first
+    structure of each class in iter_structures' order that is a model."""
     out = []
     for n in range(1, nmax + 1):
         seen = set()
         for A in iter_structures(sig, n):
-            key = canonical_key(A)
+            key = _least_relabelling(A)
             if key in seen:
                 continue
             seen.add(key)
@@ -320,10 +341,38 @@ def _models_by_seen_set(f, sig, nmax):
     ("ALL x x = x", MIXED, 3),
     ("ALL x x = x", EMPTY_SIGNATURE, 6),
     ("ALL x ~edge(x,x)", GRAPH_SIGNATURE, 3),
+    # Ternary tuples go through their own transposition tables.
+    ("ALL x x = x", Signature.of({"t": 3}), 2),
+    # Ties in the first relation's mask leave the second to decide.
+    ("ALL x x = x", Signature.of({"u": 1, "v": 1}), 4),
 ])
 def test_models_up_to_matches_the_seen_set(text, sig, nmax):
     f = fm.parse(text)
     assert models_up_to(f, sig, nmax) == _models_by_seen_set(f, sig, nmax)
+
+
+@pytest.mark.parametrize("sig, nmax", [
+    (MIXED, 3),
+    (Signature.of({"t": 3}), 2),
+    (Signature.of({"u": 1, "v": 1}), 4),
+])
+def test_canonical_key_is_the_least_relabelling(sig, nmax):
+    for n in range(1, nmax + 1):
+        for A in iter_structures(sig, n):
+            assert canonical_key(A) == _least_relabelling(A)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_heap_steps_reach_every_permutation_once(n):
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    perm = list(range(n))
+    reached = [tuple(perm)]
+    for step in _heap_steps(n):
+        a, b = pairs[step]
+        perm = [b if x == a else a if x == b else x for x in perm]
+        reached.append(tuple(perm))
+    assert len(reached) == math.factorial(n)
+    assert sorted(reached) == list(itertools.permutations(range(n)))
 
 
 @pytest.mark.parametrize("text, nmax, counts", [
@@ -331,6 +380,8 @@ def test_models_up_to_matches_the_seen_set(text, sig, nmax):
     ("ALL x x = x", 3, [2, 10, 104]),
     # OEIS A000273: digraphs without loops on n nodes.
     ("ALL x ~edge(x,x)", 4, [1, 3, 16, 218]),
+    # A000595 again, to the 65,536 labelled relations of size 4.
+    ("ALL x x = x", 4, [2, 10, 104, 3044]),
 ])
 def test_models_up_to_counts_the_published_classes(text, nmax, counts):
     sizes = [A.size for A in models_up_to(fm.parse(text), GRAPH_SIGNATURE, nmax)]
