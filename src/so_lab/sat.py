@@ -16,20 +16,13 @@ conjunction inside a disjunction gets an auxiliary variable g, defined
 in one direction only (g -> conjunct, after Plaisted and Greenbaum) and
 shared per (subformula, values of its free variables).
 
-A top-level conjunct of the matrix that reads no structure relation and
-no free individual variable grounds to the same clauses on every call,
-so it is grounded once, the first time a call reaches it, and later
-calls replay its clauses in the same place.  Only the root's conjuncts
-qualify: the root's sink is the run's own clause list, so a conjunct's
-clauses and the definitions of the gates nested under it land there
-together, in order, and what it added is one slice.  A conjunction
-compiled inside a gate sends its nested gate definitions to the run
-while its own clauses go to the gate, so no slice holds them all.  The
-gates of a replayed conjunct are read by no other part, since a gate's
-key starts with its own id; when an earlier conjunct made a different
-number of gates, the replayed auxiliary variables (those above the
-tuple variables) are renumbered by the difference.  So the CNF is the
-same, clause for clause, as a fresh grounding.
+The root's conjuncts that read no structure relation and no free
+individual variable ground to the same clauses on every call: they form
+the template, grounded when the grounder is compiled, with its gates
+numbered from the first variable after the tuple variables.  Each call
+grounds only the other conjuncts, numbering their gates after the
+template's.  Structure atoms stay folded, so a call emits clauses only
+for the tuples that matter.
 
 Symmetry breaking then adds lex-leader constraints (Crawford, Ginsberg,
 Luks and Roy, KR 1996) for transpositions of interchangeable elements.
@@ -61,13 +54,34 @@ clauses.  The tuple space itself is never walked.
 
 A conflict-driven clause-learning solver (first-UIP learning,
 non-chronological backjumping, two watched literals) branches over the
-tuple variables only, in a fixed order, and counts its work.
+tuple variables only, in a fixed order, and counts its work.  Each
+grounder keeps one solver, loaded once with the template (MiniSat's
+incremental interface, Een and Sorensson, SAT 2003).  A call's unit
+clauses become assumptions, and its longer clauses and lex-leader
+clauses are added with a fresh selector literal s, as (c | ~s).  The
+assumptions and s are decided at level 1, and a conflict there answers
+"unsatisfiable" for that call only.  Every learnt clause is implied by
+the template, or it carries ~s, since s is a decision no resolution step
+removes; after the call ~s is fixed at level 0, which satisfies for good
+the call's clauses and what was learnt from them.  So level-0 facts and
+learnt clauses carry over to later calls, and a conflict at level 0
+refutes the template for every structure.  Without per-call conjuncts
+the reduct is empty and every call has the same lex-leader clauses, so
+they join the template instead.  The solver is dropped, to be rebuilt
+from the template, once the literals it holds beyond the template's
+outnumber the template's own; that bounds its memory by twice the
+template.  A call that would take it past that bound is its last: the
+call's clauses go in without a selector, and a conflict at level 0 then
+refutes only that call.  One lock per grounder serialises its calls
+into the solver.
 
 The grounder trusts its symbols, their arities and the values of the
 free individual variables, which structures.eval_so_full has checked.
 """
 from __future__ import annotations
 
+import threading
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain
 
@@ -133,47 +147,47 @@ class _Grounder:
         self.rels = {name: slot for slot, name in enumerate(rels, 1 + len(self.free))}
         self.nslots = 1 + len(self.free) + len(self.rels)
         self._gate_ids = 0
-        parts = [self._top(*part) for part in self._spine(matrix, negate, True)]
-        self.root = (parts[0] if len(parts) == 1 else self._sequence(parts, True))[0]
+        # The root's conjuncts that read no structure relation and no
+        # free individual variable form the template; the others are
+        # grounded per call.
+        fixed, varying = [], []
+        for g, neg in self._spine(matrix, negate, True):
+            found = fm.scope(g)
+            independent = not found.free_fo and found.symbols.keys() <= self.tvars.keys()
+            (fixed if independent else varying).append(self._part(g, neg, True, {}))
+        self.root = self._conjunction(varying)
+        run = _Run(self.nbase)
+        frame = [None] * self.nslots
+        frame[0] = run
+        fold = self._conjunction(fixed)
+        # The template's clauses, or None when it is unsatisfiable: it
+        # folds to false, or a call refuted it.
+        self.template = None
+        # The tuple variables that occur in the template.
+        self.present = set()
+        self.generators = 0
+        if fold is None or fold(frame, run.clauses):
+            self.present = {v for c in run.clauses for lit in c if (v := abs(lit)) <= self.nbase}
+            # Without per-call conjuncts the reduct is empty, so every
+            # call has the same lex-leader constraints: they join the
+            # template.
+            if not varying:
+                self.generators = self.break_symmetry(run, None, {}, {})
+            # Tuples over ints made once keep the template small.
+            same = {}
+            self.template = [tuple([same.setdefault(lit, lit) for lit in c]) for c in run.clauses]
+        # The template's variables; a call numbers its own after them.
+        self.base = run.nvars
+        self.solver = None
+        self.counters = None
+        self._lock = threading.Lock()
 
-    def _top(self, g, neg):
-        """The part for a top-level conjunct of the matrix.  When it reads
-        no structure relation and no free individual variable, its first
-        call records whether it folded to false, run.nvars on entry, the
-        gates it added and its clauses, and later calls replay them."""
-        part = self._compile(g, neg, True, {})
-        found = fm.scope(g)
-        if found.free_fo or not found.symbols.keys() <= self.tvars.keys():
-            return part
-        conj, free, symbolic = part
-        nbase = self.nbase
-        stored = None
-
-        def replay(frame, out):
-            nonlocal stored
-            run = frame[0]
-            if stored is None:
-                start = len(out)
-                base = run.nvars
-                holds = conj(frame, out)
-                # Tuples over ints shared per conjunct keep the store small.
-                same = {}
-                clauses = tuple(tuple(same.setdefault(lit, lit) for lit in c)
-                                for c in out[start:]) if holds else ()
-                stored = holds, base, run.nvars - base, clauses
-                return holds
-            holds, base, added, clauses = stored
-            if not holds:
-                return False
-            shift = run.nvars - base
-            if shift:
-                out.extend([[lit + shift if lit > nbase else lit - shift if lit < -nbase else lit
-                             for lit in c] for c in clauses])
-            else:
-                out.extend(map(list, clauses))
-            run.nvars += added
-            return True
-        return replay, free, symbolic
+    @staticmethod
+    def _conjunction(parts):
+        """The closure of the conjunction of parts, or None for none."""
+        if not parts:
+            return None
+        return (parts[0] if len(parts) == 1 else _Grounder._sequence(parts, True))[0]
 
     @staticmethod
     def _spine(g, neg, conjunctive):
@@ -226,11 +240,16 @@ class _Grounder:
         False when g folds to false, else True after appending the clauses
         g is the conjunction of.  Else fn(frame, lits) -> True when g folds
         to true, else False after appending the literals of g's clause."""
+        if type(g) is fm.Atom or type(g) is fm.Eq:
+            return self._part(g, neg, conjunctive, scope)
         parts = self._spine(g, neg, conjunctive)
         if len(parts) > 1:
-            return self._sequence([self._compile(*part, conjunctive, scope) for part in parts],
+            return self._sequence([self._part(*part, conjunctive, scope) for part in parts],
                                   conjunctive)
-        g, neg = parts[0]
+        return self._part(*parts[0], conjunctive, scope)
+
+    def _part(self, g, neg, conjunctive, scope):
+        """_compile for g that its spine does not split."""
         kind = type(g)
         quantifier = kind is fm.ExistsFO or kind is fm.ForallFO
         if quantifier and ((kind is fm.ForallFO) != neg) == conjunctive:
@@ -359,21 +378,26 @@ class _Grounder:
         return disj, free, symbolic
 
     def ground(self, A, fo_env, so_env):
-        """The _Run holding the clauses of the grounding on A, or None
-        when the matrix folds to false."""
+        """The _Run holding the clauses of the per-call conjuncts on A,
+        their variables numbered after the template's, or None when they
+        fold to false."""
+        run = _Run(self.base)
+        if self.root is None:
+            return run
         frame = [None] * self.nslots
         for name, slot in self.free.items():
             frame[slot] = fo_env[name]
         for name, slot in self.rels.items():
             frame[slot] = so_env[name] if name in so_env else A.rels[name]
-        run = _Run(self.nbase)
         frame[0] = run
         return run if self.root(frame, run.clauses) else None
 
     def break_symmetry(self, run, A, fo_env, so_env):
         """Append to run the lex-leader constraint x <=lex sigma(x) for
         each adjacent transposition sigma of a class of interchangeable
-        elements, and return how many constraints were appended."""
+        elements, over the tuple variables that occur in run or in the
+        template, and return how many constraints were appended.  A is
+        read only for the relations of the reduct."""
         n = self.n
         if n == 1:
             return 0
@@ -399,13 +423,12 @@ class _Grounder:
         # The occurring tuple variables, decoded, and bucketed by the
         # moved elements their tuples hold.
         nbase = self.nbase
-        present = {v if v > 0 else -v for v in set(chain.from_iterable(run.clauses))}
+        present = self.present.union(
+            v for v in map(abs, chain.from_iterable(run.clauses)) if v <= nbase)
         moved = {e for pair in generators for e in pair}
         buckets = {e: [] for e in moved}
         tuples = {}
         for v in sorted(present):
-            if v > nbase:
-                break
             for first, arity in self.blocks:
                 if v >= first:
                     break
@@ -451,20 +474,34 @@ class _Grounder:
                         guard = [-eq]
         return emitted
 
-    def solver(self, A, fo_env, so_env):
-        """The _Solver of the grounding on A with its lex-leader
-        constraints, or None when the matrix folds to false."""
+    def satisfiable(self, A, fo_env, so_env) -> bool:
+        """Whether the template and the per-call clauses on A, with
+        their lex-leader constraints, are satisfiable, decided by the
+        grounder's one solver; counters then holds the call's work."""
+        self.counters = Counters()
+        template = self.template
+        if template is None:
+            return False
         run = self.ground(A, fo_env, so_env)
         if run is None:
-            return None
-        generators = self.break_symmetry(run, A, fo_env, so_env)
-        solver = _Solver(run.clauses, run.nvars, self.nbase)
-        solver.counters.generators = generators
-        return solver
-
-    def satisfiable(self, A, fo_env, so_env) -> bool:
-        solver = self.solver(A, fo_env, so_env)
-        return solver is not None and solver.solve()
+            return False
+        generators = self.break_symmetry(run, A, fo_env, so_env) if self.root else self.generators
+        with self._lock:
+            solver = self.solver
+            if solver is None:
+                solver = self.solver = _Solver(template, self.nbase)
+            # A call that would leave the solver holding twice the
+            # template's literals or more is its last.
+            keep = solver.extra + sum(map(len, run.clauses)) < solver.size
+            answer = solver.solve(run.clauses, keep)
+            self.counters = solver.counters
+            self.counters.generators = generators
+            if not keep or solver.extra > solver.size:
+                # Rebuilt from the template on the next call.
+                self.solver = None
+            elif solver.unsat:
+                self.template = self.solver = None
+        return answer
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +509,12 @@ class _Grounder:
 # ---------------------------------------------------------------------------
 
 class Counters:
-    """The work of one solver: lex-leader generators emitted, decisions,
-    assignments made by propagation, conflicts, learnt clauses and input
-    clauses dropped as tautologies.  The counts depend only on the
-    clauses and their order, so tests can bound them."""
+    """The work of one call of a solver: lex-leader generators emitted,
+    decisions, assignments made by propagation, conflicts, learnt clauses
+    and input clauses dropped as tautologies (the template's among them on
+    the first call after loading).  The counts depend only on the
+    clauses, their order and the earlier calls to the same solver, so
+    tests can bound them."""
 
     __slots__ = ("generators", "decisions", "propagations", "conflicts", "learnt", "dropped")
 
@@ -494,33 +533,56 @@ def _clean(clause):
 
 
 class _Solver:
-    """Satisfiability of clauses over variables 1..nvars by conflict-driven
-    clause learning: first-UIP learnt clauses and non-chronological
-    backjumping (GRASP), branching over the tuple variables 1..nbase only,
-    in index order, positive literal first.
+    """Satisfiability of a template CNF together with per-call clauses,
+    by conflict-driven clause learning: first-UIP learnt clauses and
+    non-chronological backjumping (GRASP), branching over the tuple
+    variables 1..nbase only, in a static order, positive literal first:
+    the template's, in index order, then those of the call's longer
+    clauses that the template lacks, in index order.
 
+    The solver numbers the variables that occur densely, in index order,
+    so its arrays grow with the CNF and not with the n^k tuple space,
+    and the template's tuple variables come first.  A per-call clause
+    that brings a new variable extends the numbering.
     Loading drops every tautology and repeated literal.  A binary clause
     (a | b) becomes the two implications ~a -> b and ~b -> a in implied;
     a longer clause is watched by the literals at its positions 0 and 1
     (Chaff).  Literals are nonzero ints, -v the negation of v, and lists
-    indexed by literal have 2 * nvars + 1 entries, a negative literal
-    indexing from the end.
+    indexed by literal have 2 * cap + 1 entries, a negative literal
+    indexing from the end; growing cap inserts entries in the middle.
+
+    solve(clauses) may be called again and again (MiniSat's incremental
+    interface, Een and Sorensson, SAT 2003).  The call's unit clauses are
+    assumptions, decided together at level 1; a conflict at level 1
+    answers False.  Its longer clauses get a fresh selector literal s:
+    each is added as (c | ~s), minus the literals false at level 0, and s
+    is assumed with the units.  When the call returns the solver
+    backtracks to level 0 and fixes ~s there, which satisfies those
+    clauses for good; level-0 facts and learnt clauses stay.  A conflict
+    at level 0 makes the template unsatisfiable for good.  A call made
+    with keep false is the solver's last: its longer clauses are added
+    as they are, and unsat then speaks for that call only.
 
     Branching over the tuple variables only stays complete.  In negation
     normal form every auxiliary variable g occurs positively only where
     its conjunction is used, and negatively only in its own clauses
-    (~g | c).  Learnt clauses are implied by the input clauses, so adding
-    them changes no model, and two-watched-literal propagation reaches
-    the same unit fixpoint as propagation that counts the false literals
-    of every clause.  Once every tuple variable is fixed, each
-    subformula is true or false; a false conjunction has a clause c
-    whose literals are all false, by induction on depth, so propagation
-    forces its g false.  A chain variable e_k of a lex-leader constraint
-    occurs positively only in its own two defining clauses, as a gate
-    does, and with every tuple variable fixed propagation forces e_k
-    true wherever pairs 1..k are equal.  If no conflict remains, setting
-    every undecided g to the truth of its conjunction and every
-    undecided e_k to false satisfies every input clause, so the answer
+    (~g | c).  Each learnt clause is implied by the template, or it
+    carries ~s of the call that learnt it, since s is a decision that no
+    resolution step removes; that ~s holds at level 0 once s retires, so
+    a retired clause never propagates again and a per-call auxiliary
+    variable may be reused by a later call.  Two-watched-literal
+    propagation reaches the same unit fixpoint as propagation that counts
+    the false literals of every clause; a clause is added only at level 0
+    with no literal false there, so its watches are sound.  Once every
+    tuple variable that occurs in the template or in the call's clauses
+    is fixed, each subformula is true or false; a false conjunction has a
+    clause c whose literals are all false, by induction on depth, so
+    propagation forces its g false.  A chain variable e_k of a lex-leader
+    constraint occurs positively only in its own two defining clauses, as
+    a gate does, and with every tuple variable fixed propagation forces
+    e_k true wherever pairs 1..k are equal.  If no conflict remains,
+    setting every undecided g to the truth of its conjunction and every
+    undecided e_k to false satisfies every active clause, so the answer
     is "satisfiable".
 
     The lex-leader constraints keep the answer.  A transposition sigma
@@ -533,21 +595,62 @@ class _Solver:
     and setting each e_k to the equality of pairs 1..k extends it to a
     model of every constraint.
 
-    The solver keeps the clause lists it is given and reorders their
-    literals as its watches move, which is why a replayed conjunct hands
-    out fresh copies of its clauses.  solve() adds the learnt clauses to
-    the loaded lists and sets the counters, so each _Solver is solved
-    once."""
+    size is the number of literals in the template; extra counts those
+    held beyond it, in per-call and learnt clauses, retired or not, so a
+    caller can drop the solver once they outgrow the template.  Each
+    call replaces counters."""
 
-    def __init__(self, clauses, nvars, nbase):
-        self.nvars = nvars
-        size = 2 * nvars + 1
-        implied = [[] for _ in range(size)]
-        watches = [[] for _ in range(size)]
-        units = []
+    def __init__(self, clauses, nbase):
+        self.nbase = nbase
+        names = sorted({v for c in clauses for v in map(abs, c)})
+        # Grounder literal -> dense literal, each int made once.
+        dense = self.dense = {}
+        for d, v in enumerate(names, 1):
+            dense[v] = d
+            dense[-v] = -d
+        self.nvars = len(names)
+        # Room for a call's selector and a few new variables.
+        self.cap = self.nvars + 8
+        size = 2 * self.cap + 1
+        self.value = [0] * size
+        self.level = [0] * size
+        self.reason = [None] * size
+        self.implied = [[] for _ in range(size)]
+        self.watches = [[] for _ in range(size)]
+        self.trail = []
+        self.head = 0
+        # Level-0 units not yet on the trail: the template's, each retired
+        # selector's negation, and in a last call the clauses that level
+        # 0 cut to one literal.
+        self.units = []
+        self.unsat = False
+        self.dropped = 0
+        self.size = sum(map(len, clauses))
+        self.extra = 0
+        self._attach([[dense[lit] for lit in c] for c in clauses])
+        # The template's tuple variables are 1..ntuple; those only in
+        # unit clauses are fixed at level 0 before the first decision.
+        # Tuple variables folded away during grounding do not occur.
+        self.ntuple = bisect_right(names, nbase)
+        self.order = range(1, self.ntuple + 1)
+
+    def _grow(self, cap):
+        at = self.cap + 1
+        pad = 2 * (cap - self.cap)
+        self.value[at:at] = [0] * pad
+        self.level[at:at] = [0] * pad
+        self.reason[at:at] = [None] * pad
+        self.implied[at:at] = [[] for _ in range(pad)]
+        self.watches[at:at] = [[] for _ in range(pad)]
+        self.cap = cap
+
+    def _attach(self, clauses):
+        """Link each clause of dense literals into implied or watches, and
+        queue its unit clauses as level-0 units."""
+        implied = self.implied
+        watches = self.watches
+        units = self.units
         longs = []
-        dropped = 0
-        self.empty = False
         # Binary and ternary clauses, nearly all of the input, are
         # checked inline; only the rest, and any clause that repeats a
         # literal, pay for _clean.
@@ -569,11 +672,11 @@ class _Solver:
                 units.append(c[0])
                 continue
             elif not k:
-                self.empty = True
+                self.unsat = True
                 continue
             c = _clean(c)
             if c is None:
-                dropped += 1
+                self.dropped += 1
             elif len(c) == 1:
                 units.append(c[0])
             elif len(c) == 2:
@@ -585,53 +688,116 @@ class _Solver:
         for c in longs:
             watches[c[0]].append(c)
             watches[c[1]].append(c)
-        self.implied = implied
-        self.watches = watches
-        self.units = units
-        self.counters = Counters()
-        self.counters.dropped = dropped
-        # Tuple variables folded away during grounding are irrelevant to
-        # the answer, and those only in unit clauses are fixed at level
-        # 0; branching over them would only pad the search.
-        present = set(chain.from_iterable(longs))
-        self.order = [v for v in range(1, nbase + 1)
-                      if v in present or -v in present or implied[v] or implied[-v]]
 
-    def solve(self) -> bool:
-        counts = self.counters
-        if self.empty:
-            return False
-        implied = self.implied
-        watches = self.watches
+    def _add(self, clauses, keep):
+        """Number and add the call's clauses, at level 0: (assumptions,
+        selector, branching order), or None when a longer clause is false
+        at level 0.  Without keep the longer clauses get no selector."""
+        dense = self.dense
+        # The variables new to the solver, numbered in index order, with
+        # room for a selector.
+        new = sorted({abs(lit) for c in clauses for lit in c if lit not in dense})
+        need = self.nvars + len(new) + 1
+        if need > self.cap:
+            self._grow(max(need, self.cap + self.cap // 2))
+        for v in new:
+            self.nvars += 1
+            dense[v] = self.nvars
+            dense[-v] = -self.nvars
+        value = self.value
+        fixed = bool(self.trail)
+        assume = []
+        guarded = []
+        longs = []
+        selector = 0
+        for c in clauses:
+            lits = [dense[lit] for lit in c]
+            if len(lits) == 1:
+                assume.append(lits[0])
+                continue
+            longs.append(c)
+            if fixed:
+                # Drop the literals false at level 0, and the clause when
+                # one is true there.
+                kept = [d for d in lits if not value[d]]
+                if len(kept) < len(lits):
+                    if any(value[d] > 0 for d in lits):
+                        continue
+                    if not kept:
+                        return None
+                    lits = kept
+            if keep:
+                if not selector:
+                    self.nvars += 1
+                    selector = self.nvars
+                lits.append(-selector)
+            guarded.append(lits)
+        if selector:
+            assume.insert(0, selector)
+        if guarded:
+            self._attach(guarded)
+            self.extra += sum(map(len, guarded))
         order = self.order
-        size = 2 * self.nvars + 1
+        if longs:
+            # Then the tuple variables the template lacks, of the call's
+            # longer clauses.
+            nbase = self.nbase
+            ntuple = self.ntuple
+            extras = sorted({v for c in longs for v in map(abs, c)
+                             if v <= nbase and dense[v] > ntuple})
+            if extras:
+                order = [*order, *[dense[v] for v in extras]]
+        return assume, selector, order
+
+    def solve(self, clauses=(), keep=True) -> bool:
+        """Whether the template and the call's clauses, in the grounder's
+        numbering, are satisfiable.  Without keep the call is the
+        solver's last, and its clauses are added for good."""
+        counts = self.counters = Counters()
+        if self.unsat:
+            return False
+        value = self.value
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         # value[lit] is 1 when lit is true, -1 when false, 0 when
         # unassigned; level and reason are indexed by the true literal.
-        # A reason is None for a decision or a level-0 unit, the other
-        # (false) literal of a binary clause, or a longer clause whose
-        # first literal is the one it forced.
-        value = [0] * size
-        level = [0] * size
-        reason = [None] * size
-        trail = []
+        # A reason is None for a decision, an assumption or a level-0
+        # unit, the other (false) literal of a binary clause, or a longer
+        # clause whose first literal is the one it forced.
         # Per decision level from 1 on: the trail length before the
-        # decision and the decision's index in order.
+        # decision and the decision's index in order.  Level 1 holds the
+        # assumptions, when there are any.
         trail_lim = []
         branch_at = []
-        decisions = propagations = conflicts = learnt = 0
-        head = 0
+        decisions = propagations = conflicts = learnt = held = 0
+        selector = 0
+        head = self.head
         start = 0
         dl = 0
         try:
+            added = self._add(clauses, keep)
+            if added is None:
+                conflicts += 1
+                return False
+            assume, selector, order = added
             for lit in self.units:
                 if value[lit] < 0:
                     conflicts += 1
+                    self.unsat = True
                     return False
                 if not value[lit]:
                     value[lit] = 1
                     value[-lit] = -1
+                    level[lit] = 0
+                    reason[lit] = None
                     trail.append(lit)
                     propagations += 1
+            self.units = []
+            top = 1 if assume else 0
+            # The arrays may have grown.
+            implied = self.implied
+            watches = self.watches
             while True:
                 conflict = None
                 while head < len(trail):
@@ -695,6 +861,23 @@ class _Solver:
                         break
 
                 if conflict is None:
+                    if dl < top:
+                        # (Re)enter level 1 with every assumption.
+                        dl = 1
+                        trail_lim.append(len(trail))
+                        branch_at.append(start)
+                        for lit in assume:
+                            vl = value[lit]
+                            if vl < 0:
+                                conflicts += 1
+                                return False
+                            if not vl:
+                                value[lit] = 1
+                                value[-lit] = -1
+                                level[lit] = 1
+                                reason[lit] = None
+                                trail.append(lit)
+                        continue
                     while start < len(order) and value[order[start]]:
                         start += 1
                     if start == len(order):
@@ -712,7 +895,9 @@ class _Solver:
                     continue
 
                 conflicts += 1
-                if not dl:
+                if dl <= top:
+                    if not dl:
+                        self.unsat = True
                     return False
                 # First UIP: resolve the conflict clause with the reasons
                 # of its literals of the current level, latest first,
@@ -751,13 +936,14 @@ class _Solver:
                 # watched next to uip.
                 back = 0
                 if rest:
-                    top = 0
+                    held += len(rest) + 1
+                    high = 0
                     for j, q in enumerate(rest):
                         lv = level[-q]
                         if lv > back:
                             back = lv
-                            top = j
-                    rest[0], rest[top] = rest[top], rest[0]
+                            high = j
+                    rest[0], rest[high] = rest[high], rest[0]
                 mark = trail_lim[back]
                 for lit in trail[mark:]:
                     value[lit] = value[-lit] = 0
@@ -784,6 +970,19 @@ class _Solver:
                 trail.append(uip)
                 propagations += 1
         finally:
+            if not self.unsat:
+                # Back to level 0, where the retired selector is fixed.
+                if trail_lim:
+                    mark = trail_lim[0]
+                    for lit in trail[mark:]:
+                        value[lit] = value[-lit] = 0
+                    del trail[mark:]
+                self.head = min(head, len(trail))
+                if selector:
+                    self.units.append(-selector)
+            self.extra += held
+            counts.dropped = self.dropped
+            self.dropped = 0
             counts.decisions = decisions
             counts.propagations = propagations
             counts.conflicts = conflicts
