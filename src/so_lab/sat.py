@@ -485,6 +485,9 @@ class _Grounder:
         run = self.ground(A, fo_env, so_env)
         if run is None:
             return False
+        if not (template or run.clauses):
+            # No clause at all, so no tuple variable occurs either.
+            return True
         generators = self.break_symmetry(run, A, fo_env, so_env) if self.root else self.generators
         with self._lock:
             solver = self.solver
