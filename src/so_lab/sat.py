@@ -72,8 +72,9 @@ from the template, once the literals it holds beyond the template's
 outnumber the template's own; that bounds its memory by twice the
 template.  A call that would take it past that bound is its last: the
 call's clauses go in without a selector, and a conflict at level 0 then
-refutes only that call.  One lock per grounder serialises its calls
-into the solver.
+refutes only that call.  A call with no clause at all, template
+included, is satisfiable and builds no solver.  One lock per grounder
+serialises its calls into the solver.
 
 The grounder trusts its symbols, their arities and the values of the
 free individual variables, which structures.eval_so_full has checked.
