@@ -23,13 +23,11 @@ from .formulas import (
     Implies,
     Not,
     Or,
-    ValidationReport,
     classify,
     parse,
     prenex_so,
     print_formula,
     universal_closure,
-    validate,
 )
 from .structures import (
     Assignment,

@@ -66,7 +66,7 @@ def _emit(args, report, text_lines):
 
 def _cmd_parse(args):
     f = fm.parse(args.formula)
-    free = fm.free_fo_variables(f)
+    free = fm.scope(f).free_fo
     report = {
         "command": "parse",
         "formula": fm.print_formula(f),

@@ -32,11 +32,10 @@ class Fragment:
     def __post_init__(self):
         seen = set()
         for f in self.formulas:
-            fm.check_height(f)
+            check_formula(f, self.sig._arity)
             if f in seen:
                 raise ValidationError(f"duplicate fragment formula: {f}")
             seen.add(f)
-            check_formula(f, self.sig._arity)
 
     def __len__(self):
         return len(self.formulas)

@@ -1,9 +1,9 @@
 """Second-order formulas over purely relational signatures.
 
 Provides the AST, a parser for the concrete syntax, a printer that
-round-trips (parse(print(f)) == f), scope validation, prenex
-normalisation of relation quantifiers, and classification into the
-alternation hierarchy (Delta0 / Sigma(n) / Pi(n)).
+round-trips (parse(print(f)) == f), prenex normalisation of relation
+quantifiers, and classification into the alternation hierarchy
+(Delta0 / Sigma(n) / Pi(n)).
 
 One pass, scope(f), finds what parsing and evaluation need to know of
 a formula: free individual variables, the relation symbols no binder
@@ -11,12 +11,10 @@ covers with their arities, relation-quantifier arities, nesting depth
 and tree height, and the first fault (of arity, or a node that is not
 a formula).  parse and every evaluator read it instead of walking the
 formula, the evaluators through structures.check_formula.  walk(f)
-visits every node in pre-order without recursion, together with the
-variables bound above it, for all_names and validate, the public report
-of every faulty atom, which no entry calls.  prenex_so is one recursive
-rewrite: it renames binders apart, pushes negation inward and moves
-each relation quantifier onto the prefix as it meets it, expanding ->
-and <-> only around relation quantifiers.
+yields every node in pre-order without recursion, for all_names.
+prenex_so is one recursive rewrite: it renames binders apart, pushes
+negation inward and moves each relation quantifier onto the prefix as
+it meets it, expanding -> and <-> only around relation quantifiers.
 
 All formula values are immutable and safe to share.  Each node caches
 its hash on first use, the value the dataclass would compute from its
@@ -146,32 +144,23 @@ MAX_DEPTH = 100
 # ---------------------------------------------------------------------------
 
 def walk(f):
-    """Every node of f in pre-order, left to right, without recursion.
-
-    Yields (node, fo_bound, so_bound): fo_bound is the frozenset of
-    individual variables bound above node, and so_bound maps each
-    relation variable bound above it to its declared arity.  Both are
-    shared between nodes and must not be mutated.
-    """
-    stack = [(f, frozenset(), {})]
+    """Every node of f in pre-order, left to right, without recursion."""
+    stack = [f]
     pop = stack.pop
     push = stack.append
     while stack:
-        item = pop()
-        yield item
-        g, fo_bound, so_bound = item
+        g = pop()
+        yield g
         kind = type(g)
         if kind in _LEAVES:
             continue
         if kind is Not:
-            push((g.sub, fo_bound, so_bound))
-        elif kind in _FO_QUANT:
-            push((g.body, fo_bound | {g.var}, so_bound))
-        elif kind in _SO_QUANT:
-            push((g.body, fo_bound, {**so_bound, g.relvar: g.arity}))
+            push(g.sub)
+        elif kind in _FO_QUANT or kind in _SO_QUANT:
+            push(g.body)
         elif kind in _BINARY:
-            push((g.right, fo_bound, so_bound))
-            push((g.left, fo_bound, so_bound))
+            push(g.right)
+            push(g.left)
 
 
 class Scope(NamedTuple):
@@ -523,10 +512,6 @@ def contains_so(f) -> bool:
     return bool(scope(f).so_arities)
 
 
-def so_quantifier_arities(f) -> tuple[int, ...]:
-    return scope(f).so_arities
-
-
 def so_prefix(f):
     """Split f into its leading relation-quantifier prefix and matrix.
 
@@ -538,11 +523,6 @@ def so_prefix(f):
         prefix.append((isinstance(f, ExistsSO), f.relvar, f.arity))
         f = f.body
     return tuple(prefix), f
-
-
-def free_fo_variables(f) -> tuple[str, ...]:
-    """Free first-order variables in first-occurrence order."""
-    return scope(f).free_fo
 
 
 def free_relation_variables(f, sig) -> tuple[tuple[str, int], ...]:
@@ -561,7 +541,7 @@ def free_relation_variables(f, sig) -> tuple[tuple[str, int], ...]:
 
 def all_names(f) -> set[str]:
     names = set()
-    for g, _, _ in walk(f):
+    for g in walk(f):
         if isinstance(g, Atom):
             names.add(g.rel)
             names.update(g.args)
@@ -572,71 +552,6 @@ def all_names(f) -> set[str]:
         elif isinstance(g, _SO_QUANT):
             names.add(g.relvar)
     return names
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: tuple[str, ...]
-    free_variables: tuple[str, ...]
-    free_relation_variables: tuple[tuple[str, int], ...]
-    shadowed: tuple[str, ...]
-
-
-def validate(f: Formula, sig, allow_free_relvars: bool = False) -> ValidationReport:
-    """Resolve every atom against binders (which shadow the signature) and
-    the signature; report free first-order variables rather than rejecting
-    them.
-
-    With allow_free_relvars, atom names outside the signature are reported
-    as free relation variables instead of unknown symbols (used for
-    fragments whose designated relation variables stay free).
-    """
-    errors = []
-    shadowed = []
-    free_rel = {}
-    for g, _, so_bound in walk(f):
-        if isinstance(g, Atom):
-            k = len(g.args)
-            if g.rel in so_bound:
-                if so_bound[g.rel] != k:
-                    errors.append(
-                        f"arity mismatch: {g.rel!r} bound with arity {so_bound[g.rel]},"
-                        f" applied to {k} arguments"
-                    )
-                continue
-            declared = sig.arity(g.rel)
-            if declared is None:
-                if not allow_free_relvars:
-                    errors.append(f"unknown symbol {g.rel!r}")
-                elif free_rel.setdefault(g.rel, k) != k:
-                    errors.append(
-                        f"arity mismatch: free relation variable {g.rel!r}"
-                        f" used with arities {free_rel[g.rel]} and {k}"
-                    )
-            elif declared != k:
-                errors.append(
-                    f"arity mismatch: {g.rel!r} has arity {declared},"
-                    f" applied to {k} arguments"
-                )
-        elif isinstance(g, _SO_QUANT):
-            if sig.arity(g.relvar) is not None or g.relvar in so_bound:
-                shadowed.append(g.relvar)
-            if g.arity < 1:
-                errors.append(f"binder {g.relvar!r} declares arity {g.arity} < 1")
-        elif not isinstance(g, Formula):
-            errors.append(f"not a formula node: {g!r}")
-    return ValidationReport(
-        ok=not errors,
-        errors=tuple(errors),
-        free_variables=free_fo_variables(f),
-        free_relation_variables=tuple(free_rel.items()),
-        shadowed=tuple(shadowed),
-    )
 
 
 def parse_list(strings, what) -> tuple[Formula, ...]:
@@ -690,7 +605,7 @@ def universal_closure(f: Formula) -> Formula:
     """Bind the free first-order variables by a ForallFO prefix in
     first-occurrence order."""
     out = f
-    for var in reversed(free_fo_variables(f)):
+    for var in reversed(scope(f).free_fo):
         out = ForallFO(var, out)
     return out
 
@@ -748,7 +663,7 @@ def prenex_so(f: Formula) -> Formula:
     parse(print_formula(g)) == g whenever it answers.
     """
     check_height(f)
-    if not free_fo_variables(f) and classify(f) is not NONPRENEX:
+    if not scope(f).free_fo and classify(f) is not NONPRENEX:
         return f
     g = universal_closure(f)
     count = _prefix_length(g)
@@ -807,11 +722,3 @@ def prenex_so(f: Formula) -> Formula:
         raise ValidationError(f"the prenex form would nest more than {MAX_DEPTH} levels deep")
     return out
 
-
-def dualize_prefix(f: Formula) -> Formula:
-    """Swap every quantifier in the leading relation-quantifier prefix."""
-    prefix, matrix = so_prefix(f)
-    out = matrix
-    for existential, name, arity in reversed(prefix):
-        out = (ForallSO if existential else ExistsSO)(name, arity, out)
-    return out

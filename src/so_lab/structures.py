@@ -93,7 +93,8 @@ class FiniteStructure:
                     raise ValidationError(
                         f"tuple {t} has length {len(t)}, expected arity {arity} for {name!r}"
                     )
-                if not all(isinstance(x, int) and 0 <= x < size for x in t):
+                if not all(isinstance(x, int) and type(x) is not bool and 0 <= x < size
+                           for x in t):
                     raise ValidationError(f"tuple {t} out of universe range for {name!r}")
             rels[name] = frozenset(tuples)
         self.sig = sig
@@ -271,7 +272,7 @@ def check_relation_variables(symbols, A, so):
             if not (isinstance(t, tuple) and len(t) == k):
                 raise ValidationError(f"relation variable {name!r} holds {t!r},"
                                       f" not a tuple of its arity {k}")
-            if not all(isinstance(x, int) and 0 <= x < size for x in t):
+            if not all(_is_int(x) and 0 <= x < size for x in t):
                 raise ValidationError(f"relation variable {name!r} holds {t!r},"
                                       f" outside the universe")
 
@@ -284,7 +285,7 @@ def check_assignment(names, A, fo):
         value = fo.get(name)
         if value is None:
             raise ValidationError(f"unassigned free variable {name!r}")
-        if not (isinstance(value, int) and 0 <= value < size):
+        if not (_is_int(value) and 0 <= value < size):
             raise ValidationError(f"free variable {name!r} = {value!r} is outside the universe")
 
 

@@ -447,7 +447,7 @@ def check_los(family, U: Ultrafilter, f, *,
     valid outcome.  f is checked, as a sentence, before the model is built."""
     family = _check_family(family, U)
     check_formula(f, family[0].sig._arity)
-    bound = max(fm.so_quantifier_arities(f), default=1)
+    bound = max(fm.scope(f).so_arities, default=1)
     M = henkin_model(family, U, bound, budget=budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(

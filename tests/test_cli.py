@@ -159,6 +159,14 @@ class TestMalformedInput:
                            "--formula", "ALL x x = x")
         assert code == 2 and "range" in err
 
+    def test_tuple_element_a_boolean(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"universe": 2, "signature": {"p": 1},
+                                    "relations": {"p": [[True]]}}))
+        code, out, err = run(capsys, "eval", "--structure", str(path),
+                             "--formula", "EX x p(x)")
+        assert code == 2 and not out and "range" in err
+
     def test_ill_typed_atom(self, capsys, tmp_path):
         path = tmp_path / "unary.json"
         path.write_text(json.dumps({"universe": 3, "signature": {"p": 1},

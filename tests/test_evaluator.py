@@ -377,8 +377,7 @@ class TestOneBudgetRule:
     def test_second_henkin_evaluation_walks_no_formula(self, monkeypatch):
         f = fm.parse("EX2 Y:1 ALL x EX y (edge(x, y) & (Y(y) | Z(x)))")
         assert henkin_eval(full_henkin_model(C4, 1), f) is True
-        for name in ("walk", "free_relation_variables", "so_quantifier_arities",
-                     "free_fo_variables"):
+        for name in ("walk", "free_relation_variables"):
             monkeypatch.setattr(fm, name, lambda *args, name=name: pytest.fail(name))
         assert henkin_eval(full_henkin_model(GRAPHS[0], 1), f) is True
         assert henkin_eval(full_henkin_model(GRAPHS[3], 1), f) is False
@@ -455,6 +454,9 @@ class TestInputsBeforeBudget:
         ("edge(x, q)", {}, {}, "unassigned free variable 'q'"),
         ("edge(x, q)", {"q": 9}, {}, "'q' = 9 is outside the universe"),
         ("X(x, x)", {}, {"X": frozenset({(0,)})}, "not a tuple of its arity 2"),
+        # True == 1, yet no element of the universe.
+        ("edge(x, q)", {"q": True}, {}, "'q' = True is outside the universe"),
+        ("X(x, x)", {}, {"X": frozenset({(0, True)})}, r"holds \(0, True\), outside the universe"),
     ]
     # Each shape's text around the faulty atom, its entry and whether
     # SAT decides it.
@@ -649,7 +651,7 @@ def _pullable(f):
     miniscoping moves out, and how many of those also have a part with
     a relation quantifier after it."""
     pulled = before_so = 0
-    for g, _, _ in fm.walk(f):
+    for g in fm.walk(f):
         if type(g) not in (fm.ExistsFO, fm.ForallFO):
             continue
         node = fm.And if type(g) is fm.ExistsFO else fm.Or
@@ -685,7 +687,7 @@ class TestMiniscoping:
             counts = _pullable(f)
             pulled += counts[0]
             before_so += counts[1]
-            implications += any(type(g) is fm.Implies for g, _, _ in fm.walk(f))
+            implications += any(type(g) is fm.Implies for g in fm.walk(f))
             with_free += bool(found.free_fo)
             enumerated += structures.compile_evaluator(f)[1:3] == (True, None)
             entered = []

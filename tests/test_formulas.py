@@ -174,19 +174,6 @@ class TestClassify:
         assert fm.classify(f) is fm.NONPRENEX
         assert fm.classify(fm.parse("~(EX2 R:1 EX x R(x))")) is fm.NONPRENEX
 
-    def test_dualizing_prefix_swaps_sigma_and_pi(self):
-        rng = random.Random(7)
-        swapped = {"Sigma": "Pi", "Pi": "Sigma"}
-        count = 0
-        while count < 50:
-            f = fm.prenex_so(gen.random_formula(rng, MIXED, max_quant_depth=3))
-            label = fm.classify(f)
-            if label.kind not in swapped:
-                continue
-            dual = fm.classify(fm.dualize_prefix(f))
-            assert dual.kind == swapped[label.kind] and dual.n == label.n
-            count += 1
-
 
 class TestUniversalClosure:
     def test_closed_formula_unchanged(self):
@@ -208,7 +195,7 @@ class TestUniversalClosure:
             f = gen.random_formula(rng, MIXED, max_quant_depth=2,
                                    max_connectives=3, max_so=1,
                                    max_binary_so=0, allow_free=True)
-            free = fm.free_fo_variables(f)
+            free = fm.scope(f).free_fo
             if not free:
                 continue
             A = gen.random_structure(rng, MIXED, rng.randint(1, 3))
@@ -258,7 +245,7 @@ class TestPrenex:
         assert fm.classify(g) is not fm.NONPRENEX
         assert fm.parse(fm.print_formula(g)) == g
         assert not any(isinstance(h, (fm.Implies, fm.Iff)) and fm.contains_so(h)
-                       for h, _, _ in fm.walk(g))
+                       for h in fm.walk(g))
 
     def test_prenex_never_nonprenex(self):
         rng = random.Random(5)
@@ -304,42 +291,15 @@ class TestPrenex:
         assert g == fm.ForallFO("v0", self.nested_iff("X(v0)", levels))
 
 
-class TestValidate:
-    def test_free_variables_reported(self):
-        report = fm.validate(fm.parse("edge(x,y)"), GRAPH)
-        assert report.ok and report.free_variables == ("x", "y")
-
-    def test_arity_mismatch(self):
-        report = fm.validate(fm.parse("edge(x)"), GRAPH)
-        assert not report.ok and any("arity mismatch" in e for e in report.errors)
-
-    def test_binder_shadows_signature(self):
-        report = fm.validate(fm.parse("EX2 edge:1 edge(x)"), GRAPH)
-        assert report.ok and report.shadowed == ("edge",)
-
-    def test_unknown_symbol(self):
-        report = fm.validate(fm.parse("blue(x)"), GRAPH)
-        assert not report.ok and any("unknown symbol" in e for e in report.errors)
-
-    def test_free_relation_variables_mode(self):
-        report = fm.validate(fm.parse("ALL x X0(x)"), GRAPH, allow_free_relvars=True)
-        assert report.ok and report.free_relation_variables == (("X0", 1),)
-
-    def test_validate_closed_rejects_free(self):
-        with pytest.raises(ValidationError, match="free first-order"):
-            check_formula(fm.parse("edge(x,y)"), dict(GRAPH.relations))
+def test_validate_closed_rejects_free():
+    with pytest.raises(ValidationError, match="free first-order"):
+        check_formula(fm.parse("edge(x,y)"), dict(GRAPH.relations))
 
 
 class TestTraversal:
-    def test_walk_reports_binders_in_scope(self):
-        f = fm.parse("(EX2 X:2 ALL x X(x,y)) | p(x)")
-        scopes = {fm.print_formula(g): (set(fo), dict(so))
-                  for g, fo, so in fm.walk(f) if isinstance(g, fm.Atom)}
-        assert scopes == {"X(x, y)": ({"x"}, {"X": 2}), "p(x)": (set(), {})}
-
     def test_walk_is_pre_order(self):
         f = fm.parse("~p(x) -> (q(x) <-> x = y)")
-        assert [fm.print_formula(g) for g, _, _ in fm.walk(f)] == [
+        assert [fm.print_formula(g) for g in fm.walk(f)] == [
             "~p(x) -> (q(x) <-> x = y)", "~p(x)", "p(x)", "q(x) <-> x = y", "q(x)", "x = y"]
 
     def test_walk_needs_no_recursion(self):
@@ -347,7 +307,7 @@ class TestTraversal:
         for _ in range(5000):
             f = fm.Not(f)
         assert sum(1 for _ in fm.walk(f)) == 5001
-        assert fm.free_fo_variables(f) == ("x",)
+        assert fm.scope(f).free_fo == ("x",)
 
 
 class TestScope:
@@ -392,7 +352,7 @@ class TestHash:
             assert copy == f and copy is not f
             for _ in range(2):
                 assert hash(f) == hash(copy)
-            for g, _, _ in fm.walk(f):
+            for g in fm.walk(f):
                 # What the generated dataclass hash computes from the fields.
                 assert hash(g) == hash(tuple(getattr(g, name) for name in g.__match_args__))
 
@@ -435,10 +395,8 @@ def _pinned_outputs(f):
     except ValidationError as exc:
         free_rel = f"error: {exc}"
     return [fm.print_formula(f), fm.print_formula(fm.prenex_so(f)),
-            repr(fm.free_fo_variables(f)), repr(free_rel),
-            repr(sorted(fm.all_names(f))), repr(fm.so_quantifier_arities(f)),
-            repr(fm.validate(f, MIXED)),
-            repr(fm.validate(f, MIXED, allow_free_relvars=True))]
+            repr(fm.scope(f).free_fo), repr(free_rel),
+            repr(sorted(fm.all_names(f))), repr(fm.scope(f).so_arities)]
 
 
 class TestPinnedOutputs:
@@ -449,7 +407,7 @@ class TestPinnedOutputs:
     when it stopped expanding those away from relation quantifiers;
     every other line is unchanged."""
 
-    CORPUS_SHA256 = "db8b47cfe3a700892c7bb745fc5721caf787806e23debab519e51688cb848312"
+    CORPUS_SHA256 = "c3c2649241a56653d8d529dbc51902671d0aeb841de15a5b0c1739f33253e1ec"
 
     @staticmethod
     def corpus():
@@ -464,11 +422,13 @@ class TestPinnedOutputs:
     def test_corpus_covers_the_hard_cases(self):
         corpus = self.corpus()
         assert sum(fm.contains_so(f) for f in corpus) > 150
-        assert sum(bool(fm.free_fo_variables(f)) for f in corpus) > 100
-        assert sum(bool(fm.validate(f, MIXED).shadowed) for f in corpus) > 50
-        free_rel = [fm.validate(f, MIXED, allow_free_relvars=True).free_relation_variables
-                    for f in corpus]
-        assert sum(bool(r) for r in free_rel) > 50
+        assert sum(bool(fm.scope(f).free_fo) for f in corpus) > 100
+        # A relation binder named by a signature symbol shadows it.
+        assert sum(any(isinstance(g, (fm.ExistsSO, fm.ForallSO))
+                       and MIXED.arity(g.relvar) is not None for g in fm.walk(f))
+                   for f in corpus) > 50
+        assert sum(any(MIXED.arity(name) is None for name in fm.scope(f).symbols)
+                   for f in corpus) > 50
 
     def test_outputs_are_unchanged(self):
         lines = [line for f in self.corpus() for line in _pinned_outputs(f)]

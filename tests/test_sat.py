@@ -86,7 +86,7 @@ def _formula(rng, relvars, scope, depth):
 
 
 def _has_every_feature(matrix, relvars):
-    subs = [g for g, _, _ in fm.walk(matrix)]
+    subs = list(fm.walk(matrix))
     quantifiers = [g for g in subs if isinstance(g, (fm.ForallFO, fm.ExistsFO))]
     used = {g.rel for g in subs if isinstance(g, fm.Atom)}
     return (any(isinstance(g, fm.Iff) for g in subs)
@@ -96,7 +96,7 @@ def _has_every_feature(matrix, relvars):
             and all(name in used for name, _ in relvars)
             and any(isinstance(g.body, (fm.ForallFO, fm.ExistsFO)) or any(
                 isinstance(h, (fm.ForallFO, fm.ExistsFO))
-                for h, _, _ in fm.walk(g.body)) for g in quantifiers))
+                for h in fm.walk(g.body)) for g in quantifiers))
 
 
 def random_matrix(seed, relvars):

@@ -50,6 +50,15 @@ class TestFiniteStructure:
         with pytest.raises(ValidationError, match="range"):
             FiniteStructure(GRAPH_SIGNATURE, 2, {"edge": [(0, 2)]})
 
+    def test_boolean_element_rejected(self):
+        # True == 1, so a structure holding it would equal one holding 1
+        # and yet serialize differently.
+        with pytest.raises(ValidationError, match="range"):
+            FiniteStructure(GRAPH_SIGNATURE, 2, {"edge": [(0, True)]})
+        with pytest.raises(ValidationError, match="range"):
+            FiniteStructure.from_json('{"universe": 2, "signature": {"p": 1},'
+                                      ' "relations": {"p": [[true]]}}')
+
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValidationError, match="not in signature"):
             FiniteStructure(GRAPH_SIGNATURE, 2, {"blue": [(0,)]})
