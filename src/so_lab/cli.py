@@ -49,9 +49,9 @@ def _load_family(path):
 
 
 def _formula_from_args(args):
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return workbench.builtin(args.builtin).formula
-    if getattr(args, "formula", None):
+    if args.formula:
         return fm.parse(args.formula)
     raise SoLabError("provide --formula or --builtin")
 
@@ -302,8 +302,9 @@ def build_parser():
         "eval", help="truth in one structure under full or first-order semantics"),
         budget=True)
     p.add_argument("--structure", required=True)
-    p.add_argument("--formula")
-    p.add_argument("--builtin")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--formula")
+    given.add_argument("--builtin")
     p.add_argument("--semantics", choices=("full", "fo"), default="full")
     p.set_defaults(func=_cmd_eval)
 
@@ -326,8 +327,9 @@ def build_parser():
     p.add_argument("--ultrafilter", required=True)
     p.add_argument("--cols", type=int, default=None,
                    help="column count when the family is a flattened grid")
-    p.add_argument("--formula")
-    p.add_argument("--builtin")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--formula")
+    given.add_argument("--builtin")
     p.add_argument("--arity-bound", type=at_least(0), default=2)
     p.set_defaults(func=_cmd_henkin_eval)
 

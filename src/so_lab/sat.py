@@ -24,50 +24,45 @@ grounds only the other conjuncts, numbering their gates after the
 template's.  Structure atoms stay folded, so a call emits clauses only
 for the tuples that matter.
 
-Symmetry breaking then adds lex-leader constraints (Crawford, Ginsberg,
-Luks and Roy, KR 1996) for transpositions of interchangeable elements.
-The reduct is A cut down to the matrix's structure symbols and its
-assigned free relation variables, and every value of a free individual
-variable stays fixed.  Element e's key is the set of (symbol, t with e
-replaced by a marker) over the reduct's tuples t that hold e; two
-elements have equal keys exactly when swapping them is an automorphism
-of the reduct and no tuple holds both.  So elements in no tuple share
-the empty key, and a matrix that names no structure symbol gets the
-full symmetric group.  The generators are the adjacent transpositions
-of each class, in element order.  For each generator sigma the
+A grounder with no per-call conjunct reads no structure relation and no
+free individual value, so every permutation of the universe maps the
+models of its grounding onto themselves.  Its template then also gets
+lex-leader constraints (Crawford, Ginsberg, Luks and Roy, KR 1996) for
+the adjacent transpositions (e e+1).  For each generator sigma the
 constraint x <=lex sigma(x), false < true, runs over the tuple
-variables that occur in the CNF, in index order, and compares only the
-pairs (v, w = sigma(v)) with v < w, since a mirrored pair repeats its
-comparison.  It is encoded in linear size with chain variables (after
-Aloul, Markov and Sakallah): the first pair gives (~x_v | x_w), the
-k-th gives (~e_k-1 | ~x_v | x_w), and e_k is defined in one direction
-only, by (~e_k-1 | ~x_v | ~x_w | e_k) and (~e_k-1 | x_v | x_w | e_k),
-so that the equality of pairs 1..k implies it.  Chain variables are
-numbered after the gates.  A generator that does not map the occurring
-variables onto themselves is skipped; since the grounding is
-equivariant, none is.  The work is linear: the key pass reads each
-tuple of the reduct once, the occurring variables are bucketed by the
-elements their tuples hold, and since an element lies in at most two
-generators, at most k * |O| pairs come out over all generators (k the
-largest arity, O the occurring variables), each adding at most three
-clauses.  The tuple space itself is never walked.
+variables that occur in the template, in index order, and compares only
+the pairs (v, w = sigma(v)) with v < w, since a mirrored pair repeats
+its comparison.  It is encoded in linear size with chain variables
+(after Aloul, Markov and Sakallah): the first pair gives (~x_v | x_w),
+the k-th gives (~e_k-1 | ~x_v | x_w), and e_k is defined in one
+direction only, by (~e_k-1 | ~x_v | ~x_w | e_k) and
+(~e_k-1 | x_v | x_w | e_k), so that the equality of pairs 1..k implies
+it.  Chain variables are numbered after the gates.  A generator that
+does not map the occurring variables onto themselves is skipped; since
+the grounding is equivariant, none is.  The work is linear: the
+occurring variables are bucketed by the elements their tuples hold, and
+since an element lies in at most two generators, at most k * |O| pairs
+come out over all generators (k the largest arity, O the occurring
+variables), each adding at most three clauses.  The tuple space itself
+is never walked.  A grounder with per-call conjuncts breaks no
+symmetry: per-call lex-leader constraints over a structure's
+interchangeable elements cost more time than they saved, mostly by
+filling the solver past its rebuild bound.
 
 A conflict-driven clause-learning solver (first-UIP learning,
 non-chronological backjumping, two watched literals) branches over the
 tuple variables only, in a fixed order, and counts its work.  Each
 grounder keeps one solver, loaded once with the template (MiniSat's
 incremental interface, Een and Sorensson, SAT 2003).  A call's unit
-clauses become assumptions, and its longer clauses and lex-leader
-clauses are added with a fresh selector literal s, as (c | ~s).  The
-assumptions and s are decided at level 1, and a conflict there answers
-"unsatisfiable" for that call only.  Every learnt clause is implied by
-the template, or it carries ~s, since s is a decision no resolution step
-removes; after the call ~s is fixed at level 0, which satisfies for good
-the call's clauses and what was learnt from them.  So level-0 facts and
-learnt clauses carry over to later calls, and a conflict at level 0
-refutes the template for every structure.  Without per-call conjuncts
-the reduct is empty and every call has the same lex-leader clauses, so
-they join the template instead.  The solver is dropped, to be rebuilt
+clauses become assumptions, and its longer clauses are added with a
+fresh selector literal s, as (c | ~s).  The assumptions and s are
+decided at level 1, and a conflict there answers "unsatisfiable" for
+that call only.  Every learnt clause is implied by the template, or it
+carries ~s, since s is a decision no resolution step removes; after the
+call ~s is fixed at level 0, which satisfies for good the call's
+clauses and what was learnt from them.  So level-0 facts and learnt
+clauses carry over to later calls, and a conflict at level 0 refutes
+the template for every structure.  The solver is dropped, to be rebuilt
 from the template, once the literals it holds beyond the template's
 outnumber the template's own; that bounds its memory by twice the
 template.  A call that would take it past that bound is its last: the
@@ -84,7 +79,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import chain
 
 from . import formulas as fm
 from .errors import SoLabError
@@ -164,16 +158,12 @@ class _Grounder:
         # The template's clauses, or None when it is unsatisfiable: it
         # folds to false, or a call refuted it.
         self.template = None
-        # The tuple variables that occur in the template.
-        self.present = set()
         self.generators = 0
         if fold is None or fold(frame, run.clauses):
-            self.present = {v for c in run.clauses for lit in c if (v := abs(lit)) <= self.nbase}
-            # Without per-call conjuncts the reduct is empty, so every
-            # call has the same lex-leader constraints: they join the
-            # template.
+            # Without per-call conjuncts every permutation of the universe
+            # is a symmetry of the grounding: the template breaks it.
             if not varying:
-                self.generators = self.break_symmetry(run, None, {}, {})
+                self.generators = self.break_symmetry(run)
             # Tuples over ints made once keep the template small.
             same = {}
             self.template = [tuple([same.setdefault(lit, lit) for lit in c]) for c in run.clauses]
@@ -393,41 +383,17 @@ class _Grounder:
         frame[0] = run
         return run if self.root(frame, run.clauses) else None
 
-    def break_symmetry(self, run, A, fo_env, so_env):
-        """Append to run the lex-leader constraint x <=lex sigma(x) for
-        each adjacent transposition sigma of a class of interchangeable
-        elements, over the tuple variables that occur in run or in the
-        template, and return how many constraints were appended.  A is
-        read only for the relations of the reduct."""
+    def break_symmetry(self, run):
+        """Append to run, the template's, the lex-leader constraint
+        x <=lex sigma(x) for each adjacent transposition sigma = (e e+1)
+        of the universe, over the tuple variables that occur in run, and
+        return how many constraints were appended."""
         n = self.n
-        if n == 1:
-            return 0
-        # Element e's key: (symbol, tuple with e replaced by -1) for each
-        # tuple of the reduct that holds e.
-        keys = [[] for _ in range(n)]
-        for name in self.rels:
-            for t in so_env[name] if name in so_env else A.rels[name]:
-                for e in set(t):
-                    masked = list(t)
-                    for i, x in enumerate(t):
-                        if x == e:
-                            masked[i] = -1
-                    keys[e].append((name, *masked))
-        fixed = {fo_env[name] for name in self.free}
-        classes = {}
-        for e in range(n):
-            if e not in fixed:
-                classes.setdefault(frozenset(keys[e]), []).append(e)
-        generators = [(c[i - 1], c[i]) for c in classes.values() for i in range(1, len(c))]
-        if not generators:
-            return 0
-        # The occurring tuple variables, decoded, and bucketed by the
-        # moved elements their tuples hold.
         nbase = self.nbase
-        present = self.present.union(
-            v for v in map(abs, chain.from_iterable(run.clauses)) if v <= nbase)
-        moved = {e for pair in generators for e in pair}
-        buckets = {e: [] for e in moved}
+        present = {v for c in run.clauses for lit in c if (v := abs(lit)) <= nbase}
+        # The occurring tuple variables, decoded, and bucketed by the
+        # elements their tuples hold.
+        buckets = [[] for _ in range(n)]
         tuples = {}
         for v in sorted(present):
             for first, arity in self.blocks:
@@ -438,11 +404,12 @@ class _Grounder:
             for i in range(arity - 1, -1, -1):
                 index, t[i] = divmod(index, n)
             tuples[v] = first, t
-            for e in moved.intersection(t):
+            for e in set(t):
                 buckets[e].append(v)
         clauses = run.clauses
         emitted = 0
-        for a, b in generators:
+        for a in range(n - 1):
+            b = a + 1
             # The pairs (v, sigma(v)) with v < sigma(v), in index order;
             # the mirrored pairs repeat their comparison.
             pairs = []
@@ -476,9 +443,9 @@ class _Grounder:
         return emitted
 
     def satisfiable(self, A, fo_env, so_env) -> bool:
-        """Whether the template and the per-call clauses on A, with
-        their lex-leader constraints, are satisfiable, decided by the
-        grounder's one solver; counters then holds the call's work."""
+        """Whether the template, lex-leader constraints included, and the
+        per-call clauses on A are satisfiable, decided by the grounder's
+        one solver; counters then holds the call's work."""
         self.counters = Counters()
         template = self.template
         if template is None:
@@ -489,7 +456,6 @@ class _Grounder:
         if not (template or run.clauses):
             # No clause at all, so no tuple variable occurs either.
             return True
-        generators = self.break_symmetry(run, A, fo_env, so_env) if self.root else self.generators
         with self._lock:
             solver = self.solver
             if solver is None:
@@ -499,7 +465,7 @@ class _Grounder:
             keep = solver.extra + sum(map(len, run.clauses)) < solver.size
             answer = solver.solve(run.clauses, keep)
             self.counters = solver.counters
-            self.counters.generators = generators
+            self.counters.generators = self.generators
             if not keep or solver.extra > solver.size:
                 # Rebuilt from the template on the next call.
                 self.solver = None
@@ -513,7 +479,8 @@ class _Grounder:
 # ---------------------------------------------------------------------------
 
 class Counters:
-    """The work of one call of a solver: lex-leader generators emitted,
+    """The work of one call of a solver: the lex-leader constraints in
+    the grounder's template (none when it grounds conjuncts per call),
     decisions, assignments made by propagation, conflicts, learnt clauses
     and input clauses dropped as tautologies (the template's among them on
     the first call after loading).  The counts depend only on the
@@ -589,15 +556,15 @@ class _Solver:
     undecided e_k to false satisfies every active clause, so the answer
     is "satisfiable".
 
-    The lex-leader constraints keep the answer.  A transposition sigma
-    of interchangeable elements that maps the set O of occurring tuple
-    variables onto itself maps the models of the grounding, restricted
-    to O, onto themselves, because the matrix's truth on A does not
-    depend on the variables outside O and sigma fixes the reduct and the
-    free variables' values.  So the lex-least model of each orbit,
-    restricted to O, satisfies x <=lex sigma(x) for every generator,
-    and setting each e_k to the equality of pairs 1..k extends it to a
-    model of every constraint.
+    The lex-leader constraints keep the answer.  They occur only in a
+    template that reads no structure relation and no free individual
+    value.  A transposition sigma of the universe that maps the set O of
+    occurring tuple variables onto itself then maps the models of the
+    grounding, restricted to O, onto themselves, because the matrix's
+    truth does not depend on the variables outside O.  So the lex-least
+    model of each orbit, restricted to O, satisfies x <=lex sigma(x) for
+    every generator, and setting each e_k to the equality of pairs 1..k
+    extends it to a model of every constraint.
 
     size is the number of literals in the template; extra counts those
     held beyond it, in per-call and learnt clauses, retired or not, so a

@@ -59,7 +59,7 @@ class Ultrafilter:
     def parse(text: str, size: int, cols: int | None = None) -> "Ultrafilter":
         """Parse "principal:i", or the product literal
         "principal:i x principal:j" given the column count of the
-        row-major I x J flattening."""
+        row-major I x J flattening; only the product literal takes one."""
         text = text.strip()
         if " x " in text:
             left, right = (part.strip() for part in text.split(" x ", 1))
@@ -76,6 +76,8 @@ class Ultrafilter:
                 Ultrafilter.parse(left, size // cols),
                 Ultrafilter.parse(right, cols),
             )
+        if cols is not None:
+            raise ValidationError("a column count needs a product ultrafilter literal")
         index = text.removeprefix("principal:").strip()
         if index == text or not index.isdecimal():
             raise ValidationError(f"unsupported ultrafilter literal {text!r}")

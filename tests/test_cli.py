@@ -296,12 +296,23 @@ class TestMalformedInput:
     @pytest.mark.parametrize("literal, cols", [
         ("principal:abc", None),
         ("principal:0 x principal:0", "0"),
+        ("principal:0", "2"),
     ])
     def test_malformed_ultrafilter(self, capsys, families, literal, cols):
         kdir, _ = families
         argv = ["ultraproduct", "--family", kdir, "--ultrafilter", literal]
         code, _, err = run(capsys, *argv, *(["--cols", cols] if cols else []))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("command", ["eval", "henkin-eval"])
+    def test_formula_and_builtin_together(self, capsys, c4_file, families, command):
+        # Neither may win silently: at_least:2 holds on C4, and the
+        # formula holds nowhere.
+        inputs = {"eval": ["--structure", c4_file],
+                  "henkin-eval": ["--family", families[0], "--ultrafilter", "principal:0"]}
+        code, out, err = run(capsys, command, *inputs[command],
+                             "--builtin", "at_least:2", "--formula", "EX x ~(x = x)")
+        assert code == 2 and not out and "not allowed with" in err
 
     def test_deeply_nested_formula(self, capsys):
         code, _, err = run(capsys, "parse", "--formula", "~" * 5000 + "p(x)")

@@ -57,65 +57,67 @@ def sentence(prefix, matrix):
     return matrix
 
 
-def _atom(rng, relvars, scope):
+def _atom(rng, relvars, scope, structure):
     roll = rng.random()
     if roll < 0.15:
         return fm.Eq(rng.choice(scope), rng.choice(scope))
-    if roll < 0.45:
+    if roll < 0.45 and structure:
         name, arity = rng.choice((("p", 1), ("edge", 2)))
     else:
         name, arity = rng.choice(relvars)
     return fm.Atom(name, tuple(rng.choice(scope) for _ in range(arity)))
 
 
-def _formula(rng, relvars, scope, depth):
+def _formula(rng, relvars, scope, depth, structure=True):
+    """A random formula over relvars, = and, when structure, p and edge."""
     if depth == 0 or rng.random() < 0.2:
-        return _atom(rng, relvars, scope)
+        return _atom(rng, relvars, scope, structure)
     roll = rng.randrange(8)
     if roll < 2:
         # Mostly a fresh variable; now and then a shadowing one.
         fresh = [v for v in "xyzw" if v not in scope]
         var = rng.choice(fresh if fresh and rng.random() < 0.8 else "xyzw")
         quantifier = fm.ForallFO if roll == 0 else fm.ExistsFO
-        return quantifier(var, _formula(rng, relvars, scope + [var], depth - 1))
+        return quantifier(var, _formula(rng, relvars, scope + [var], depth - 1, structure))
     if roll == 2:
-        return fm.Not(_formula(rng, relvars, scope, depth - 1))
+        return fm.Not(_formula(rng, relvars, scope, depth - 1, structure))
     connective = (fm.And, fm.Or, fm.Implies, fm.Iff, fm.Iff)[roll - 3]
-    return connective(_formula(rng, relvars, scope, depth - 1),
-                      _formula(rng, relvars, scope, depth - 1))
+    return connective(_formula(rng, relvars, scope, depth - 1, structure),
+                      _formula(rng, relvars, scope, depth - 1, structure))
 
 
-def _has_every_feature(matrix, relvars):
+def _has_every_feature(matrix, relvars, structure):
     subs = list(fm.walk(matrix))
     quantifiers = [g for g in subs if isinstance(g, (fm.ForallFO, fm.ExistsFO))]
     used = {g.rel for g in subs if isinstance(g, fm.Atom)}
     return (any(isinstance(g, fm.Iff) for g in subs)
             and any(isinstance(g, fm.Implies) for g in subs)
             and any(isinstance(g, fm.Eq) for g in subs)
-            and used & {"p", "edge"}
+            and (not structure or used & {"p", "edge"})
             and all(name in used for name, _ in relvars)
             and any(isinstance(g.body, (fm.ForallFO, fm.ExistsFO)) or any(
                 isinstance(h, (fm.ForallFO, fm.ExistsFO))
                 for h in fm.walk(g.body)) for g in quantifiers))
 
 
-def random_matrix(seed, relvars):
-    """A closed first-order matrix over {p, edge} and relvars with at
-    least one <->, ->, =, structure atom and nested FO quantifier."""
+def random_matrix(seed, relvars, structure):
+    """A closed first-order matrix over relvars, and over {p, edge} when
+    structure, with at least one <->, ->, =, nested FO quantifier and,
+    when structure, structure atom."""
     rng = random.Random(seed)
     while True:
         outer, inner = rng.sample((fm.ForallFO, fm.ExistsFO) * 2, 2)
-        matrix = outer("x", inner("y", _formula(rng, relvars, ["x", "y"], 3)))
-        if _has_every_feature(matrix, relvars):
+        matrix = outer("x", inner("y", _formula(rng, relvars, ["x", "y"], 3, structure)))
+        if _has_every_feature(matrix, relvars, structure):
             return matrix
 
 
-def cases(relvars, seeds):
+def cases(relvars, seeds, structure=True):
     out = []
     for seed in seeds:
         existential = seed % 2 == 0
         prefix = tuple((existential, name, arity) for name, arity in relvars)
-        out.append((prefix, random_matrix(seed, relvars)))
+        out.append((prefix, random_matrix(seed, relvars, structure)))
     return out
 
 
@@ -491,22 +493,6 @@ def test_symmetry_breaking_keeps_the_reduct_fixed(text, A, asg):
     assert eval_so_full(A, fm.parse(text), asg) is True
 
 
-def test_interchangeable_elements_exclude_shared_tuples():
-    prefix, matrix = fm.so_prefix(builtin("colorable:3").formula)
-    # On C4, swapping opposite vertices is an automorphism and no edge
-    # holds both, so {0, 2} and {1, 3} are the classes.
-    A = cycle_graph(4)
-    grounder = sat._grounder(matrix, prefix, A.size, False)
-    run = grounder.ground(A, {}, {})
-    assert grounder.break_symmetry(run, A, {}, {}) == 2
-    # Swapping the ends of an edge is an automorphism too, but the edge
-    # holds both, so they stay apart.
-    B = FiniteStructure(Signature.of({"edge": 2}), 2, {"edge": [(0, 1), (1, 0)]})
-    grounder = sat._grounder(matrix, prefix, B.size, False)
-    run = grounder.ground(B, {}, {})
-    assert grounder.break_symmetry(run, B, {}, {}) == 0
-
-
 def test_lex_leader_clauses_of_a_two_block_prefix_are_pinned():
     # X's tuple variables are 1..3 and Y's 4..12, so the chains compare
     # both blocks; 13 and 14 are the chains' equality variables.  No
@@ -520,18 +506,49 @@ def test_lex_leader_clauses_of_a_two_block_prefix_are_pinned():
         [-2, 3], [-2, -3, 14], [2, 3, 14], [-14, -8, 12]]
 
 
-def test_differential_cases_meet_symmetry_breaking():
-    """The differential tests above reach the lex-leader constraints on
-    many satisfiable groundings, where a constraint that cut off a whole
-    orbit would turn the answer."""
+def orbit_cases(text):
+    """(prefix, matrix) of the sentence and of its universal dual, whose
+    grounding is the same.  Each sentence below has models on few
+    orbits: X and Z split the universe, or Y is a permutation with no
+    fixed point, so a lex-leader encoding that cuts off an orbit turns
+    its answer."""
+    prefix, matrix = fm.so_prefix(fm.parse(text))
+    return [(prefix, matrix), (tuple((False, name, arity) for _, name, arity in prefix),
+                               fm.Not(matrix))]
+
+
+# (prefix, matrix, sizes) whose matrix reads no structure symbol, so its
+# grounding is all template, lex-leader constraints included: unary
+# prefixes up to 4 elements, the others up to 3.
+TEMPLATE_CASES = (
+    [(*case, (1, 2, 3, 4)) for case in cases([("X", 1)], range(100, 116), False)
+     + cases([("X", 1), ("Z", 1)], range(116, 124), False)
+     + orbit_cases("EX2 X:1 EX2 Z:1 ((ALL x (X(x) <-> ~Z(x))) & (EX x X(x)) & (EX x Z(x)))")]
+    + [(*case, (1, 2, 3)) for case in cases([("Y", 2)], range(124, 136), False)
+       + cases([("X", 1), ("Y", 2)], range(136, 140), False)
+       + orbit_cases("EX2 Y:2 ((ALL x EX y (Y(x, y) & ~(x = y)))"
+                     " & (ALL x ALL y ALL z ((Y(x, y) & Y(x, z)) -> y = z))"
+                     " & (ALL x ALL y ALL z ((Y(y, x) & Y(z, x)) -> y = z)))")])
+
+
+def test_template_lex_leader_constraints_keep_the_answer():
+    """The lex-leader constraints of a template meet many satisfiable
+    groundings, where one that cut off a whole orbit would turn the
+    answer, and eval_so_full agrees with the reference on every case."""
     satisfiable = 0
-    for prefix, matrix in UNARY:
-        for A in UP_TO_3:
-            grounder = sat._grounder(matrix, prefix, A.size, not prefix[0][0])
+    for prefix, matrix, sizes in TEMPLATE_CASES:
+        existential = prefix[0][0]
+        for n in sizes:
+            A = FiniteStructure(EMPTY_SIGNATURE, n, {})
+            want = reference(A, prefix, matrix)
+            assert eval_so_full(A, sentence(prefix, matrix)) == want, fm.print_formula(matrix)
+            grounder = sat._Grounder(matrix, prefix, n, not existential)
+            assert grounder.root is None
             answer = grounder.satisfiable(A, {}, {})
-            if grounder.counters.generators:
-                satisfiable += answer
-    assert satisfiable > 1000
+            assert answer == (want == existential)
+            satisfiable += answer and grounder.generators > 0
+    # 100 of the 158 groundings when written.
+    assert satisfiable > 75, satisfiable
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +663,10 @@ def test_grounding_does_not_depend_on_earlier_calls():
 def test_answers_do_not_depend_on_the_order_of_structures():
     """One grounder per case decides the structures of one size in a
     shuffled order, each structure twice, and answers each as a fresh
-    grounder does.  Some calls emit lex-leader clauses and some fold a
-    per-call conjunct to false."""
+    grounder does.  Some calls fold a per-call conjunct to false.  Only a
+    grounder without per-call conjuncts breaks symmetry."""
     rng = random.Random(21)
-    generators = folded = 0
+    folded = 0
     for prefix, matrix in UNARY + BINARY + MIXED:
         negate = not prefix[0][0]
         for n, structures in ((2, STRUCTURES[2]), (3, rng.sample(STRUCTURES[3], 40))):
@@ -658,9 +675,9 @@ def test_answers_do_not_depend_on_the_order_of_structures():
             grounder = sat._Grounder(matrix, prefix, n, negate)
             for A in rng.sample(structures * 2, 2 * len(structures)):
                 assert grounder.satisfiable(A, {}, {}) == want[id(A)], fm.print_formula(matrix)
-                generators += grounder.counters.generators > 0
+                assert grounder.root is None or grounder.counters.generators == 0
                 folded += grounder.ground(A, {}, {}) is None
-    assert generators > 100 and folded > 100
+    assert folded > 100
 
 
 def test_branching_covers_the_tuple_variables_of_per_call_clauses():
@@ -677,16 +694,31 @@ def test_branching_covers_the_tuple_variables_of_per_call_clauses():
         assert eval_so_full(cycle_graph(n), f) is (n % 2 == 0)
 
 
-def test_held_literals_stay_within_twice_the_template():
-    """Over every labelled graph on 5 vertices, the solver a grounder
-    keeps between calls holds at most as many literals beyond the
-    template as the template has, and it is rebuilt at least once."""
+def test_one_solver_serves_every_five_vertex_graph():
+    """Over every labelled graph on 5 vertices, hamiltonian's grounder
+    keeps the solver it built first: what the calls leave in it never
+    outgrows the template."""
     prefix, matrix = fm.so_prefix(builtin("hamiltonian").formula)
     grounder = sat._Grounder(matrix, prefix, 5, False)
     pairs = list(itertools.combinations(range(5), 2))
-    rebuilds = 0
+    solver = None
     for mask in range(2 ** len(pairs)):
         G = graph_structure(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        assert grounder.satisfiable(G, {}, {}) is hamiltonian_oracle(G)
+        solver = solver or grounder.solver
+        assert grounder.solver is solver is not None
+
+
+def test_held_literals_stay_within_twice_the_template():
+    """Over every 7th labelled graph on 6 vertices, the solver a grounder
+    keeps between calls holds at most as many literals beyond the
+    template as the template has, and it is rebuilt at least once."""
+    prefix, matrix = fm.so_prefix(builtin("hamiltonian").formula)
+    grounder = sat._Grounder(matrix, prefix, 6, False)
+    pairs = list(itertools.combinations(range(6), 2))
+    rebuilds = 0
+    for mask in range(0, 2 ** len(pairs), 7):
+        G = graph_structure(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
         assert grounder.satisfiable(G, {}, {}) is hamiltonian_oracle(G)
         solver = grounder.solver
         if solver is None:

@@ -152,6 +152,9 @@ class TestProductUltrafilter:
             Ultrafilter.parse("principal:0 x principal:0", 6)
         with pytest.raises(ValidationError, match="rows"):
             Ultrafilter.parse("principal:0 x principal:0", 7, cols=3)
+        # Only a product literal takes a column count.
+        with pytest.raises(ValidationError, match="product ultrafilter literal"):
+            Ultrafilter.parse("principal:1", 4, cols=2)
 
 
 class TestUltraproduct:
