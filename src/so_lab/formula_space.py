@@ -47,9 +47,6 @@ class Fragment:
     def from_strings(strings, sig: Signature) -> "Fragment":
         return Fragment(sig, fm.parse_list(strings, "a fragment"))
 
-    def to_strings(self):
-        return [fm.print_formula(f) for f in self.formulas]
-
 
 @dataclass(frozen=True)
 class TheoryVector:
@@ -71,12 +68,6 @@ class VectorSet:
     def __init__(self, witnesses):
         self.witnesses = dict(witnesses)
         self.vectors = frozenset(self.witnesses)
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __contains__(self, v):
-        return v in self.vectors
 
 
 def theory_vector(obj, fragment: Fragment, *,

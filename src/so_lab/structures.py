@@ -38,6 +38,10 @@ DEFAULT_RELATION_BUDGET = 2 ** 24
 DEFAULT_PRODUCT_BUDGET = 200_000
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Signature:
     relations: tuple[tuple[str, int], ...]
@@ -47,8 +51,9 @@ class Signature:
         if len(arities) != len(self.relations):
             raise ValidationError("duplicate relation name in signature")
         for name, arity in self.relations:
-            if arity < 1:
-                raise ValidationError(f"relation {name!r} has arity {arity} < 1")
+            if not _is_int(arity) or arity < 1:
+                raise ValidationError(
+                    f"relation {name!r} has arity {arity!r}, not an integer of at least 1")
         # Not a field: equality, hashing and repr see relations only.
         object.__setattr__(self, "_arity", arities)
 
@@ -79,6 +84,8 @@ class FiniteStructure:
     __slots__ = ("sig", "size", "rels", "_key", "_hash")
 
     def __init__(self, sig: Signature, size: int, relations=None):
+        if not _is_int(size):
+            raise ValidationError(f"the universe size must be an integer, not {size!r}")
         if size < 1:
             raise ValidationError("universe must be nonempty")
         relations = dict(relations or {})
@@ -103,9 +110,6 @@ class FiniteStructure:
         key = (sig, size, tuple(rels[name] for name in sig.names))
         self._key = key
         self._hash = hash(key)
-
-    def rel(self, name):
-        return self.rels[name]
 
     def __eq__(self, other):
         return isinstance(other, FiniteStructure) and self._key == other._key
@@ -155,10 +159,6 @@ class FiniteStructure:
     @staticmethod
     def from_json(text) -> "FiniteStructure":
         return FiniteStructure.from_json_dict(json.loads(text))
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -291,15 +291,14 @@ def check_assignment(names, A, fo):
 
 @lru_cache(maxsize=32)
 def compile_evaluator(f):
-    """Compile f once, for every structure, to (evaluate, has_so,
-    homogeneous, depth): evaluate(A, fo, so, so_domain) is the truth of
-    f on A with its free variables valued by fo and so, so_domain(name,
-    arities) yielding what a relation quantifier ranges over (arities:
-    those of the relation quantifiers around it, then its own); has_so
-    tells whether f has a relation quantifier; homogeneous is (prefix,
-    matrix) when they form one homogeneous prefix over a first-order
-    matrix, else None; depth is the deepest nesting of individual
-    quantifiers.  The facts come from formulas.scope(f); every entry
+    """Compile f once, for every structure, to (evaluate, homogeneous,
+    depth): evaluate(A, fo, so, so_domain) is the truth of f on A with
+    its free variables valued by fo and so, so_domain(name, arities)
+    yielding what a relation quantifier ranges over (arities: those of
+    the relation quantifiers around it, then its own); homogeneous is
+    (prefix, matrix) when they form one homogeneous prefix over a
+    first-order matrix, else None; depth is the deepest nesting of
+    individual quantifiers.  The facts come from formulas.scope(f); every entry
     runs check_formula on f before it compiles, so f has no arity fault.
 
     The closures are miniscoped: under EX x, each conjunct of the
@@ -336,7 +335,7 @@ def compile_evaluator(f):
         return root([range(A.size), so_domain, *[fo[name] for name in free_fo],
                      *[so[name] if name in so else rels[name] for name in symbols], *blank])
 
-    return evaluate, bool(found.so_arities), homogeneous, found.depth
+    return evaluate, homogeneous, found.depth
 
 
 def _closures(f):
@@ -521,25 +520,20 @@ def excess_relation_choices(n, arities, budget):
     return required, f"{text} = {required}"
 
 
-def charge_assignments(n, budget, depth):
-    """The first charge of every evaluation on n elements: the n^depth
-    assignments of depth nested individual quantifiers."""
+def relation_domain(n, budget, depth, candidates=None, outer=()):
+    """so_domain of an evaluation on n elements, under the one budget
+    rule of every semantics; every evaluation entry calls it once.  It
+    charges at once the n^depth assignments of depth nested individual
+    quantifiers and the choices of the outer relation variables (their
+    arities; the caller enumerates them), each capped on its own, and
+    each relation quantifier's candidates(k) times those of the outer
+    variables and the relation quantifiers around it, checked once per
+    nesting when a quantifier is first entered.  candidates defaults to
+    every k-ary relation in mask order (full semantics)."""
     if n ** depth > budget:
         raise BudgetExceededError(
             f"{depth} nested individual quantifiers need {n}^{depth} assignments,"
             f" exceeding the budget of {budget}", required=n ** depth, budget=budget)
-
-
-def relation_domain(n, budget, depth, candidates=None, outer=()):
-    """so_domain of an evaluation on n elements, under the one budget
-    rule of every semantics.  It caps, each on its own, the n^depth
-    assignments of depth nested individual quantifiers, the choices of
-    the outer relation variables (their arities; the caller enumerates
-    them), and each relation quantifier's candidates(k) times those of
-    the outer variables and the relation quantifiers around it, checked
-    once per nesting when a quantifier is first entered.  candidates
-    defaults to every k-ary relation in mask order (full semantics)."""
-    charge_assignments(n, budget, depth)
     if candidates is None:
         candidates = partial(iter_relations, n)
         excess = partial(excess_relation_choices, n, budget=budget)
@@ -584,13 +578,13 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     relations of their arity on the universe.
 
     The inputs are checked first, on either route, so a faulty one is a
-    ValidationError whatever the budget.  The budget is then charged as
-    relation_domain states, whose first charge, the n^depth assignments
-    of charge_assignments, every route pays; only enumerating relation
-    quantifiers builds the so_domain.  Enumeration is lexicographic in
-    the relation mask and short-circuits.  SAT decides a formula whose relation
-    quantifiers form one homogeneous prefix over a first-order matrix
-    instead, charged the n^k1 + n^k2 + ... tuple variables of the
+    ValidationError whatever the budget.  Every route then builds the
+    relation domain, whose first charge is the n^depth assignments (see
+    relation_domain).  The compiled closures decide a formula by
+    enumeration, lexicographic in the relation mask and short-circuiting;
+    a first-order one never asks the domain.  SAT decides a formula whose
+    relation quantifiers form one homogeneous prefix over a first-order
+    matrix instead, charged the n^k1 + n^k2 + ... tuple variables of the
     prefix: the compiled grounder of sat folds the structure's atoms to
     constants and emits a small CNF over one variable per candidate
     tuple, which a clause-learning solver decides.
@@ -600,13 +594,10 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     found = check_formula(f, A.sig._arity, so, closed=False)
     check_relation_variables(found.symbols, A, so)
     check_assignment(found.free_fo, A, fo)
-    evaluate, has_so, homogeneous, depth = compile_evaluator(f)
-    if has_so and homogeneous is None:
-        return evaluate(A, fo, so, relation_domain(A.size, budget, depth))
-    charge_assignments(A.size, budget, depth)
+    evaluate, homogeneous, depth = compile_evaluator(f)
+    so_domain = relation_domain(A.size, budget, depth)
     if homogeneous is None:
-        # A first-order formula never asks its so_domain.
-        return evaluate(A, fo, so, None)
+        return evaluate(A, fo, so, so_domain)
     variables = sum(A.size ** k for _, _, k in homogeneous[0])
     if variables > budget:
         raise BudgetExceededError(

@@ -31,6 +31,7 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     Signature,
+    _is_int,
     all_relations,
     check_formula,
     compile_evaluator,
@@ -53,8 +54,7 @@ class TypeContext:
     fragment: tuple[fm.Formula, ...]
 
     def __post_init__(self):
-        if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
-                   for k in self.arities):
+        if not all(_is_int(k) and k >= 1 for k in self.arities):
             raise ValidationError("relation-variable arities must be integers of at least 1")
         for f in self.fragment:
             fm.check_height(f)
@@ -124,12 +124,12 @@ def realized_types(A: FiniteStructure, ctx: TypeContext, *,
     budget."""
     ctx.check_against(A.sig)
     compiled = [compile_evaluator(f) for f in ctx.fragment]
-    depth = max((d for _, _, _, d in compiled), default=0)
+    depth = max((d for _, _, d in compiled), default=0)
     so_domain = relation_domain(A.size, budget, depth, outer=ctx.arities)
     out: dict[TwoType, tuple] = {}
     for combo in itertools.product(*[all_relations(A.size, k) for k in ctx.arities]):
         so = dict(zip(ctx.relvar_names, combo))
-        bits = tuple(int(evaluate(A, {}, so, so_domain)) for evaluate, _, _, _ in compiled)
+        bits = tuple(int(evaluate(A, {}, so, so_domain)) for evaluate, _, _ in compiled)
         out.setdefault(TwoType(bits), combo)
     return out
 
@@ -211,15 +211,6 @@ class OmissionReport:
     unexplained: tuple[FiniteStructure, ...]
     note: str
 
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "realized_in_k": [p.as_string() for p in self.realized_in_k],
-            "not_pool_realized": [p.as_string() for p in self.not_pool_realized],
-            "unexplained": [A.to_json_dict() for A in self.unexplained],
-            "note": self.note,
-        }
-
 
 def check_omission_axiomatization(K, Pi, pool, ctx: TypeContext, *,
                                   budget: int = DEFAULT_RELATION_BUDGET) -> OmissionReport:
@@ -253,13 +244,6 @@ class PropertyAReport:
     ok: bool
     counterexamples: tuple[FiniteStructure, ...]
     note: str
-
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "counterexamples": [A.to_json_dict() for A in self.counterexamples],
-            "note": self.note,
-        }
 
 
 def property_A_check(K, pool, ctx: TypeContext, *,

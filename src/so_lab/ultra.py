@@ -20,8 +20,8 @@ from .structures import (
     DEFAULT_PRODUCT_BUDGET,
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
+    _is_int,
     all_relations,
-    charge_assignments,
     check_formula,
     compile_evaluator,
     eval_so_full,
@@ -44,6 +44,9 @@ class Ultrafilter:
     principal: int
 
     def __post_init__(self):
+        if not (_is_int(self.size) and _is_int(self.principal)):
+            raise ValidationError(f"the index set size and the principal element must be"
+                                  f" integers, not {self.size!r} and {self.principal!r}")
         if self.size < 1:
             raise ValidationError("index set must be nonempty")
         if not 0 <= self.principal < self.size:
@@ -138,19 +141,23 @@ def ultraproduct(family, U: Ultrafilter, *,
     """Quotient of the full product by U-almost-everywhere equality, with
     relations induced componentwise.
 
-    When both the full product and the n^2 pairs of the isomorphism
-    search below are within product_budget, the explicit path builds the
-    product and quotients it through the literal large-set tests, then
-    confirms the result isomorphic to the principal factor.  Otherwise
-    the fast path returns the principal factor directly.
+    When both the full product and n^k, k the largest arity of the
+    signature and at least 2, are within product_budget, the explicit
+    path builds the product, quotients it through the literal large-set
+    tests (n^k per k-ary relation) and confirms the result equal to the
+    principal factor, as it must be: class q is represented by the first
+    product point with q at the principal index, (0, ..., q, ..., 0).
+    Otherwise the fast path returns that factor and those representatives.
     """
     family = _check_family(family, U)
     m = U.size
     n = family[U.principal].size
+    sig = family[0].sig
     total = 1
     for A in family:
         total *= A.size
-    if max(total, n * n) > product_budget:
+    k = max([2, *(arity for _, arity in sig.relations)])
+    if max(total, n ** k) > product_budget:
         if n > product_budget:
             raise BudgetExceededError(
                 f"the principal factor has {n} elements, exceeding the budget of"
@@ -172,7 +179,6 @@ def ultraproduct(family, U: Ultrafilter, *,
         else:
             reps.append(point)
     reps.sort(key=lambda rep: (rep[U.principal], rep))
-    sig = family[0].sig
     rels = {}
     for name, arity in sig.relations:
         tuples = set()
@@ -185,15 +191,14 @@ def ultraproduct(family, U: Ultrafilter, *,
                 tuples.add(combo)
         rels[name] = frozenset(tuples)
     quotient = FiniteStructure(sig, len(reps), rels)
-    result = UltraproductResult(
+    if quotient != family[U.principal]:
+        raise SoLabError("quotient failed to match the principal factor; this is a defect")
+    return UltraproductResult(
         quotient=quotient,
         class_representatives=tuple(reps),
         provenance=Provenance(family, U),
         explicit=True,
     )
-    if find_isomorphism(quotient, family[U.principal], budget=product_budget) is None:
-        raise SoLabError("quotient failed to match the principal factor; this is a defect")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +266,11 @@ class DecomposableHenkinModel:
     relations decomposable with respect to its construction; relation
     quantifiers are evaluated over these sets only."""
 
-    __slots__ = ("base", "upsilon", "provenance", "arity_bound", "result")
+    __slots__ = ("base", "upsilon", "arity_bound")
 
     def __init__(self, result: UltraproductResult, upsilon: dict, arity_bound: int):
-        self.result = result
         self.base = result.quotient
         self.upsilon = upsilon
-        self.provenance = result.provenance
         self.arity_bound = arity_bound
 
     def relations_of_arity(self, k: int):
@@ -409,14 +412,9 @@ def henkin_eval(M: DecomposableHenkinModel, f, *,
     as its outer variables.
     """
     free = check_henkin_formula(f, M.base, M.arity_bound)
-    evaluate, has_so, _, depth = compile_evaluator(f)
+    evaluate, _, depth = compile_evaluator(f)
     outer = tuple(free.values())
-    if has_so or outer:
-        so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
-    else:
-        # A first-order sentence never asks its so_domain.
-        charge_assignments(M.base.size, budget, depth)
-        so_domain = None
+    so_domain = relation_domain(M.base.size, budget, depth, M.relations_of_arity, outer)
     return all(evaluate(M.base, {}, dict(zip(free, values)), so_domain)
                for values in itertools.product(*map(M.relations_of_arity, outer)))
 
@@ -431,14 +429,6 @@ class LosReport:
     large_set_truth: bool
     agree: bool
     true_indices: tuple[int, ...]
-
-    def to_json_dict(self):
-        return {
-            "ultra_truth": self.ultra_truth,
-            "large_set_truth": self.large_set_truth,
-            "agree": self.agree,
-            "true_indices": list(self.true_indices),
-        }
 
 
 def check_los(family, U: Ultrafilter, f, *,
@@ -465,13 +455,6 @@ class FubiniReport:
     grid_shape: tuple[int, int]
     witness: tuple[int, ...]
     flat_size: int
-
-    def to_json_dict(self):
-        return {
-            "grid_shape": list(self.grid_shape),
-            "witness": list(self.witness),
-            "flat_size": self.flat_size,
-        }
 
 
 def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:

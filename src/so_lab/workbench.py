@@ -130,17 +130,16 @@ def _colorable(k: int) -> fm.Formula:
     return out
 
 
-def builtin(key: str, **params) -> NamedFormula:
-    """Look up a built-in sentence; parameters ride either in the key
-    ("at_least:3") or as keyword arguments."""
-    name, _, embedded = key.partition(":")
-    if embedded:
-        if name == "at_least":
-            params.setdefault("n", parse_int(f"the count of {key!r}", embedded))
-        elif name == "colorable":
-            params.setdefault("k", parse_int(f"the count of {key!r}", embedded))
-        else:
-            raise ValidationError(f"unknown builtin key {key!r}")
+def builtin(key: str) -> NamedFormula:
+    """Look up a built-in sentence by its key; a count rides in the key
+    ("at_least:3", "colorable:3")."""
+    name, _, text = key.partition(":")
+    if name in ("at_least", "colorable"):
+        if not text:
+            raise ValidationError(f"{name} requires a count, e.g. {name}:3")
+        count = parse_int(f"the count of {key!r}", text)
+    elif text:
+        raise ValidationError(f"unknown builtin key {key!r}")
     if name == "infinite":
         return NamedFormula(
             "infinite", fm.parse(_INFINITE_TEXT),
@@ -148,12 +147,9 @@ def builtin(key: str, **params) -> NamedFormula:
             EMPTY_SIGNATURE,
         )
     if name == "at_least":
-        n = params.get("n")
-        if n is None:
-            raise ValidationError("at_least requires a count, e.g. at_least:3")
         return NamedFormula(
-            f"at_least:{n}", _at_least(n),
-            f"structures with at least {n} elements",
+            f"at_least:{count}", _at_least(count),
+            f"structures with at least {count} elements",
             EMPTY_SIGNATURE,
         )
     if name == "hamiltonian":
@@ -163,12 +159,9 @@ def builtin(key: str, **params) -> NamedFormula:
             GRAPH_SIGNATURE,
         )
     if name == "colorable":
-        k = params.get("k")
-        if k is None:
-            raise ValidationError("colorable requires a count, e.g. colorable:3")
         return NamedFormula(
-            f"colorable:{k}", _colorable(k),
-            f"graphs with a proper {k}-coloring",
+            f"colorable:{count}", _colorable(count),
+            f"graphs with a proper {count}-coloring",
             GRAPH_SIGNATURE,
         )
     raise ValidationError(f"unknown builtin key {key!r}")
@@ -625,7 +618,7 @@ def demo(name: str, params: dict | None = None) -> dict:
             raise ValidationError(f"demo {name!r} reads no parameter {key!r}")
         given[key] = parse_int(key, value, None if key == "seed" else 1)
     params = dict(sorted(given.items()))
-    values = {**defaults, **params}
+    values = defaults | params
     start = time.monotonic()
     checks = run(values)
     runtime_ms = int((time.monotonic() - start) * 1000)

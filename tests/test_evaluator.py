@@ -108,7 +108,7 @@ class TestIllTypedAtoms:
 
     def test_enumeration_path(self):
         f = fm.parse("~(EX x EX y p(x, y)) | (EX2 X:1 ALL2 Y:1 EX x (X(x) | Y(x)))")
-        assert structures.compile_evaluator(f)[2] is None
+        assert structures.compile_evaluator(f)[1] is None
         with pytest.raises(ValidationError, match=MISMATCH):
             eval_so_full(UNARY_P, f)
         with pytest.raises(ValidationError, match="declared with arity 2"):
@@ -244,14 +244,14 @@ class TestCompiledOnce:
         assert passes == [f] and passes[0] is f
 
     def test_facts(self):
-        evaluate, has_so, homogeneous, depth = structures.compile_evaluator(
+        evaluate, homogeneous, depth = structures.compile_evaluator(
             fm.parse("EX2 X:1 EX2 Y:2 ALL x (X(x) | (EX y Y(x, y)))"))
-        assert has_so and depth == 2
+        assert depth == 2
         assert homogeneous[0] == ((True, "X", 1), (True, "Y", 2))
-        _, has_so, homogeneous, depth = structures.compile_evaluator(
+        _, homogeneous, depth = structures.compile_evaluator(
             fm.parse("(EX x EX x p(x)) & (EX2 X:1 X(y))"))
-        assert has_so and homogeneous is None and depth == 2
-        assert structures.compile_evaluator(fm.parse("p(x)"))[1:] == (False, None, 0)
+        assert homogeneous is None and depth == 2
+        assert structures.compile_evaluator(fm.parse("p(x)"))[1:] == (None, 0)
 
     def test_cache_keeps_no_argument_alive(self):
         class Relation(frozenset):
@@ -315,11 +315,31 @@ class TestOneBudgetRule:
     """Full semantics, Henkin semantics and type realization charge the
     budget through one relation domain."""
 
+    @staticmethod
+    def _stops(A, M, f):
+        """The budget stops both semantics meet on f, asserting equal
+        outcomes: each budget below is one less than, or equal to, a
+        charge the evaluation meets, until it answers."""
+        budget = stops = 0
+        while True:
+            outcomes = []
+            for evaluate in (lambda: henkin_eval(M, f, budget=budget),
+                             lambda: eval_so_full(A, f, budget=budget)):
+                try:
+                    outcomes.append(evaluate())
+                except BudgetExceededError as err:
+                    outcomes.append(("stop", err.required))
+            assert outcomes[0] == outcomes[1], (fm.print_formula(f), A, budget)
+            if not isinstance(outcomes[0], tuple):
+                return stops
+            stops += 1
+            required = outcomes[0][1]
+            assert required > budget
+            budget = required - 1 if budget < required - 1 else required
+
     def test_henkin_and_full_stop_alike(self):
         # On the trivial ultrapower the relation universe is every
-        # relation, so both semantics charge the same numbers.  Each
-        # budget below is one less than, or equal to, a charge the
-        # evaluation meets, until it answers.
+        # relation, so both semantics charge the same numbers.
         rng = random.Random(7)
         sig = Signature.of({"p": 1, "edge": 2})
         structures_ = [gen.random_structure(rng, sig, 1 + i % 3) for i in range(12)]
@@ -328,29 +348,19 @@ class TestOneBudgetRule:
         while checked < 200:
             f = gen.random_formula(rng, sig, max_quant_depth=3, max_so=2,
                                    max_binary_so=1, so_probability=0.5)
-            _, has_so, homogeneous, _ = structures.compile_evaluator(f)
-            if not has_so or homogeneous is not None:
+            if not fm.scope(f).so_arities or structures.compile_evaluator(f)[1] is not None:
                 continue
             i = rng.randrange(len(structures_))
-            A, M = structures_[i], models[i]
-            budget = 0
-            while True:
-                outcomes = []
-                for evaluate in (lambda: henkin_eval(M, f, budget=budget),
-                                 lambda: eval_so_full(A, f, budget=budget)):
-                    try:
-                        outcomes.append(evaluate())
-                    except BudgetExceededError as err:
-                        outcomes.append(("stop", err.required))
-                assert outcomes[0] == outcomes[1], (fm.print_formula(f), A, budget)
-                if not isinstance(outcomes[0], tuple):
-                    break
-                stops += 1
-                required = outcomes[0][1]
-                assert required > budget
-                budget = required - 1 if budget < required - 1 else required
+            stops += self._stops(structures_[i], models[i], f)
             checked += 1
         assert stops >= 2 * checked
+        # Both charge a first-order sentence's n^depth assignments
+        # through the one relation domain too.
+        for _ in range(100):
+            f = gen.random_formula(rng, sig, max_quant_depth=3, max_so=0, so_probability=0.0)
+            assert not fm.scope(f).so_arities
+            i = rng.randrange(len(structures_))
+            assert self._stops(structures_[i], models[i], f) >= 1
 
     def test_free_relation_variables_are_outer_quantifiers(self):
         M = full_henkin_model(FiniteStructure(EMPTY_SIGNATURE, 3), 2)
@@ -430,7 +440,7 @@ class TestAssignedRelations:
 
     def test_sat_path(self):
         f = fm.parse("EX2 Y:1 ALL x (Y(x) <-> X(x, x))")
-        assert structures.compile_evaluator(f)[2] is not None
+        assert structures.compile_evaluator(f)[1] is not None
         with pytest.raises(ValidationError, match="not a tuple of its arity 2"):
             eval_so_full(C4, f, Assignment({}, {"X": frozenset({(0,)})}))
 
@@ -474,7 +484,7 @@ class TestInputsBeforeBudget:
     def test_every_shape_is_charged(self, shape):
         text, evaluate, sat_route = self.SHAPES[shape]
         f = fm.parse(text.format("x = x"))
-        assert (structures.compile_evaluator(f)[2] is not None) is sat_route
+        assert (structures.compile_evaluator(f)[1] is not None) is sat_route
         with pytest.raises(BudgetExceededError):
             evaluate(C4, f, budget=1)
 
@@ -483,7 +493,7 @@ class TestInputsBeforeBudget:
     def test_evaluation(self, shape, atom, fo, so, message):
         text, evaluate, sat_route = self.SHAPES[shape]
         f = fm.parse(text.format(atom))
-        assert (structures.compile_evaluator(f)[2] is not None) is sat_route
+        assert (structures.compile_evaluator(f)[1] is not None) is sat_route
         with pytest.raises(ValidationError, match=message):
             evaluate(C4, f, Assignment(fo, so), budget=1)
 
@@ -689,7 +699,7 @@ class TestMiniscoping:
             before_so += counts[1]
             implications += any(type(g) is fm.Implies for g in fm.walk(f))
             with_free += bool(found.free_fo)
-            enumerated += structures.compile_evaluator(f)[1:3] == (True, None)
+            enumerated += bool(found.so_arities) and structures.compile_evaluator(f)[1] is None
             entered = []
             expected = _reference(f, A.size, A.rels, fo, entered)
             assert eval_so_full(A, f, Assignment(fo, {})) is expected, fm.print_formula(f)

@@ -48,7 +48,7 @@ class TestFragment:
 
     def test_string_round_trip(self):
         frag = at_least_fragment(2, 3)
-        again = Fragment.from_strings(frag.to_strings(), EMPTY_SIGNATURE)
+        again = Fragment.from_strings([fm.print_formula(f) for f in frag], EMPTY_SIGNATURE)
         assert again == frag
 
     def test_hand_built_tree_too_deep(self):

@@ -58,6 +58,14 @@ class TestFiniteStructure:
         with pytest.raises(ValidationError, match="range"):
             FiniteStructure.from_json('{"universe": 2, "signature": {"p": 1},'
                                       ' "relations": {"p": [[true]]}}')
+        # Sizes and arities are integers too: True would equal the size-1
+        # structure yet print "universe": true, and 2.0 would fail later.
+        for size in (True, 2.0, "2"):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                FiniteStructure(EMPTY_SIGNATURE, size)
+        for arity in (True, 2.0):
+            with pytest.raises(ValidationError, match="not an integer of at least 1"):
+                Signature.of({"p": arity})
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValidationError, match="not in signature"):
@@ -65,7 +73,7 @@ class TestFiniteStructure:
 
     def test_missing_relation_means_empty(self):
         A = FiniteStructure(GRAPH_SIGNATURE, 2)
-        assert A.rel("edge") == frozenset()
+        assert A.rels["edge"] == frozenset()
 
     def test_empty_universe_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):

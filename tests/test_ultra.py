@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -110,6 +111,10 @@ class TestUltrafilter:
     def test_bad_principal(self):
         with pytest.raises(ValidationError):
             Ultrafilter(3, 3)
+        # True == 1 and 1.0 == 1, yet their literals would print them.
+        for size, principal in ((True, False), (2, 1.0), (2.0, 0)):
+            with pytest.raises(ValidationError, match="must be integers"):
+                Ultrafilter(size, principal)
 
 
 class TestProductUltrafilter:
@@ -185,11 +190,12 @@ class TestUltraproduct:
             if n == 1:
                 continue
             explicit = ultraproduct(family, U)
-            # A budget of n elements is below the n^2 pairs of the
-            # quotient check, so the fast path answers.
+            # A budget of n elements is below the n^2 the explicit path
+            # charges at least, so the fast path answers.
             fast = ultraproduct(family, U, product_budget=n)
             assert explicit.explicit and not fast.explicit
-            assert find_isomorphism(explicit.quotient, fast.quotient) is not None
+            assert explicit.quotient == fast.quotient
+            assert explicit.class_representatives == fast.class_representatives
             checked += 1
 
     def test_family_size_mismatch(self):
@@ -197,17 +203,24 @@ class TestUltraproduct:
             ultraproduct([FiniteStructure(SIG, 1)], Ultrafilter(2, 0))
 
     def test_explicit_budget(self):
-        # 3^4 = 81 tuples in the full product, 3^2 pairs for the quotient check.
+        # 3^4 = 81 tuples in the full product, and 3^2, the least n^k charged.
         family = [FiniteStructure(EMPTY_SIGNATURE, 3)] * 4
         assert ultraproduct(family, Ultrafilter(4, 0), product_budget=81).explicit is True
         # Past the budget the route falls back to the fast path.
         assert ultraproduct(family, Ultrafilter(4, 0), product_budget=80).explicit is False
 
     def test_automatic_route_within_the_isomorphism_budget(self):
-        # 500 elements: 500 tuples, but 500^2 pairs for the quotient check.
+        # 500 elements: 500 tuples, but 500^2, the least n^k charged.
         A = FiniteStructure(EMPTY_SIGNATURE, 500)
         assert ultraproduct([A], Ultrafilter(1, 0)).explicit is False
         assert ultraproduct([A], Ultrafilter(1, 0), product_budget=500 ** 2).explicit
+        # 22 elements: 22 points, but 22^4 = 234,256 large-set tests for
+        # the 4-ary relation, past the default budget of 200,000.
+        B = FiniteStructure(Signature.of({"r": 4}), 22, {"r": [(0, 1, 2, 3)]})
+        start = time.perf_counter()
+        result = ultraproduct([B], Ultrafilter(1, 0))
+        assert result.explicit is False and result.quotient == B
+        assert time.perf_counter() - start < 1
 
     def test_fast_path_budget(self):
         # One class representative per element of the principal factor.

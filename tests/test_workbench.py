@@ -51,9 +51,6 @@ class TestBuiltins:
                 A = FiniteStructure(EMPTY_SIGNATURE, size)
                 assert eval_so_full(A, f) == (size >= n)
 
-    def test_at_least_parameter_forms(self):
-        assert builtin("at_least:3").formula == builtin("at_least", n=3).formula
-
     def test_at_least_nests_no_deeper_than_parse_accepts(self):
         assert fm.scope(builtin("at_least:86").formula).height == fm.MAX_DEPTH
         with pytest.raises(ValidationError, match="nested more than"):
