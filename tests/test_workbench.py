@@ -51,6 +51,18 @@ class TestBuiltins:
                 A = FiniteStructure(EMPTY_SIGNATURE, size)
                 assert eval_so_full(A, f) == (size >= n)
 
+    def test_at_least_parameter_forms(self):
+        # The count rides in the key only; the keyword form is gone.
+        named = builtin("at_least:3")
+        assert named.key == "at_least:3"
+        assert eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 3), named.formula)
+        assert not eval_so_full(FiniteStructure(EMPTY_SIGNATURE, 2), named.formula)
+        with pytest.raises(TypeError):
+            builtin("at_least", n=3)
+        for key in ("at_least:x", "hamiltonian:3", "infinite:1"):
+            with pytest.raises(ValidationError):
+                builtin(key)
+
     def test_at_least_nests_no_deeper_than_parse_accepts(self):
         assert fm.scope(builtin("at_least:86").formula).height == fm.MAX_DEPTH
         with pytest.raises(ValidationError, match="nested more than"):
