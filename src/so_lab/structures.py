@@ -310,6 +310,19 @@ def compile_evaluator(f):
     conditions as in f as written, and the budget is charged from
     scope(f) of f as written, so every budget stop is unchanged.
 
+    A relation quantifier whose atoms on its relation all have their
+    arguments bound outside it (their slots are below its own, since
+    slots are handed out in pre-order) reads the relation only at the m
+    tuples ts those atoms name on entry.  Its loop keys each candidate
+    by ts & rel, skips a key it has tried and stops once all 2^m keys
+    are tried; with m = 0 it tries one candidate.  The body's truth
+    depends only on the key, and a skipped candidate would run the body
+    as the first one with its key did, so the answer is unchanged and
+    so is the order in which the relation quantifiers inside are first
+    entered.  so_domain is still asked once on entry, and the budget is
+    charged at first entries, so every budget stop is unchanged too,
+    under full semantics and over a Henkin universe alike.
+
     Each call runs the closures on a frame of its own, a list whose
     slots _closures fixed while compiling: 0 holds range(A.size), 1
     so_domain, then come the free individual variables in scope(f)
@@ -353,6 +366,7 @@ def _closures(f):
     found = fm.scope(f)
     first = 2 + len(found.free_fo) + len(found.symbols)
     slots = itertools.count(first)
+    reads = {}  # relation slot -> argument slots of each atom on it
 
     def join(parts, conjunction):
         """One part for the & (or |) of parts, in their order."""
@@ -440,6 +454,7 @@ def _closures(f):
         if kind is fm.Atom:
             r = so[g.rel]
             args = [fo[a] for a in g.args]
+            reads.setdefault(r, []).append(args)
             free = 0
             for a in args:
                 free |= 1 << a
@@ -473,7 +488,27 @@ def _closures(f):
         if kind is fm.ExistsSO or kind is fm.ForallSO:
             name, arities, slot = g.relvar, outer + (g.arity,), next(slots)
             body, free, _ = build(g.body, fo, {**so, name: slot}, arities)
-            if kind is fm.ExistsSO:
+            atoms = reads.pop(slot, [])
+            if all(a < slot for args in atoms for a in args):
+                # The body is decided by ts & rel: one candidate per
+                # restriction (see compile_evaluator).
+                exists = kind is fm.ExistsSO
+
+                def ev(frame):
+                    ts = frozenset([tuple([frame[a] for a in args]) for args in atoms])
+                    keys = 1 << len(ts)
+                    seen = set()
+                    for rel in frame[1](name, arities):
+                        key = ts & rel
+                        if key not in seen:
+                            frame[slot] = rel
+                            if body(frame) is exists:
+                                return exists
+                            seen.add(key)
+                            if len(seen) == keys:
+                                break
+                    return not exists
+            elif kind is fm.ExistsSO:
 
                 def ev(frame):
                     for rel in frame[1](name, arities):

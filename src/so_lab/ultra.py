@@ -26,7 +26,6 @@ from .structures import (
     compile_evaluator,
     eval_so_full,
     excess_relation_choices,
-    find_isomorphism,
     relation_domain,
     tuple_index,
     tuple_space,
@@ -346,8 +345,10 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     for any notion of largeness.  The distinct masks, in mask order, are
     the universe.  Otherwise the principal shortcut applies (every
     relation is decomposable, so the set is the full powerset).  Both
-    routes agree and the tests compare them.  A negative arity_bound is
-    a ValidationError."""
+    routes agree and the tests compare them.  An arity_bound that is not
+    an integer, or is negative, is a ValidationError."""
+    if not _is_int(arity_bound):
+        raise ValidationError(f"the arity bound must be an integer, not {arity_bound!r}")
     if arity_bound < 0:
         raise ValidationError(f"the arity bound must be at least 0, not {arity_bound}")
     family = _check_family(family, U)
@@ -460,7 +461,9 @@ class FubiniReport:
 def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:
     """Build the one-step product over the product ultrafilter and the
     iterated column-then-row construction, and exhibit an isomorphism
-    between them (one must exist)."""
+    between them.  Both are the principal factor, so they must be equal
+    and the witness is the identity, the lexicographically least
+    isomorphism."""
     grid = [list(row) for row in grid]
     if len(grid) != F.size or any(len(row) != G.size for row in grid):
         raise ValidationError("grid shape must be |I| x |J|")
@@ -469,10 +472,9 @@ def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:
     inner = [ultraproduct([grid[i][j] for i in range(F.size)], F).quotient
              for j in range(G.size)]
     rhs = ultraproduct(inner, G)
-    witness = find_isomorphism(lhs.quotient, rhs.quotient)
-    if witness is None:
+    if lhs.quotient != rhs.quotient:
         raise SoLabError("no isomorphism between the two constructions; this is a defect")
-    return FubiniReport((F.size, G.size), witness, len(flat))
+    return FubiniReport((F.size, G.size), tuple(range(lhs.quotient.size)), len(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,12 @@ class TestHenkinEval:
         # Bound 0 still answers first-order sentences.
         assert henkin_eval(full_henkin_model(A, 0), fm.parse("EX x p(x)")) is True
 
+    def test_non_integer_arity_bound(self):
+        A = FiniteStructure(SIG, 2, {"p": [(0,)]})
+        for bound in (True, 1.5, "1"):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                henkin_model([A], Ultrafilter(1, 0), bound)
+
     def test_work_budget(self):
         A = FiniteStructure(SIG, 3)
         M = full_henkin_model(A, 2)
@@ -533,7 +539,19 @@ class TestCheckFubini:
                      for _ in range(cols)] for _ in range(rows)]
             F = Ultrafilter(rows, rng.randrange(rows))
             G = Ultrafilter(cols, rng.randrange(cols))
-            assert check_fubini(grid, F, G).witness is not None
+            # Both constructions are the principal cell, and the witness
+            # is its lexicographically least automorphism, the identity.
+            principal = grid[F.principal][G.principal]
+            assert check_fubini(grid, F, G).witness == find_isomorphism(principal, principal)
+
+    def test_large_principal_factor_answers(self):
+        # An isomorphism search would charge 500^2 pairs, past the
+        # product budget; the two constructions are compared as equal.
+        A = FiniteStructure(SIG, 500, {"p": [(0,)], "edge": [(1, 2)]})
+        start = time.perf_counter()
+        report = check_fubini([[A]], Ultrafilter(1, 0), Ultrafilter(1, 0))
+        assert report.witness == tuple(range(500))
+        assert time.perf_counter() - start < 5
 
     def test_bad_shape(self):
         with pytest.raises(ValidationError, match="shape"):
