@@ -56,6 +56,11 @@ def _formula_from_args(args):
     raise SoLabError("provide --formula or --builtin")
 
 
+def _family_from_args(args):
+    family = [A for _, A in _load_family(args.family)]
+    return family, ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
+
+
 def _emit(args, report, text_lines):
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=False))
@@ -112,8 +117,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ultraproduct(args):
-    family = [A for _, A in _load_family(args.family)]
-    U = ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
+    family, U = _family_from_args(args)
     result = ultra.ultraproduct(family, U)
     report = {
         "command": "ultraproduct",
@@ -128,8 +132,7 @@ def _cmd_ultraproduct(args):
 
 
 def _cmd_henkin_eval(args):
-    family = [A for _, A in _load_family(args.family)]
-    U = ultra.Ultrafilter.parse(args.ultrafilter, len(family), args.cols)
+    family, U = _family_from_args(args)
     f = _formula_from_args(args)
     ultra.check_henkin_formula(f, family[0], args.arity_bound)
     M = ultra.henkin_model(family, U, args.arity_bound, budget=args.budget)
@@ -279,6 +282,19 @@ def build_parser():
                      " relation variables around it; the tuple variables SAT grounds")
         return sub
 
+    def formula_args(sub):
+        given = sub.add_mutually_exclusive_group()
+        given.add_argument("--formula")
+        given.add_argument("--builtin")
+
+    def family_args(sub):
+        sub.add_argument("--family", required=True)
+        sub.add_argument("--ultrafilter", required=True,
+                         help='"principal:i", or "principal:i x principal:j"'
+                              " with --cols for a row-major grid")
+        sub.add_argument("--cols", type=int, default=None,
+                         help="column count when the family is a flattened grid")
+
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = common(subs.add_parser("parse", help="parse a formula and report its shape"))
@@ -302,20 +318,13 @@ def build_parser():
         "eval", help="truth in one structure under full or first-order semantics"),
         budget=True)
     p.add_argument("--structure", required=True)
-    given = p.add_mutually_exclusive_group()
-    given.add_argument("--formula")
-    given.add_argument("--builtin")
+    formula_args(p)
     p.add_argument("--semantics", choices=("full", "fo"), default="full")
     p.set_defaults(func=_cmd_eval)
 
     p = common(subs.add_parser(
         "ultraproduct", help="quotient of a family by a principal ultrafilter"))
-    p.add_argument("--family", required=True)
-    p.add_argument("--ultrafilter", required=True,
-                   help='"principal:i", or "principal:i x principal:j"'
-                        " with --cols for a row-major grid")
-    p.add_argument("--cols", type=int, default=None,
-                   help="column count when the family is a flattened grid")
+    family_args(p)
     p.set_defaults(func=_cmd_ultraproduct)
 
     p = common(subs.add_parser(
@@ -323,13 +332,8 @@ def build_parser():
         help="truth with relation quantifiers ranging over the decomposable"
              " relations of an ultraproduct (Henkin semantics)"),
         budget=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--ultrafilter", required=True)
-    p.add_argument("--cols", type=int, default=None,
-                   help="column count when the family is a flattened grid")
-    given = p.add_mutually_exclusive_group()
-    given.add_argument("--formula")
-    given.add_argument("--builtin")
+    family_args(p)
+    formula_args(p)
     p.add_argument("--arity-bound", type=at_least(0), default=2)
     p.set_defaults(func=_cmd_henkin_eval)
 
@@ -367,8 +371,7 @@ def build_parser():
     p.set_defaults(func=_cmd_insep)
 
     p = common(subs.add_parser("demo", help="run a named end-to-end scenario"), seed=True)
-    p.add_argument("name", choices=("np_example", "infinity", "los_suite",
-                                    "fubini_suite", "separation"))
+    p.add_argument("name", choices=tuple(workbench.DEMOS))
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--param", action="append", help="extra key=value parameter")
     p.set_defaults(func=_cmd_demo)

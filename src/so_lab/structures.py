@@ -728,14 +728,14 @@ def _charge_relabellings(n, budget):
                                       f" exceeding the budget of {budget}", budget=budget)
 
 
-@lru_cache(maxsize=None)
 def _heap_steps(n):
     """Heap's order of the n! permutations of n positions (Heap, Computer
     J. 1963) as the n! - 1 swaps between consecutive ones, each written
     as the index b(b-1)/2 + a of its pair a < b.  The swaps depend on
     positions only: those for n are the ones for n - 1, then n - 1 times
     a swap of position n - 1 with a (n even) or with 0 (n odd) followed
-    by the ones for n - 1 again."""
+    by the ones for n - 1 again.  Uncached: a caller keeps the bytes for
+    as long as its walk lasts."""
     if n < 2:
         return b""
     inner = _heap_steps(n - 1)
@@ -757,7 +757,7 @@ def _transposed_index(n, k):
     return tables
 
 
-def _relabellings(n, arities, masks):
+def _relabellings(n, arities, masks, steps):
     """masks, the relation masks of a structure on n elements, under
     every permutation of its universe, the identity first.  Heap's order
     moves from one permutation p to the next by p∘(a b); their inverses,
@@ -766,13 +766,13 @@ def _relabellings(n, arities, masks):
     and maps each set tuple index through one _transposed_index table.  A
     structure whose relations are each empty or full is fixed by every
     permutation and yields masks alone.  The caller charges the n!
-    permutations first (_charge_relabellings)."""
+    permutations first (_charge_relabellings) and passes _heap_steps(n)."""
     yield masks
     if all(mask == 0 or mask == (1 << n ** k) - 1 for k, mask in zip(arities, masks)):
         return
     rels = [[_transposed_index(n, k), [i for i in range(n ** k) if mask >> i & 1]]
             for k, mask in zip(arities, masks)]
-    for step in _heap_steps(n):
+    for step in steps:
         relabelled = []
         for rel in rels:
             rel[1] = indices = list(map(rel[0][step].__getitem__, rel[1]))
@@ -783,12 +783,13 @@ def _relabellings(n, arities, masks):
 def canonical_key(A: FiniteStructure):
     """(size, least masks of A's relabellings), equal iff isomorphic:
     the masks of the member of A's class that models_up_to keeps, the
-    first met in mask order.  Charges n! to DEFAULT_RELATION_BUDGET."""
+    first met in mask order.  Charges n! to DEFAULT_RELATION_BUDGET and
+    builds the n! - 1 Heap steps for this call alone."""
     n = A.size
     _charge_relabellings(n, DEFAULT_RELATION_BUDGET)
     arities = [k for _, k in A.sig.relations]
     masks = tuple(relation_mask(n, k, A.rels[name]) for name, k in A.sig.relations)
-    return (n, min(_relabellings(n, arities, masks)))
+    return (n, min(_relabellings(n, arities, masks, _heap_steps(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -825,15 +826,17 @@ def models_up_to(f, sig: Signature, nmax: int, *,
     labelling, the member iter_structures meets first: a mask tuple is
     kept when no relabelling makes it smaller (Read's orderly test), and
     only a kept one becomes a structure.  The candidates, then the n!
-    relabellings, of each size are charged against budget."""
+    relabellings, of each size are charged against budget, and each
+    size builds its Heap steps once for all its candidates."""
     check_formula(f, sig._arity)
     arities = [k for _, k in sig.relations]
     out = []
     for n in range(1, nmax + 1):
         candidates = _mask_tuples(sig, n, budget)
         _charge_relabellings(n, budget)
+        steps = _heap_steps(n)
         for masks in candidates:
-            relabellings = _relabellings(n, arities, masks)
+            relabellings = _relabellings(n, arities, masks, steps)
             next(relabellings)
             if all(masks <= other for other in relabellings):
                 A = _from_masks(sig, n, masks)

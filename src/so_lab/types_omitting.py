@@ -14,9 +14,9 @@ budget.  It keeps, for each structure asked about, the frozenset of its
 realized types, built from one shared TwoType object per distinct type
 so that set operations compare types by identity, and the union over
 the last pool asked about.  The tables are held weakly keyed on the
-context: they last exactly as long as the context object that first
-asked for them, and with it they release every structure and type they
-hold.  realized_types itself caches nothing.
+context, which hashes its fields afresh: they last exactly as long as
+the context object that first asked for them, and with it they release
+every structure and type they hold.  realized_types caches nothing.
 """
 from __future__ import annotations
 
@@ -60,19 +60,6 @@ class TypeContext:
             fm.check_height(f)
         if len(set(self.fragment)) != len(self.fragment):
             raise ValidationError("duplicate formula in type fragment")
-
-    def __hash__(self):
-        # Cached on first use, like the hash of a formula node.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.arities, self.fragment))
-            return h
-
-    def __reduce__(self):
-        # Rebuild from the fields, so the cached hash is never restored
-        # into a process whose string hashes differ.
-        return TypeContext, (self.arities, self.fragment)
 
     @property
     def relvar_names(self):

@@ -7,11 +7,12 @@ iterated ultrapower chains.
 Index sets here are finite, so every ultrafilter is principal; the
 representation still drives all constructions through the literal
 large-set definitions so that the defining formulas are exercised
-rather than shortcut.
+rather than shortcut; one loop, _box, tests every quotient relation.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import formulas as fm
@@ -107,20 +108,15 @@ def product_member_definitional(F: Ultrafilter, G: Ultrafilter, pairs) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Provenance:
-    family: tuple[FiniteStructure, ...]
-    ultrafilter: Ultrafilter
-
-
-@dataclass(frozen=True)
 class UltraproductResult:
     quotient: FiniteStructure
     class_representatives: tuple[tuple[int, ...], ...]
-    provenance: Provenance
+    family: tuple[FiniteStructure, ...]
+    ultrafilter: Ultrafilter
     explicit: bool
 
     def value_at_principal(self, element: int) -> int:
-        return self.class_representatives[element][self.provenance.ultrafilter.principal]
+        return self.class_representatives[element][self.ultrafilter.principal]
 
 
 def _check_family(family, U):
@@ -152,52 +148,42 @@ def ultraproduct(family, U: Ultrafilter, *,
     m = U.size
     n = family[U.principal].size
     sig = family[0].sig
-    total = 1
-    for A in family:
-        total *= A.size
+    total = math.prod(A.size for A in family)
     k = max([2, *(arity for _, arity in sig.relations)])
-    if max(total, n ** k) > product_budget:
+    explicit = max(total, n ** k) <= product_budget
+    if explicit:
+        reps = []
+        for point in itertools.product(*[range(A.size) for A in family]):
+            for rep in reps:
+                if U.member({i for i in range(m) if point[i] == rep[i]}):
+                    break
+            else:
+                reps.append(point)
+        reps.sort(key=lambda rep: (rep[U.principal], rep))
+        rels = {name: _box(reps, U, arity, [A.rels[name] for A in family])
+                for name, arity in sig.relations}
+        quotient = FiniteStructure(sig, len(reps), rels)
+        if quotient != family[U.principal]:
+            raise SoLabError("quotient failed to match the principal factor; this is a defect")
+    else:
         if n > product_budget:
             raise BudgetExceededError(
                 f"the principal factor has {n} elements, exceeding the budget of"
                 f" {product_budget}", required=n, budget=product_budget)
         # Class q is represented by q at the principal index, 0 elsewhere.
         before, after = (0,) * U.principal, (0,) * (m - U.principal - 1)
-        return UltraproductResult(
-            quotient=family[U.principal],
-            class_representatives=tuple(before + (q,) + after for q in range(n)),
-            provenance=Provenance(family, U),
-            explicit=False,
-        )
+        reps = [before + (q,) + after for q in range(n)]
+        quotient = family[U.principal]
+    return UltraproductResult(quotient, tuple(reps), family, U, explicit)
 
-    reps = []
-    for point in itertools.product(*[range(A.size) for A in family]):
-        for rep in reps:
-            if U.member({i for i in range(m) if point[i] == rep[i]}):
-                break
-        else:
-            reps.append(point)
-    reps.sort(key=lambda rep: (rep[U.principal], rep))
-    rels = {}
-    for name, arity in sig.relations:
-        tuples = set()
-        for combo in itertools.product(range(len(reps)), repeat=arity):
-            large = {
-                i for i in range(m)
-                if tuple(reps[q][i] for q in combo) in family[i].rels[name]
-            }
-            if U.member(large):
-                tuples.add(combo)
-        rels[name] = frozenset(tuples)
-    quotient = FiniteStructure(sig, len(reps), rels)
-    if quotient != family[U.principal]:
-        raise SoLabError("quotient failed to match the principal factor; this is a defect")
-    return UltraproductResult(
-        quotient=quotient,
-        class_representatives=tuple(reps),
-        provenance=Provenance(family, U),
-        explicit=True,
-    )
+
+def _box(reps, U, arity, factors) -> frozenset:
+    """The arity-tuples of classes reps whose componentwise membership
+    set {i : their i-th components form a tuple of factors[i]} is U-large."""
+    return frozenset(
+        combo for combo in itertools.product(range(len(reps)), repeat=arity)
+        if U.member({i for i in range(U.size)
+                     if tuple(reps[q][i] for q in combo) in factors[i]}))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +212,7 @@ def is_decomposable(rel, result: UltraproductResult, arity: int | None = None):
         arity = len(next(iter(rel)))
     if any(len(t) != arity for t in rel):
         raise ValidationError("mixed tuple lengths in relation")
-    U = result.provenance.ultrafilter
+    U = result.ultrafilter
     pullback = frozenset(
         tuple(result.value_at_principal(x) for x in t) for t in rel
     )
@@ -242,18 +228,7 @@ def is_decomposable(rel, result: UltraproductResult, arity: int | None = None):
 def recompose(dec: Decomposition, result: UltraproductResult) -> frozenset:
     """The box of the factor relations: membership of a quotient tuple is
     the largeness of its componentwise membership set."""
-    U = result.provenance.ultrafilter
-    reps = result.class_representatives
-    n = len(reps)
-    out = set()
-    for combo in itertools.product(range(n), repeat=dec.arity):
-        large = {
-            i for i in range(U.size)
-            if tuple(reps[q][i] for q in combo) in dec.factors[i]
-        }
-        if U.member(large):
-            out.add(combo)
-    return frozenset(out)
+    return _box(result.class_representatives, result.ultrafilter, dec.arity, dec.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +266,7 @@ def _factor_masks(result: UltraproductResult, i: int, k: int) -> list[int]:
     order: the set of quotient k-tuples whose i-th components form a
     tuple of that relation, as a bitmask over structures.tuple_space."""
     reps = result.class_representatives
-    index = tuple_index(result.provenance.family[i].size, k)
+    index = tuple_index(result.family[i].size, k)
     pre = [0] * len(index)
     for j, q in enumerate(tuple_space(len(reps), k)):
         pre[index[tuple(reps[x][i] for x in q)]] |= 1 << j
@@ -307,7 +282,7 @@ def _box_masks(result: UltraproductResult, k: int, large):
     relation per factor, in the order of itertools.product over each
     factor's all_relations; large is _largeness_table of the
     ultrafilter.  recompose gives the same boxes one by one."""
-    factors = [_factor_masks(result, i, k) for i in range(len(result.provenance.family))]
+    factors = [_factor_masks(result, i, k) for i in range(len(result.family))]
     last = factors.pop()
     top = 1 << len(factors)
     full = (1 << len(result.class_representatives) ** k) - 1
@@ -437,10 +412,11 @@ def check_los(family, U: Ultrafilter, f, *,
     """Compare truth of the closed sentence f in the Henkin model of the
     ultraproduct against largeness of its truth set across the factors,
     both evaluations under budget.  Disagreement is a defect, never a
-    valid outcome.  f is checked, as a sentence, before the model is built."""
+    valid outcome.  f is checked, as a sentence, before the model is built,
+    with relation universes up to the arities f quantifies (none if FO)."""
     family = _check_family(family, U)
     check_formula(f, family[0].sig._arity)
-    bound = max(fm.scope(f).so_arities, default=1)
+    bound = max(fm.scope(f).so_arities, default=0)
     M = henkin_model(family, U, bound, budget=budget)
     ultra_truth = henkin_eval(M, f, budget=budget)
     true_indices = tuple(

@@ -593,13 +593,13 @@ def _demo_fubini_suite(params):
 
 # Each demo with the defaults of the integer parameters it reads; all
 # but seed are counts.  Every demo accepts seed, which the command line
-# always passes.
-_DEMOS = {
+# always passes.  `so-lab demo` offers the names in this order.
+DEMOS = {
     "np_example": (_demo_np_example, {"n": 4}),
     "infinity": (_demo_infinity, {"nmax": 6, "seed": 42}),
-    "separation": (_demo_separation, {}),
     "los_suite": (_demo_los_suite, {"trials": 1000, "seed": 42}),
     "fubini_suite": (_demo_fubini_suite, {"trials": 50, "seed": 43}),
+    "separation": (_demo_separation, {}),
 }
 
 
@@ -609,9 +609,9 @@ def demo(name: str, params: dict | None = None) -> dict:
     reads to ints or their decimal text, and the report echoes each
     given key with its parsed int, keys sorted; any other key, a
     non-integer or a count below 1 raises ValidationError."""
-    if name not in _DEMOS:
+    if name not in DEMOS:
         raise ValidationError(f"unknown demo {name!r}")
-    run, defaults = _DEMOS[name]
+    run, defaults = DEMOS[name]
     given = {}
     for key, value in (params or {}).items():
         if key != "seed" and key not in defaults:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 import so_lab
-from so_lab import cli, formula_space, formulas as fm
+from so_lab import cli, formula_space, formulas as fm, workbench
 from so_lab.workbench import cycle_graph, double_cycle
 
 
@@ -523,6 +523,12 @@ class TestSpaceCommands:
     def test_demo(self, capsys):
         code, out, _ = run(capsys, "demo", "np_example", "--param", "n=3")
         assert code == 0 and "demo np_example: pass" in out
+
+    def test_demo_choices_are_the_workbench_demos(self, capsys):
+        names = ("np_example", "infinity", "los_suite", "fubini_suite", "separation")
+        assert tuple(workbench.DEMOS) == names
+        code, out, _ = run(capsys, "demo", "--help")
+        assert code == 0 and "{" + ",".join(names) + "}" in out
 
     def test_demo_echoes_parsed_parameters(self, capsys):
         reports = []

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -390,6 +392,21 @@ def test_heap_steps_reach_every_permutation_once(n):
         reached.append(tuple(perm))
     assert len(reached) == math.factorial(n)
     assert sorted(reached) == list(itertools.permutations(range(n)))
+
+
+def test_canonical_key_keeps_no_swap_string():
+    # The walk of the 9! relabellings takes 362,879 Heap steps; none of
+    # them may outlive the call.  Tracing slows the walk about twentyfold.
+    cycle = FiniteStructure(GRAPH_SIGNATURE, 9, {"edge": [(i, (i + 1) % 9) for i in range(9)]})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        canonical_key(cycle)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000
 
 
 @pytest.mark.parametrize("text, nmax, counts", [

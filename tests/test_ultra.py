@@ -19,7 +19,6 @@ from so_lab.structures import (
 from so_lab.ultra import (
     DecomposableHenkinModel,
     Decomposition,
-    Provenance,
     Ultrafilter,
     UltraproductResult,
     build_ultrachain,
@@ -58,14 +57,14 @@ def every_point(family, U):
     the product, one each, so that no index decides a box alone."""
     reps = tuple(itertools.product(*[range(A.size) for A in family]))
     return UltraproductResult(FiniteStructure(family[0].sig, len(reps)), reps,
-                              Provenance(tuple(family), U), True)
+                              tuple(family), U, True)
 
 
 def assert_boxes_match_recompose(result, k):
     """Every factor choice's box mask equals recompose's box."""
     n = len(result.class_representatives)
-    family = result.provenance.family
-    large = ultra._largeness_table(result.provenance.ultrafilter)
+    family = result.family
+    large = ultra._largeness_table(result.ultrafilter)
     masks = list(ultra._box_masks(result, k, large))
     choices = itertools.product(*[all_relations(A.size, k) for A in family])
     assert masks == [relation_mask(n, k, recompose(Decomposition(k, combo), result))
@@ -270,7 +269,7 @@ class TestDecomposable:
         family = [FiniteStructure(SIG, 2)] * 3
         reps = ((0, 0, 0), (1, 1, 0), (0, 1, 1))
         result = UltraproductResult(FiniteStructure(SIG, 3), reps,
-                                    Provenance(tuple(family), majority(3)), True)
+                                    tuple(family), majority(3), True)
         dec = Decomposition(1, (frozenset({(1,)}), frozenset({(1,)}), frozenset({(0,)})))
         assert recompose(dec, result) == {(1,)}
         dec = Decomposition(2, (frozenset({(1, 1), (0, 1)}), frozenset({(0, 1), (1, 0)}),
@@ -475,6 +474,20 @@ class TestCheckLos:
         expected = eval_so_full(family[2], f)
         assert report.ultra_truth == expected == report.large_set_truth
         assert report.agree
+
+    def test_first_order_sentence_builds_no_relation_universe(self, monkeypatch):
+        family = [FiniteStructure(SIG, 2, {"p": [(0,)]}), FiniteStructure(SIG, 3),
+                  FiniteStructure(SIG, 2, {"p": [(1,)], "edge": [(1, 0)]})]
+        f = fm.parse("EX x (p(x) & (ALL y ~edge(y, x)))")
+
+        def no_boxes(*args):
+            raise AssertionError("a relation universe was materialised")
+
+        monkeypatch.setattr(ultra, "_box_masks", no_boxes)
+        assert check_los(family, Ultrafilter(3, 0), f) == ultra.LosReport(
+            True, True, True, (0, 2))
+        assert check_los(family, Ultrafilter(3, 1), f) == ultra.LosReport(
+            False, False, True, (0, 2))
 
     def test_infinity_formula_both_false(self):
         rng = random.Random(13)
