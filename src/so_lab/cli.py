@@ -147,6 +147,9 @@ def _cmd_separate(args):
     named_k = _load_family(args.k)
     named_l = _load_family(args.l)
     sig = named_k[0][1].sig
+    for name, A in named_k + named_l:
+        if A.sig != sig:
+            raise SoLabError(f"signature mismatch between {named_k[0][0]} and {name}")
     fragment = fs.Fragment.from_strings(_read_json(args.fragment), sig)
 
     def vectors_named_by_witness(named):

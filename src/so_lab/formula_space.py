@@ -20,6 +20,9 @@ from .structures import (
 )
 from .ultra import DecomposableHenkinModel, henkin_eval
 
+# The formulas a Boolean closure may hold, its fragment included.
+CLOSURE_FORMULA_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class Fragment:
@@ -142,20 +145,21 @@ def separating_combination(kv: VectorSet, lv: VectorSet, fragment: Fragment):
     return fm.balanced(fm.Or, disjuncts)
 
 
-def boolean_closure(fragment: Fragment, depth: int, *,
-                    max_size: int = 4096) -> Fragment:
+def boolean_closure(fragment: Fragment, depth: int) -> Fragment:
     """Extend the fragment with negations and binary conjunctions and
     disjunctions of its members, iterated to the given nesting depth,
-    deduplicated structurally, original order as a prefix."""
+    deduplicated structurally, original order as a prefix.  A closure
+    past CLOSURE_FORMULA_LIMIT formulas, a fixed limit apart from the
+    relation budget, is a BudgetExceededError."""
     formulas = list(fragment.formulas)
     seen = set(formulas)
 
     def add(f):
         if f not in seen:
-            if len(formulas) >= max_size:
+            if len(formulas) >= CLOSURE_FORMULA_LIMIT:
                 raise BudgetExceededError(
-                    f"Boolean closure exceeds {max_size} formulas",
-                    required=len(formulas) + 1, budget=max_size,
+                    f"Boolean closure exceeds {CLOSURE_FORMULA_LIMIT} formulas",
+                    required=len(formulas) + 1, budget=CLOSURE_FORMULA_LIMIT,
                 )
             seen.add(f)
             formulas.append(f)

@@ -35,7 +35,10 @@ from . import formulas as fm, sat
 from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_RELATION_BUDGET = 2 ** 24
-DEFAULT_PRODUCT_BUDGET = 200_000
+# The n^2 element pairs an isomorphism search may weigh.  It also keeps
+# n within the interpreter's recursion limit, as the search recurses once
+# per element.
+ISOMORPHISM_PAIR_LIMIT = 200_000
 
 
 def _is_int(value):
@@ -658,20 +661,21 @@ def _element_profile(A):
     return [tuple(p) for p in profiles]
 
 
-def find_isomorphism(A: FiniteStructure, B: FiniteStructure, *,
-                     budget: int = DEFAULT_PRODUCT_BUDGET):
+def find_isomorphism(A: FiniteStructure, B: FiniteStructure):
     """The lexicographically least isomorphism A -> B as an image tuple,
     or None when the structures are not isomorphic.  The search weighs
     each element of A against each of B, so the n^2 pairs are charged
-    against budget before any per-element work."""
+    against ISOMORPHISM_PAIR_LIMIT, a fixed limit apart from the relation
+    budget, before any per-element work."""
     if A.sig != B.sig:
         raise ValidationError("signature mismatch")
     if A.size != B.size:
         return None
-    if A.size ** 2 > budget:
+    if A.size ** 2 > ISOMORPHISM_PAIR_LIMIT:
         raise BudgetExceededError(
             f"an isomorphism search on {A.size} elements weighs {A.size}^2 pairs,"
-            f" exceeding the budget of {budget}", required=A.size ** 2, budget=budget)
+            f" exceeding the budget of {ISOMORPHISM_PAIR_LIMIT}",
+            required=A.size ** 2, budget=ISOMORPHISM_PAIR_LIMIT)
     pa = _element_profile(A)
     pb = _element_profile(B)
     if sorted(pa) != sorted(pb):

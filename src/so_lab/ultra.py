@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import formulas as fm
 from .errors import ArityBoundError, BudgetExceededError, SoLabError, ValidationError
 from .structures import (
-    DEFAULT_PRODUCT_BUDGET,
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     _is_int,
@@ -32,7 +31,13 @@ from .structures import (
     tuple_space,
 )
 
-DEFAULT_LITERAL_BUDGET = 2 ** 10
+# ultraproduct builds its explicit quotient only while the full product
+# and the n^k large-set tests per k-ary relation are both within this
+# limit, and refuses a principal factor of more elements.
+ULTRAPRODUCT_LIMIT = 200_000
+# henkin_model enumerates every box while the factor choices are at most
+# this many, and takes the principal shortcut past it; it stops nothing.
+LITERAL_ROUTE_CHOICES = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -131,18 +136,20 @@ def _check_family(family, U):
     return family
 
 
-def ultraproduct(family, U: Ultrafilter, *,
-                 product_budget: int = DEFAULT_PRODUCT_BUDGET) -> UltraproductResult:
+def ultraproduct(family, U: Ultrafilter) -> UltraproductResult:
     """Quotient of the full product by U-almost-everywhere equality, with
     relations induced componentwise.
 
     When both the full product and n^k, k the largest arity of the
-    signature and at least 2, are within product_budget, the explicit
+    signature and at least 2, are within ULTRAPRODUCT_LIMIT, a fixed
+    limit apart from the relation budget, the explicit
     path builds the product, quotients it through the literal large-set
     tests (n^k per k-ary relation) and confirms the result equal to the
     principal factor, as it must be: class q is represented by the first
     product point with q at the principal index, (0, ..., q, ..., 0).
-    Otherwise the fast path returns that factor and those representatives.
+    Otherwise the fast path returns that factor and those representatives,
+    unless the factor has more than ULTRAPRODUCT_LIMIT elements, which is
+    a BudgetExceededError.
     """
     family = _check_family(family, U)
     m = U.size
@@ -150,7 +157,7 @@ def ultraproduct(family, U: Ultrafilter, *,
     sig = family[0].sig
     total = math.prod(A.size for A in family)
     k = max([2, *(arity for _, arity in sig.relations)])
-    explicit = max(total, n ** k) <= product_budget
+    explicit = max(total, n ** k) <= ULTRAPRODUCT_LIMIT
     if explicit:
         reps = []
         for point in itertools.product(*[range(A.size) for A in family]):
@@ -166,10 +173,10 @@ def ultraproduct(family, U: Ultrafilter, *,
         if quotient != family[U.principal]:
             raise SoLabError("quotient failed to match the principal factor; this is a defect")
     else:
-        if n > product_budget:
+        if n > ULTRAPRODUCT_LIMIT:
             raise BudgetExceededError(
                 f"the principal factor has {n} elements, exceeding the budget of"
-                f" {product_budget}", required=n, budget=product_budget)
+                f" {ULTRAPRODUCT_LIMIT}", required=n, budget=ULTRAPRODUCT_LIMIT)
         # Class q is represented by q at the principal index, 0 elsewhere.
         before, after = (0,) * U.principal, (0,) * (m - U.principal - 1)
         reps = [before + (q,) + after for q in range(n)]
@@ -310,18 +317,21 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
 
     Both routes hold every k-ary relation on the n-element quotient, a
     set of up to n^k tuples, so each arity is charged 2^(n^k) * n^k
-    against budget before either route builds anything.  When
-    the factor choices are below DEFAULT_LITERAL_BUDGET, every box is
-    enumerated: U.member is asked once per subset of the indices, each
-    factor relation becomes a mask over the quotient's k-tuples, and a
-    choice's box is the mask of the tuples whose componentwise
-    membership set is large.  That is recompose's double-large-set test
-    on whole masks, not the principal shortcut: it gives the right boxes
-    for any notion of largeness.  The distinct masks, in mask order, are
-    the universe.  Otherwise the principal shortcut applies (every
-    relation is decomposable, so the set is the full powerset).  Both
-    routes agree and the tests compare them.  An arity_bound that is not
-    an integer, or is negative, is a ValidationError."""
+    against budget, the relation budget, before either route builds
+    anything; the quotient itself comes from ultraproduct, under its
+    fixed limit.  When the factor choices, 2^(|A1|^k + |A2|^k + ...),
+    are at most LITERAL_ROUTE_CHOICES, a fixed route threshold that stops
+    nothing, every box is enumerated: U.member is asked once per subset
+    of the indices, each factor relation becomes a mask over the
+    quotient's k-tuples, and a choice's box is the mask of the tuples
+    whose componentwise membership set is large.  That is recompose's
+    double-large-set test on whole masks, not the principal shortcut: it
+    gives the right boxes for any notion of largeness.  The distinct
+    masks, in mask order, are the universe.  Otherwise the principal
+    shortcut applies (every relation is decomposable, so the set is the
+    full powerset).  Both routes agree and the tests compare them.  An
+    arity_bound that is not an integer, or is negative, is a
+    ValidationError."""
     if not _is_int(arity_bound):
         raise ValidationError(f"the arity bound must be an integer, not {arity_bound!r}")
     if arity_bound < 0:
@@ -344,7 +354,7 @@ def henkin_model(family, U: Ultrafilter, arity_bound: int = 2, *,
     large = None
     for k in range(1, arity_bound + 1):
         # The 2^(|A1|^k + |A2|^k + ...) factor choices, by their exponent.
-        if sum(A.size ** k for A in family) < DEFAULT_LITERAL_BUDGET.bit_length():
+        if sum(A.size ** k for A in family) < LITERAL_ROUTE_CHOICES.bit_length():
             if large is None:
                 large = _largeness_table(U)
             relations = all_relations(n, k)
@@ -431,7 +441,6 @@ def check_los(family, U: Ultrafilter, f, *,
 class FubiniReport:
     grid_shape: tuple[int, int]
     witness: tuple[int, ...]
-    flat_size: int
 
 
 def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:
@@ -450,7 +459,7 @@ def check_fubini(grid, F: Ultrafilter, G: Ultrafilter) -> FubiniReport:
     rhs = ultraproduct(inner, G)
     if lhs.quotient != rhs.quotient:
         raise SoLabError("no isomorphism between the two constructions; this is a defect")
-    return FubiniReport((F.size, G.size), tuple(range(lhs.quotient.size)), len(flat))
+    return FubiniReport((F.size, G.size), tuple(range(lhs.quotient.size)))
 
 
 # ---------------------------------------------------------------------------

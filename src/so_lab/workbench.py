@@ -31,6 +31,7 @@ from .structures import (
     GRAPH_SIGNATURE,
     FiniteStructure,
     Signature,
+    _is_int,
     eval_so_full,
     find_isomorphism,
     models_up_to,
@@ -53,8 +54,6 @@ from .ultra import Ultrafilter, check_fubini, check_los
 class NamedFormula:
     key: str
     formula: fm.Formula
-    intended_class: str
-    signature: Signature
 
 
 _INFINITE_TEXT = (
@@ -141,29 +140,13 @@ def builtin(key: str) -> NamedFormula:
     elif text:
         raise ValidationError(f"unknown builtin key {key!r}")
     if name == "infinite":
-        return NamedFormula(
-            "infinite", fm.parse(_INFINITE_TEXT),
-            "the infinite structures (false on every finite one)",
-            EMPTY_SIGNATURE,
-        )
+        return NamedFormula("infinite", fm.parse(_INFINITE_TEXT))
     if name == "at_least":
-        return NamedFormula(
-            f"at_least:{count}", _at_least(count),
-            f"structures with at least {count} elements",
-            EMPTY_SIGNATURE,
-        )
+        return NamedFormula(f"at_least:{count}", _at_least(count))
     if name == "hamiltonian":
-        return NamedFormula(
-            "hamiltonian", fm.parse(_HAMILTONIAN_TEXT),
-            "graphs with a Hamiltonian cycle (single-orbit successor)",
-            GRAPH_SIGNATURE,
-        )
+        return NamedFormula("hamiltonian", fm.parse(_HAMILTONIAN_TEXT))
     if name == "colorable":
-        return NamedFormula(
-            f"colorable:{count}", _colorable(count),
-            f"graphs with a proper {count}-coloring",
-            GRAPH_SIGNATURE,
-        )
+        return NamedFormula(f"colorable:{count}", _colorable(count))
     raise ValidationError(f"unknown builtin key {key!r}")
 
 
@@ -301,11 +284,13 @@ def principal_insep_search(Ks, Ls) -> InsepReport:
 _SUITE_SIG = Signature.of({"p": 1, "edge": 2})
 
 
-def los_suite(trials: int = 1000, seed: int = 42, *, max_index: int = 4,
-              max_size: int = 3, max_depth: int = 3) -> dict:
+def los_suite(trials: int = 1000, seed: int = 42) -> dict:
     """Randomised transfer check: truth in the Henkin model of the
     ultraproduct must match largeness of the factor truth set, on every
-    trial."""
+    trial.  A trial takes 1 to 4 factors of 1 to 3 elements and a
+    sentence of quantifier depth at most 3, a fixed shape that the
+    report echoes under "params"."""
+    max_index, max_size, max_depth = 4, 3, 3
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
@@ -335,11 +320,13 @@ def los_suite(trials: int = 1000, seed: int = 42, *, max_index: int = 4,
     }
 
 
-def fubini_suite(trials: int = 50, seed: int = 43, *, max_rows: int = 3,
-                 max_cols: int = 2, max_size: int = 3) -> dict:
+def fubini_suite(trials: int = 50, seed: int = 43) -> dict:
     """Randomised iterated-product check: the one-step product over the
     product ultrafilter must be isomorphic to the column-then-row
-    construction, witnessed explicitly."""
+    construction, witnessed explicitly.  A trial takes a grid of 1 to 3
+    rows and 1 or 2 columns of structures of 1 to 3 elements, a fixed
+    shape that the report echoes under "params"."""
+    max_rows, max_cols, max_size = 3, 2, 3
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
@@ -367,11 +354,13 @@ def fubini_suite(trials: int = 50, seed: int = 43, *, max_rows: int = 3,
     }
 
 
-def metric_suite(pairs: int = 100, seed: int = 44, *, max_size: int = 3) -> dict:
+def metric_suite(pairs: int = 100, seed: int = 44) -> dict:
     """Randomised separation check over Boolean-closed fragments: a
     separating combination exists exactly when the vector sets are
     disjoint, exactly when their distance is positive; found separators
-    are verified by evaluation."""
+    are verified by evaluation.  Structures have 1 to 3 elements, a
+    fixed size that the report echoes under "params"."""
+    max_size = 3
     rng = random.Random(seed)
     failures = []
     separable = 0
@@ -431,11 +420,14 @@ def _omission_context() -> TypeContext:
     )
 
 
-def omission_suite(choices: int = 20, seed: int = 45, *, max_size: int = 3) -> dict:
+def omission_suite(choices: int = 20, seed: int = 45) -> dict:
     """Pool-scale omission check: with the omission set of K as the
     axiom candidate, the axiomatization check passes exactly when the
     pool-closure property holds, and otherwise both name the same
-    counterexample structures."""
+    counterexample structures.  The pool holds every structure of 1 to
+    3 elements up to isomorphism, a fixed size that the report echoes
+    under "params"."""
+    max_size = 3
     rng = random.Random(seed)
     pool = models_up_to(fm.parse("ALL x x = x"), _OMISSION_SIG, max_size)
     ctx = _omission_context()
@@ -497,12 +489,15 @@ def _check(name, expected, actual):
 
 def parse_int(name, value, least=None):
     """value, an int or its decimal text, as an int; ValidationError when
-    it is neither or is below least.  The demos and the check command
-    read every count (least 1) and seed through this."""
+    it is neither (a bool or a float is neither) or is below least.  The
+    demos and the check command read every count (least 1) and seed
+    through this."""
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if not _is_int(number):
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
     if least is not None and number < least:
         raise ValidationError(f"{name} must be at least {least}, not {number}")
     return number

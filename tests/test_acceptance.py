@@ -42,8 +42,9 @@ def report(n, name, ok, detail):
 
 def test_criterion_1_los_transfer():
     start = time.monotonic()
-    suite = los_suite(trials=1000, seed=42, max_index=4, max_size=3, max_depth=3)
+    suite = los_suite(trials=1000, seed=42)
     elapsed = time.monotonic() - start
+    assert suite["params"] == {"max_index": 4, "max_size": 3, "max_depth": 3}
     ok = suite["pass"] and suite["agreed"] == 1000 and elapsed < 120
     report(1, "Los transfer", ok,
            f"{suite['agreed']}/1000 trials agreed in {elapsed:.1f}s (< 120s)")
@@ -51,8 +52,9 @@ def test_criterion_1_los_transfer():
 
 def test_criterion_2_fubini():
     start = time.monotonic()
-    suite = fubini_suite(trials=50, seed=43, max_rows=3, max_cols=2, max_size=3)
+    suite = fubini_suite(trials=50, seed=43)
     elapsed = time.monotonic() - start
+    assert suite["params"] == {"max_rows": 3, "max_cols": 2, "max_size": 3}
     ok = suite["pass"] and suite["witnessed"] == 50 and elapsed < 60
     report(2, "iterated-product isomorphism", ok,
            f"{suite['witnessed']}/50 grids witnessed in {elapsed:.1f}s (< 60s)")
@@ -156,7 +158,8 @@ def test_criterion_6_infinity_and_cardinality():
 
 
 def test_criterion_7_separation():
-    suite = metric_suite(pairs=100, seed=44, max_size=3)
+    suite = metric_suite(pairs=100, seed=44)
+    assert suite["params"] == {"max_size": 3, "fragment_bound": 12}
     ok = suite["pass"]
     report(7, "separation vs vector-set distance", ok,
            f"100 seeded class pairs over Boolean-closed fragments of <= 12"
@@ -165,7 +168,8 @@ def test_criterion_7_separation():
 
 
 def test_criterion_8_omitting_types():
-    suite = omission_suite(choices=20, seed=45, max_size=3)
+    suite = omission_suite(choices=20, seed=45)
+    assert suite["params"]["max_size"] == 3
     ok = suite["pass"]
     report(8, "axiomatization by type omission", ok,
            f"pool of {suite['params']['pool_size']} structures (all up to"
@@ -180,7 +184,7 @@ def test_criterion_9_determinism(capsys):
         los_suite(40, 7) == los_suite(40, 7)
         and fubini_suite(15, 7) == fubini_suite(15, 7)
         and metric_suite(15, 7) == metric_suite(15, 7)
-        and omission_suite(3, 7, max_size=2) == omission_suite(3, 7, max_size=2)
+        and omission_suite(3, 7) == omission_suite(3, 7)
     )
     outputs = []
     for _ in range(2):

@@ -425,6 +425,35 @@ class TestUltraCommands:
         assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.fixture
+def fault_inputs(tmp_path):
+    """A family directory of mixed signatures, one with no structure
+    file, and a C4 structure file."""
+    (tmp_path / "mixed").mkdir()
+    (tmp_path / "empty").mkdir()
+    for name in ("p", "q"):
+        (tmp_path / "mixed" / f"{name}.json").write_text(json.dumps(
+            {"universe": 1, "signature": {name: 1}, "relations": {name: []}}))
+    (tmp_path / "c4.json").write_text(cycle_graph(4).to_json())
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["ultraproduct", "--family", "{}/mixed", "--ultrafilter", "principal:0"], 2,
+     "error: family members must share one signature"),
+    (["parse", "--formula", "EX2 X:0 X(x)"], 2, "arities must be at least 1"),
+    (["parse", "--formula", "EX x P = x"], 2, "equality compares variables, found 'P'"),
+    (["eval", "--structure", "{}/c4.json"], 2, "error: provide --formula or --builtin"),
+    (["ultraproduct", "--family", "{}/empty", "--ultrafilter", "principal:0"], 2,
+     "error: no *.json structure files in"),
+    (["insep", "--k", "{}/mixed", "--l", "{}/mixed"], 0, "witness: K[0] ~ L[0] via [0]"),
+], ids=["mixed-family", "arity-0", "equality-on-a-relation", "no-formula",
+        "empty-family", "insep-witness"])
+def test_input_faults_and_text_witness(capsys, fault_inputs, argv, code, message):
+    got, out, err = run(capsys, *(arg.format(fault_inputs) for arg in argv))
+    assert got == code and message in (out if code == 0 else err)
+
+
 class TestSpaceCommands:
     def test_separate_disjoint(self, capsys, families, tmp_path):
         kdir, ldir = families
@@ -433,6 +462,20 @@ class TestSpaceCommands:
         code, out, _ = run(capsys, "separate", "--k", kdir, "--l", kdir,
                            "--fragment", str(frag))
         assert code == 1  # identical classes cannot be separated
+
+    def test_separate_compares_signatures(self, capsys, tmp_path):
+        # With an empty fragment every vector is empty, so the sets would
+        # meet; the classes are refused first, as insep refuses them.
+        for side, name in (("k", "p"), ("l", "q")):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "a.json").write_text(json.dumps(
+                {"universe": 1, "signature": {name: 1}, "relations": {name: []}}))
+        (tmp_path / "frag.json").write_text("[]")
+        dirs = ["--k", str(tmp_path / "k"), "--l", str(tmp_path / "l")]
+        for argv in (["separate", *dirs, "--fragment", str(tmp_path / "frag.json")],
+                     ["insep", *dirs]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "signature mismatch" in err
 
     def test_separate_evaluates_each_pair_once(self, capsys, tmp_path, monkeypatch):
         def graph(n, edges):

@@ -240,6 +240,9 @@ class TestBooleanClosure:
             assert boolean_closure(frag, 1) == boolean_closure(frag, 1)
 
     def test_budget(self):
+        # 1,179 formulas at depth 2; depth 3 passes the fixed 4,096.
         frag = at_least_fragment(2, 3, 4)
-        with pytest.raises(BudgetExceededError):
-            boolean_closure(frag, 2, max_size=50)
+        assert len(boolean_closure(frag, 2)) == 1179
+        with pytest.raises(BudgetExceededError) as err:
+            boolean_closure(frag, 3)
+        assert err.value.required == 4097

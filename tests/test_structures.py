@@ -222,13 +222,14 @@ class TestFindIsomorphism:
             find_isomorphism(cycle_graph(3), FiniteStructure(MIXED, 3))
 
     def test_search_budget(self):
-        # n^2 pairs are charged before any per-element work; unequal
-        # sizes are answered without a search.
-        A = FiniteStructure(EMPTY_SIGNATURE, 10)
+        # n^2 pairs are charged against a fixed 200,000 before any
+        # per-element work; unequal sizes are answered without a search.
+        A = FiniteStructure(EMPTY_SIGNATURE, 448)
         with pytest.raises(BudgetExceededError) as err:
-            find_isomorphism(A, A, budget=99)
-        assert err.value.required == 100
-        assert find_isomorphism(A, A, budget=100) == tuple(range(10))
+            find_isomorphism(A, A)
+        assert err.value.required == 200704
+        A = FiniteStructure(EMPTY_SIGNATURE, 447)
+        assert find_isomorphism(A, A) == tuple(range(447))
         huge = FiniteStructure(EMPTY_SIGNATURE, 10 ** 8)
         assert find_isomorphism(A, huge) is None
         with pytest.raises(BudgetExceededError):

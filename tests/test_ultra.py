@@ -178,7 +178,7 @@ class TestUltraproduct:
             result = ultraproduct(family, U)
             assert result.quotient.size == family[U.principal].size
 
-    def test_explicit_matches_fast_path(self):
+    def test_explicit_matches_fast_path(self, monkeypatch):
         rng = random.Random(2)
         checked = 0
         while checked < 30:
@@ -189,9 +189,11 @@ class TestUltraproduct:
             if n == 1:
                 continue
             explicit = ultraproduct(family, U)
-            # A budget of n elements is below the n^2 the explicit path
+            # A limit of n elements is below the n^2 the explicit path
             # charges at least, so the fast path answers.
-            fast = ultraproduct(family, U, product_budget=n)
+            monkeypatch.setattr(ultra, "ULTRAPRODUCT_LIMIT", n)
+            fast = ultraproduct(family, U)
+            monkeypatch.undo()
             assert explicit.explicit and not fast.explicit
             assert explicit.quotient == fast.quotient
             assert explicit.class_representatives == fast.class_representatives
@@ -201,31 +203,35 @@ class TestUltraproduct:
         with pytest.raises(ValidationError, match="index set"):
             ultraproduct([FiniteStructure(SIG, 1)], Ultrafilter(2, 0))
 
-    def test_explicit_budget(self):
+    def test_explicit_budget(self, monkeypatch):
         # 3^4 = 81 tuples in the full product, and 3^2, the least n^k charged.
         family = [FiniteStructure(EMPTY_SIGNATURE, 3)] * 4
-        assert ultraproduct(family, Ultrafilter(4, 0), product_budget=81).explicit is True
-        # Past the budget the route falls back to the fast path.
-        assert ultraproduct(family, Ultrafilter(4, 0), product_budget=80).explicit is False
+        monkeypatch.setattr(ultra, "ULTRAPRODUCT_LIMIT", 81)
+        assert ultraproduct(family, Ultrafilter(4, 0)).explicit is True
+        # Past the limit the route falls back to the fast path.
+        monkeypatch.setattr(ultra, "ULTRAPRODUCT_LIMIT", 80)
+        assert ultraproduct(family, Ultrafilter(4, 0)).explicit is False
 
-    def test_automatic_route_within_the_isomorphism_budget(self):
+    def test_automatic_route_within_the_isomorphism_budget(self, monkeypatch):
         # 500 elements: 500 tuples, but 500^2, the least n^k charged.
         A = FiniteStructure(EMPTY_SIGNATURE, 500)
         assert ultraproduct([A], Ultrafilter(1, 0)).explicit is False
-        assert ultraproduct([A], Ultrafilter(1, 0), product_budget=500 ** 2).explicit
+        monkeypatch.setattr(ultra, "ULTRAPRODUCT_LIMIT", 500 ** 2)
+        assert ultraproduct([A], Ultrafilter(1, 0)).explicit
+        monkeypatch.undo()
         # 22 elements: 22 points, but 22^4 = 234,256 large-set tests for
-        # the 4-ary relation, past the default budget of 200,000.
+        # the 4-ary relation, past the limit of 200,000.
         B = FiniteStructure(Signature.of({"r": 4}), 22, {"r": [(0, 1, 2, 3)]})
         start = time.perf_counter()
         result = ultraproduct([B], Ultrafilter(1, 0))
         assert result.explicit is False and result.quotient == B
         assert time.perf_counter() - start < 1
 
-    def test_fast_path_budget(self):
+    def test_fast_path_budget(self, monkeypatch):
         # One class representative per element of the principal factor.
+        monkeypatch.setattr(ultra, "ULTRAPRODUCT_LIMIT", 10)
         with pytest.raises(BudgetExceededError) as err:
-            ultraproduct([FiniteStructure(EMPTY_SIGNATURE, 100)], Ultrafilter(1, 0),
-                         product_budget=10)
+            ultraproduct([FiniteStructure(EMPTY_SIGNATURE, 100)], Ultrafilter(1, 0))
         assert err.value.required == 100
 
 
@@ -346,7 +352,7 @@ class TestHenkinModel:
         box_masks = ultra._box_masks
         monkeypatch.setattr(ultra, "_box_masks", lambda *args: calls.append(args[1])
                             or box_masks(*args))
-        # 2^(2 + 3) factor choices are within DEFAULT_LITERAL_BUDGET.
+        # 2^(2 + 3) factor choices are within LITERAL_ROUTE_CHOICES.
         literal = henkin_model(family, U, 1)
         assert calls == [1]
         assert literal.relations_of_arity(1) == all_relations(2, 1)

@@ -189,7 +189,7 @@ class TestSuites:
         assert report["pass"]
 
     def test_omission_suite_small(self):
-        report = omission_suite(3, 20, max_size=2)
+        report = omission_suite(3, 20)
         assert report["pass"]
 
     @pytest.mark.parametrize("run, pairs", [
@@ -236,3 +236,10 @@ class TestDemos:
     def test_unknown_demo(self):
         with pytest.raises(ValidationError):
             demo("nope")
+
+    @pytest.mark.parametrize("value", [True, 2.7, 3.0])
+    def test_parameter_neither_an_int_nor_text(self, value):
+        # Not read as the int it converts to: True would run nmax 1, 2.7
+        # nmax 2.
+        with pytest.raises(ValidationError, match="nmax must be an integer"):
+            demo("infinity", {"nmax": value})
