@@ -152,20 +152,18 @@ def _cmd_separate(args):
             raise SoLabError(f"signature mismatch between {named_k[0][0]} and {name}")
     fragment = fs.Fragment.from_strings(_read_json(args.fragment), sig)
 
-    def vectors_named_by_witness(named):
-        # Each (structure, formula) pair is evaluated once, here.
-        witnesses = {}
+    def vectors(named):
+        # Each witness is named by the first file that holds an equal
+        # structure, and each (structure, formula) pair is evaluated once.
+        names = {}
         for name, A in named:
-            witnesses.setdefault(fs.theory_vector(A, fragment, budget=args.budget), name)
-        return fs.VectorSet(witnesses)
+            names.setdefault(A, name)
+        vs = fs.vector_set(names, fragment, budget=args.budget)
+        return vs, sorted(({"bits": v.as_string(), "witness": names[A]}
+                           for v, A in vs.witnesses.items()), key=lambda e: e["bits"])
 
-    def entries(vs):
-        return sorted(({"bits": v.as_string(), "witness": name}
-                       for v, name in vs.witnesses.items()), key=lambda e: e["bits"])
-
-    kvs = vectors_named_by_witness(named_k)
-    lvs = vectors_named_by_witness(named_l)
-    kv, lv = entries(kvs), entries(lvs)
+    kvs, kv = vectors(named_k)
+    lvs, lv = vectors(named_l)
     separator = fs.separating_combination(kvs, lvs, fragment)
     distance = fs.set_distance(kvs, lvs)
     report = {

@@ -15,6 +15,7 @@ from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
     Signature,
+    _is_int,
     check_formula,
     eval_so_full,
 )
@@ -64,6 +65,16 @@ class TheoryVector:
         return len(self.bits)
 
 
+def check_vector(v, m):
+    """The theory-vector rule: v when it is a vector over a fragment of
+    m formulas, a TheoryVector of length m, else a ValidationError."""
+    if not isinstance(v, TheoryVector):
+        raise ValidationError(f"{v!r} is not a TheoryVector")
+    if len(v) != m:
+        raise ValidationError(f"vectors over different fragments: {len(v)} bits, not {m}")
+    return v
+
+
 class VectorSet:
     """A set of theory vectors over one fragment, given as a mapping from
     each vector to one witness."""
@@ -97,9 +108,11 @@ def vector_set(objects, fragment: Fragment, *,
 
 def ultrametric(x: TheoryVector, y: TheoryVector) -> Fraction:
     """d(x, y) = max{2^-i : x(i) != y(i)}, i.e. 2^-(least disagreement
-    index), and 0 when the vectors are equal.  Exact rational output."""
-    if len(x) != len(y):
-        raise ValidationError("vectors over different fragments")
+    index), and 0 when the vectors are equal.  Exact rational output.
+    Both must be vectors over one fragment (check_vector)."""
+    m = len(x) if isinstance(x, TheoryVector) else None
+    check_vector(x, m)
+    check_vector(y, m)
     for i, (a, b) in enumerate(zip(x.bits, y.bits)):
         if a != b:
             return Fraction(1, 2 ** i)
@@ -110,9 +123,6 @@ def set_distance(S: VectorSet, T: VectorSet) -> Fraction:
     """Minimum pairwise ultrametric: zero exactly when the sets meet."""
     if not S.vectors or not T.vectors:
         raise ValidationError("set_distance is undefined for an empty vector set")
-    lengths = {len(v) for v in S.vectors} | {len(v) for v in T.vectors}
-    if len(lengths) != 1:
-        raise ValidationError("vectors over different fragments")
     return min(ultrametric(x, y) for x in S.vectors for y in T.vectors)
 
 
@@ -148,9 +158,12 @@ def separating_combination(kv: VectorSet, lv: VectorSet, fragment: Fragment):
 def boolean_closure(fragment: Fragment, depth: int) -> Fragment:
     """Extend the fragment with negations and binary conjunctions and
     disjunctions of its members, iterated to the given nesting depth,
-    deduplicated structurally, original order as a prefix.  A closure
+    deduplicated structurally, original order as a prefix.  A depth that
+    is not an integer of at least 0 is a ValidationError, and a closure
     past CLOSURE_FORMULA_LIMIT formulas, a fixed limit apart from the
-    relation budget, is a BudgetExceededError."""
+    relation budget, a BudgetExceededError."""
+    if not (_is_int(depth) and depth >= 0):
+        raise ValidationError(f"the depth must be an integer of at least 0, not {depth!r}")
     formulas = list(fragment.formulas)
     seen = set(formulas)
 

@@ -11,14 +11,17 @@ owns its slot, its loop restores nothing, and calls share no state.
 What it knows of the formula's scope it reads from formulas.scope.  The
 closures trust their frame, as the grounder does: every entry first runs
 check_formula, the one check of a formula (height, arity fault,
-closedness, check_symbols), and eval_so_full beside it
-check_relation_variables and check_assignment, before compiling or
-charging a budget.  Under full semantics relation quantifiers range over
-all relations of their arity: by lexicographic enumeration within a
-budget on nested candidates or, for a homogeneous prefix over a
-first-order matrix, by satisfiability (see sat): a grounder compiled
-once per matrix, prefix and universe size emits CNF with one Boolean
-per candidate tuple, and a clause-learning (CDCL) solver decides it.
+closedness, check_symbols), and eval_so_full beside it check_assignment,
+the one check of an Assignment, before compiling or charging a budget.
+check_relation is the one relation rule: FiniteStructure runs it on
+every relation, check_assignment on every relation variable the formula
+uses, and ultra on decomposed relations and their factors.  Under full
+semantics relation quantifiers range over all relations of their arity:
+by lexicographic enumeration within a budget on nested candidates or,
+for a homogeneous prefix over a first-order matrix, by satisfiability
+(see sat): a grounder compiled once per matrix, prefix and universe
+size emits CNF with one Boolean per candidate tuple, and a
+clause-learning (CDCL) solver decides it.
 
 Everything here is immutable after construction and all operations are
 pure functions.
@@ -45,6 +48,24 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_relation(members, k, size, label):
+    """The relation rule: members, a collection of lists or tuples, as
+    the frozenset of their tuples, and a ValidationError unless k is an
+    integer of at least 1 and every member is k ints, not bools, in
+    range(size).  label, such as "relation 'edge'", names the relation
+    in the message.  No member is hashed before it passes."""
+    if not (_is_int(k) and k >= 1):
+        raise ValidationError(f"{label} has arity {k!r}, not an integer of at least 1")
+    tuples = [tuple(t) if isinstance(t, (list, tuple)) else t for t in members]
+    for t in tuples:
+        if not (isinstance(t, tuple) and len(t) == k):
+            raise ValidationError(f"{label} holds {t!r}, not a tuple of its arity {k} in length")
+        for x in t:
+            if not (isinstance(x, int) and type(x) is not bool and 0 <= x < size):
+                raise ValidationError(f"{label} holds {t!r}, outside the universe range({size})")
+    return frozenset(tuples)
+
+
 @dataclass(frozen=True)
 class Signature:
     relations: tuple[tuple[str, int], ...]
@@ -54,9 +75,8 @@ class Signature:
         if len(arities) != len(self.relations):
             raise ValidationError("duplicate relation name in signature")
         for name, arity in self.relations:
-            if not _is_int(arity) or arity < 1:
-                raise ValidationError(
-                    f"relation {name!r} has arity {arity!r}, not an integer of at least 1")
+            # The arity part of the relation rule, on the empty relation.
+            check_relation((), arity, 0, f"relation {name!r}")
         # Not a field: equality, hashing and repr see relations only.
         object.__setattr__(self, "_arity", arities)
 
@@ -97,16 +117,7 @@ class FiniteStructure:
             raise ValidationError(f"relations not in signature: {sorted(extra)}")
         rels = {}
         for name, arity in sig.relations:
-            tuples = [tuple(t) for t in relations.get(name, ())]
-            for t in tuples:
-                if len(t) != arity:
-                    raise ValidationError(
-                        f"tuple {t} has length {len(t)}, expected arity {arity} for {name!r}"
-                    )
-                if not all(isinstance(x, int) and type(x) is not bool and 0 <= x < size
-                           for x in t):
-                    raise ValidationError(f"tuple {t} out of universe range for {name!r}")
-            rels[name] = frozenset(tuples)
+            rels[name] = check_relation(relations.get(name, ()), arity, size, f"relation {name!r}")
         self.sig = sig
         self.size = size
         self.rels = rels
@@ -142,22 +153,19 @@ class FiniteStructure:
     @staticmethod
     def from_json_dict(data) -> "FiniteStructure":
         """The structure a decoded JSON object describes; raises
-        ValidationError on any value of the wrong JSON type."""
+        ValidationError on any value of the wrong JSON type.  The universe
+        size and the relations are checked by the constructor, the
+        arities by Signature."""
         if not isinstance(data, dict):
             raise ValidationError(f"a structure must be a JSON object, not {type(data).__name__}")
-        size = data.get("universe")
-        if not _is_int(size):
-            raise ValidationError(f"'universe' must be an integer, not {type(size).__name__}")
         signature = data.get("signature")
-        if not isinstance(signature, dict) or not all(
-                _is_int(arity) for arity in signature.values()):
+        if not isinstance(signature, dict):
             raise ValidationError("'signature' must be an object mapping names to integer arities")
         relations = data.get("relations", {})
         if not isinstance(relations, dict) or not all(
-                isinstance(tuples, list) and all(isinstance(t, list) for t in tuples)
-                for tuples in relations.values()):
+                isinstance(tuples, list) for tuples in relations.values()):
             raise ValidationError("'relations' must be an object mapping names to lists of tuples")
-        return FiniteStructure(Signature.of(signature), size, relations)
+        return FiniteStructure(Signature.of(signature), data.get("universe"), relations)
 
     @staticmethod
     def from_json(text) -> "FiniteStructure":
@@ -259,32 +267,21 @@ def check_formula(f, arities, so=(), *, closed=True):
     return found
 
 
-def check_relation_variables(symbols, A, so):
+def check_assignment(found, size, fo, so):
     """Raise ValidationError unless so values each relation symbol of
-    symbols it assigns with a set of tuples of the arity of its use over
-    A's universe.  eval_so_full runs it on entry."""
-    size = A.size
+    found, a formulas.scope, that it assigns with a set that passes
+    check_relation at the arity of its use over range(size), and fo each
+    free individual variable of found with an element of range(size).
+    eval_so_full runs it on entry."""
     for name, rel in so.items():
-        k = symbols.get(name)
+        k = found.symbols.get(name)
         if k is None:
             continue
         if not isinstance(rel, (set, frozenset)):
             raise ValidationError(f"relation variable {name!r} must be a set of tuples,"
                                   f" not {type(rel).__name__}")
-        for t in rel:
-            if not (isinstance(t, tuple) and len(t) == k):
-                raise ValidationError(f"relation variable {name!r} holds {t!r},"
-                                      f" not a tuple of its arity {k}")
-            if not all(_is_int(x) and 0 <= x < size for x in t):
-                raise ValidationError(f"relation variable {name!r} holds {t!r},"
-                                      f" outside the universe")
-
-
-def check_assignment(names, A, fo):
-    """Raise ValidationError unless fo values each individual variable
-    of names with an element of A.  eval_so_full runs it on entry."""
-    size = A.size
-    for name in names:
+        check_relation(rel, k, size, f"relation variable {name!r}")
+    for name in found.free_fo:
         value = fo.get(name)
         if value is None:
             raise ValidationError(f"unassigned free variable {name!r}")
@@ -630,8 +627,7 @@ def eval_so_full(A: FiniteStructure, f, asg: Assignment | None = None, *,
     fo = asg.fo if asg else {}
     so = asg.so if asg else {}
     found = check_formula(f, A.sig._arity, so, closed=False)
-    check_relation_variables(found.symbols, A, so)
-    check_assignment(found.free_fo, A, fo)
+    check_assignment(found, A.size, fo, so)
     evaluate, homogeneous, depth = compile_evaluator(f)
     so_domain = relation_domain(A.size, budget, depth)
     if homogeneous is None:
@@ -831,7 +827,10 @@ def models_up_to(f, sig: Signature, nmax: int, *,
     kept when no relabelling makes it smaller (Read's orderly test), and
     only a kept one becomes a structure.  The candidates, then the n!
     relabellings, of each size are charged against budget, and each
-    size builds its Heap steps once for all its candidates."""
+    size builds its Heap steps once for all its candidates.  An nmax
+    that is not an integer is a ValidationError."""
+    if not _is_int(nmax):
+        raise ValidationError(f"the largest size must be an integer, not {nmax!r}")
     check_formula(f, sig._arity)
     arities = [k for _, k in sig.relations]
     out = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import formulas as fm
 from .errors import ValidationError
-from .formula_space import TheoryVector
+from .formula_space import TheoryVector, check_vector
 from .structures import (
     DEFAULT_RELATION_BUDGET,
     FiniteStructure,
@@ -178,7 +178,10 @@ def _table(ctx: TypeContext, budget: int) -> _Realizations:
 
 def omits(A: FiniteStructure, p: TwoType, ctx: TypeContext, *,
           budget: int = DEFAULT_RELATION_BUDGET) -> bool:
-    """True when no choice of relations on A realizes p."""
+    """True when no choice of relations on A realizes p.  A p that is not
+    a vector over ctx's fragment (formula_space.check_vector) is a
+    ValidationError."""
+    check_vector(p, len(ctx.fragment))
     return p not in _table(ctx, budget).of(A)
 
 
@@ -203,8 +206,10 @@ def check_omission_axiomatization(K, Pi, pool, ctx: TypeContext, *,
                                   budget: int = DEFAULT_RELATION_BUDGET) -> OmissionReport:
     """Verify that Pi lies inside the pool-relative omission set of K and
     that every pool member outside K realizes some member of Pi; the
-    report lists each violation."""
-    Pi = set(Pi)
+    report lists each violation.  A member of Pi that is not a vector
+    over ctx's fragment (formula_space.check_vector) is a
+    ValidationError."""
+    Pi = {check_vector(p, len(ctx.fragment)) for p in Pi}
     omitted = omitted_by_all(K, pool, ctx, budget=budget)
     table = _table(ctx, budget)
     pool_realized = table.over_pool(pool)

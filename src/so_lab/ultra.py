@@ -23,6 +23,7 @@ from .structures import (
     _is_int,
     all_relations,
     check_formula,
+    check_relation,
     compile_evaluator,
     eval_so_full,
     excess_relation_choices,
@@ -206,19 +207,24 @@ class Decomposition:
 def is_decomposable(rel, result: UltraproductResult, arity: int | None = None):
     """A decomposition of rel (a relation on the quotient) into factor
     relations whose box recomposes to rel, or None when none exists.
+    Without an arity, that of rel's first member is taken.  An arity that
+    is not an integer of at least 1, or a rel that breaks the relation
+    rule (structures.check_relation) over the quotient, is a
+    ValidationError.
 
     Under a principal ultrafilter every relation is decomposable: the
     factor at the principal index is the pullback of rel and the other
     factors are chosen empty (any choice is equivalent almost
     everywhere; empty is canonical).
     """
-    rel = frozenset(tuple(t) for t in rel)
+    rel = list(rel)
     if arity is None:
         if not rel:
             raise ValidationError("arity required for the empty relation")
-        arity = len(next(iter(rel)))
-    if any(len(t) != arity for t in rel):
-        raise ValidationError("mixed tuple lengths in relation")
+        # A first member that is neither a list nor a tuple breaks the
+        # rule at any arity.
+        arity = len(rel[0]) if isinstance(rel[0], (list, tuple)) else 1
+    rel = check_relation(rel, arity, result.quotient.size, "the relation")
     U = result.ultrafilter
     pullback = frozenset(
         tuple(result.value_at_principal(x) for x in t) for t in rel
@@ -234,8 +240,15 @@ def is_decomposable(rel, result: UltraproductResult, arity: int | None = None):
 
 def recompose(dec: Decomposition, result: UltraproductResult) -> frozenset:
     """The box of the factor relations: membership of a quotient tuple is
-    the largeness of its componentwise membership set."""
-    return _box(result.class_representatives, result.ultrafilter, dec.arity, dec.factors)
+    the largeness of its componentwise membership set.  A decomposition
+    without one factor per family member, or with a factor that breaks
+    the relation rule (structures.check_relation) over its member, is a
+    ValidationError."""
+    if len(dec.factors) != len(result.family):
+        raise ValidationError(f"one factor per family member, not {len(dec.factors)}")
+    factors = [check_relation(factor, dec.arity, A.size, f"factor {i}")
+               for i, (factor, A) in enumerate(zip(dec.factors, result.family))]
+    return _box(result.class_representatives, result.ultrafilter, dec.arity, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,26 @@ class TestSpaceCommands:
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and "signature mismatch" in err
 
+    def test_separate_names_each_witness_by_its_first_file(self, capsys, tmp_path):
+        # a.json and b.json hold one structure, which z.json holds too:
+        # each witness is named by the first file of its side holding it.
+        def unary(size, members):
+            return json.dumps({"universe": size, "signature": {"p": 1},
+                               "relations": {"p": [[x] for x in members]}})
+
+        for side, files in {"k": {"b": unary(2, [0]), "a": unary(2, [0]), "c": unary(1, [])},
+                            "l": {"z": unary(2, [0]), "y": unary(1, [0])}}.items():
+            (tmp_path / side).mkdir()
+            for name, text in files.items():
+                (tmp_path / side / f"{name}.json").write_text(text)
+        (tmp_path / "frag.json").write_text(json.dumps(["EX x p(x)", "ALL x p(x)"]))
+        code, out, _ = run(capsys, "separate", "--k", str(tmp_path / "k"),
+                           "--l", str(tmp_path / "l"), "--fragment", str(tmp_path / "frag.json"))
+        assert code == 1 and out.splitlines()[:3] == [
+            "K vectors: 00 (c.json), 10 (a.json)",
+            "L vectors: 10 (z.json), 11 (y.json)",
+            "distance: 0"]
+
     def test_separate_evaluates_each_pair_once(self, capsys, tmp_path, monkeypatch):
         def graph(n, edges):
             both = sorted({(a, b) for a, b in edges} | {(b, a) for a, b in edges})

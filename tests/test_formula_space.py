@@ -119,6 +119,12 @@ class TestUltrametric:
         with pytest.raises(ValidationError):
             ultrametric(TheoryVector((1,)), TheoryVector((1, 0)))
 
+    @pytest.mark.parametrize("x, y", [((1,), TheoryVector((1,))), (TheoryVector((1,)), (1,)),
+                                      (1, TheoryVector((1,)))], ids=["x-tuple", "y-tuple", "x-int"])
+    def test_not_a_theory_vector(self, x, y):
+        with pytest.raises(ValidationError, match="not a TheoryVector"):
+            ultrametric(x, y)
+
     @settings(max_examples=300, deadline=None)
     @given(hyp.lists(hyp.tuples(hyp.integers(0, 1), hyp.integers(0, 1),
                                 hyp.integers(0, 1)),
@@ -163,6 +169,13 @@ class TestSetDistance:
         S = vector_set([FiniteStructure(EMPTY_SIGNATURE, 1)], frag)
         with pytest.raises(ValidationError, match="empty"):
             set_distance(S, vector_set([], frag))
+
+    def test_sets_over_different_fragments(self):
+        A = FiniteStructure(EMPTY_SIGNATURE, 2)
+        S = vector_set([A], at_least_fragment(2))
+        T = vector_set([A], at_least_fragment(2, 3))
+        with pytest.raises(ValidationError, match="vectors over different fragments"):
+            set_distance(S, T)
 
     def test_positive_iff_disjoint(self):
         rng = random.Random(2)
@@ -218,6 +231,11 @@ class TestBooleanClosure:
     def test_depth_zero(self):
         frag = at_least_fragment(2, 3)
         assert boolean_closure(frag, 0) == frag
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, True])
+    def test_depth_not_an_integer_of_at_least_zero(self, depth):
+        with pytest.raises(ValidationError, match="integer of at least 0"):
+            boolean_closure(at_least_fragment(2), depth)
 
     def test_single_formula_depth_one(self):
         g0 = fm.parse("EX x x = x")

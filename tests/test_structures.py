@@ -73,6 +73,17 @@ class TestFiniteStructure:
         with pytest.raises(ValidationError, match="not in signature"):
             FiniteStructure(GRAPH_SIGNATURE, 2, {"blue": [(0,)]})
 
+    def test_member_neither_a_list_nor_a_tuple(self):
+        with pytest.raises(ValidationError, match="relation 'p' holds 5, not a tuple"):
+            FiniteStructure(Signature.of({"p": 1}), 2, {"p": [5]})
+        with pytest.raises(ValidationError, match="relation 'p' holds 5, not a tuple"):
+            FiniteStructure.from_json('{"universe": 2, "signature": {"p": 1},'
+                                      ' "relations": {"p": [5]}}')
+
+    def test_unhashable_element_refused_before_hashing(self):
+        with pytest.raises(ValidationError, match=r"relation 'edge' holds \(0, \[1\]\)"):
+            FiniteStructure(GRAPH_SIGNATURE, 2, {"edge": [[0, [1]]]})
+
     def test_missing_relation_means_empty(self):
         A = FiniteStructure(GRAPH_SIGNATURE, 2)
         assert A.rels["edge"] == frozenset()
@@ -257,6 +268,11 @@ class TestFindIsomorphism:
 
 
 class TestModelsUpTo:
+    @pytest.mark.parametrize("nmax", [True, 1.5, "2"])
+    def test_size_not_an_integer(self, nmax):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            models_up_to(fm.parse("ALL x x = x"), EMPTY_SIGNATURE, nmax)
+
     def test_cardinality_formula_over_empty_signature(self):
         out = models_up_to(builtin("at_least:3").formula, EMPTY_SIGNATURE, 4)
         assert [A.size for A in out] == [3, 4]

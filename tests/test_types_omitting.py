@@ -148,6 +148,15 @@ class TestOmits:
             p = TwoType((rng.randint(0, 1), rng.randint(0, 1)))
             assert omits(A, p, ctx) == (p not in realized_types(A, ctx))
 
+    def test_type_must_be_a_vector_over_the_fragment(self):
+        # A realizes (1,): a plain tuple equal to it is not its type.
+        A = FiniteStructure(Signature.of({"p": 1}), 2, {"p": [(0,)]})
+        assert TwoType((1,)) in realized_types(A, SIMPLE)
+        with pytest.raises(ValidationError, match="not a TheoryVector"):
+            omits(A, (1,), SIMPLE)
+        with pytest.raises(ValidationError, match="different fragments: 2 bits, not 1"):
+            omits(A, TwoType((1, 0)), SIMPLE)
+
 
 class TestOmittedByAll:
     def test_k_equals_pool_is_empty(self):
@@ -230,6 +239,15 @@ class TestOmissionAxiomatization:
         pool = small_pool()
         report = check_omission_axiomatization(pool, frozenset(), pool, SIMPLE)
         assert "pool" in report.note
+
+    @pytest.mark.parametrize("p, message", [((1,), "not a TheoryVector"),
+                                            ([1], "not a TheoryVector"),
+                                            (TwoType((1, 0)), "2 bits, not 1")],
+                             ids=["tuple", "list", "two-bits"])
+    def test_member_of_pi_must_be_a_vector_over_the_fragment(self, p, message):
+        pool = [FiniteStructure(Signature.of({"p": 1}), 2, {"p": [(0,)]})]
+        with pytest.raises(ValidationError, match=message):
+            check_omission_axiomatization(pool, [p], pool, SIMPLE)
 
 
 class TestPropertyA:

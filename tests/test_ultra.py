@@ -7,6 +7,7 @@ import pytest
 from so_lab import formulas as fm
 from so_lab import gen, ultra
 from so_lab.errors import ArityBoundError, BudgetExceededError, ValidationError
+from so_lab.formula_space import Fragment, theory_vector
 from so_lab.structures import (
     EMPTY_SIGNATURE,
     FiniteStructure,
@@ -69,6 +70,11 @@ def assert_boxes_match_recompose(result, k):
     choices = itertools.product(*[all_relations(A.size, k) for A in family])
     assert masks == [relation_mask(n, k, recompose(Decomposition(k, combo), result))
                      for combo in choices]
+
+
+def principal_pair():
+    """The ultraproduct of two 2-element structures under principal:0."""
+    return ultraproduct([FiniteStructure(SIG, 2)] * 2, Ultrafilter(2, 0))
 
 
 def subsets(universe):
@@ -287,6 +293,39 @@ class TestDecomposable:
         result = ultraproduct(gen.random_family(rng, SIG, 2, 2), Ultrafilter(2, 0))
         with pytest.raises(ValidationError):
             is_decomposable(frozenset(), result)
+
+    # Every relation is decomposable under a principal ultrafilter, so a
+    # member outside the quotient must be refused, not answered None.
+    @pytest.mark.parametrize("rel", [{(-1,)}, {(5,)}, {("a",)}, {(True,)}, [5]],
+                             ids=["negative", "past-the-end", "text", "bool", "no-tuple"])
+    def test_relation_outside_the_quotient(self, rel):
+        result = principal_pair()
+        with pytest.raises(ValidationError, match="the relation holds"):
+            is_decomposable(rel, result)
+
+    def test_arity_taken_from_the_first_member(self):
+        result = principal_pair()
+        dec = is_decomposable({(1,)}, result)
+        assert dec.arity == 1 and dec.factors == (frozenset({(1,)}), frozenset())
+
+    @pytest.mark.parametrize("arity", [0, -1, 1.5, True])
+    def test_arity_not_an_integer_of_at_least_one(self, arity):
+        result = principal_pair()
+        with pytest.raises(ValidationError, match="not an integer of at least 1"):
+            is_decomposable(frozenset(), result, arity=arity)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_recompose_needs_one_factor_per_member(self, count):
+        result = principal_pair()
+        with pytest.raises(ValidationError, match=f"one factor per family member, not {count}"):
+            recompose(Decomposition(1, (frozenset({(0,)}),) * count), result)
+
+    def test_recompose_factor_outside_its_member(self):
+        # The second factor is not read under principal:0, yet (7,) is no
+        # relation on its 2-element member.
+        result = principal_pair()
+        with pytest.raises(ValidationError, match=r"factor 1 holds \(7,\), outside"):
+            recompose(Decomposition(1, (frozenset({(0,)}), frozenset({(7,)}))), result)
 
 
 class TestBoxMasks:
@@ -605,3 +644,17 @@ class TestUltrachain:
             f = gen.random_formula(rng, SIG, max_quant_depth=3,
                                    max_so=2, max_binary_so=1)
             assert henkin_eval(M, f) == eval_so_full(A0, f)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Signature((("p", 1), ("p", 1))),
+     ValidationError, "duplicate relation name in signature"),
+    (lambda: Ultrafilter(0, 0), ValidationError, "index set must be nonempty"),
+    (lambda: theory_vector(object(), Fragment(SIG, ())),
+     ValidationError, "cannot take a theory vector of object"),
+    (lambda: full_henkin_model(FiniteStructure(SIG, 1), 1).relations_of_arity(2),
+     ArityBoundError, "arity 2 exceeds the materialised bound 1"),
+], ids=["duplicate-symbol", "empty-index-set", "theory-vector-of-object", "past-arity-bound"])
+def test_input_faults(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -78,6 +78,20 @@ echo '{"universe": 2, "signature": {"p": 1}, "relations": {"p": [[true]]}}' > bo
 code=0
 $SO_LAB eval --structure bool.json --formula "EX x p(x)" || code=$?
 test "$code" = 2
+# A member that is no tuple, and a tuple holding a list, break the
+# relation rule, whose message names the relation.
+echo '{"universe": 2, "signature": {"p": 1}, "relations": {"p": [5]}}' > not-a-tuple.json
+code=0
+$SO_LAB eval --structure not-a-tuple.json --formula "EX x p(x)" 2> not-a-tuple.err || code=$?
+cat not-a-tuple.err
+test "$code" = 2
+grep -q "relation 'p'" not-a-tuple.err
+echo '{"universe": 2, "signature": {"edge": 2}, "relations": {"edge": [[0, [1]]]}}' > nested.json
+code=0
+$SO_LAB eval --structure nested.json --formula "EX x EX y edge(x, y)" 2> nested.err || code=$?
+cat nested.err
+test "$code" = 2
+grep -q "relation 'edge'" nested.err
 printf '\xff\xfe{}' > not-utf8.json
 code=0
 $SO_LAB eval --structure not-utf8.json --formula "EX x x = x" || code=$?
